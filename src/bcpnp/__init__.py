@@ -12,9 +12,6 @@ from .blocks import (
     BlockSchedule,
     BlockVector,
     complex_to_pairs,
-    extract,
-    inject,
-    next_index,
     pairs_to_complex,
 )
 from .denoisers import (

@@ -112,18 +112,6 @@ class BlockVector:
         return BlockVector(self.layout, self.data + other.data)
 
 
-def extract(x: BlockVector, i: int):
-    return x.extract(i)
-
-
-def inject(x: BlockVector, i: int, values):
-    return x.inject(i, values)
-
-
-def zeros(layout: BlockLayout):
-    return BlockVector(layout, np.zeros(layout.total))
-
-
 @dataclass
 class BlockSchedule:
     """Block-selection rule: which block index to update at iteration k >= 1.
@@ -164,10 +152,6 @@ class BlockSchedule:
 
     def with_seed(self, seed):
         return BlockSchedule(self.kind, self.num_blocks, seed)
-
-
-def next_index(schedule: BlockSchedule, k: int):
-    return schedule.next_index(k)
 
 
 def complex_to_pairs(z):

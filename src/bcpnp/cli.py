@@ -2,10 +2,12 @@
 
 One YAML file declares a problem (synthetic or file-based ground truth),
 per-block denoisers, the solver modes to compare, optional convergence
-checks, and an output directory.  `run` writes per-mode iterate traces
-(CSV), reconstructed images (PGM + full-precision CSV), a metrics table
-(relative RMSE of image and operator parameters, SSIM), and a JSON report.
-`validate` reports config problems without executing the solver.
+checks, and an output directory.  `load_config` parses it once, with every
+file it names, into a typed `Config`; both commands consume that parse.
+`run` writes per-mode iterate traces (CSV), reconstructed images (PGM +
+full-precision CSV), a metrics table (relative RMSE of image and operator
+parameters, SSIM), and a JSON report.  `validate` reports config problems
+without executing the solver.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 a strict
 convergence check failed.
@@ -16,51 +18,29 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
 from . import fileio
-from .blocks import BlockSchedule, BlockVector, complex_to_pairs, pairs_to_complex
+from .blocks import BlockLayout, BlockSchedule, BlockVector, complex_to_pairs, pairs_to_complex
 from .denoisers import (
-    ErrorSchedule,
-    GaussianPrior,
-    GmmPrior,
-    IdentityDenoiser,
-    InexactDenoiser,
-    MmseDenoiser,
-    SoftThresholdDenoiser,
-    TvProxDenoiser,
-    UnsupportedPriorError,
+    ErrorSchedule, GaussianPrior, GmmPrior, IdentityDenoiser, InexactDenoiser,
+    MmseDenoiser, SoftThresholdDenoiser, TvProxDenoiser, UnsupportedPriorError,
 )
 from .forward import (
-    BlindConvolutionModel,
-    ConvolutionFidelity,
-    LinearFidelity,
-    LinearModel,
-    MultiCoilFidelity,
-    MultiCoilModel,
-    synthesize,
+    BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
+    MultiCoilFidelity, MultiCoilModel, estimate_block_lipschitz, synthesize,
 )
-from .solver import (
-    MODES,
-    NonFiniteIterateError,
-    SolverConfig,
-    resolve_gamma,
-    solve,
-)
+from .solver import PNP_ORACLE_THETA, NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
-    ImplicitObjective,
-    TheoryConstants,
-    check_descent,
-    check_theorem1,
-    check_theorem2,
-    reference_f_star,
-    rmse,
-    ssim,
+    ImplicitObjective, TheoryConstants, check_descent, check_theorem1, check_theorem2,
+    reference_f_star, rmse, ssim,
 )
 
 EXIT_OK = 0
@@ -68,15 +48,13 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 
+BLIND = "blind-deconvolution"
+MULTI_COIL = "multi-coil"
+LINEAR = "generic-linear"
 _MODE_ALIASES = {"pnp": "pnp-ista"}
-DENOISER_KINDS = (
-    "identity",
-    "soft-threshold",
-    "tv-prox",
-    "gaussian-mmse",
-    "gmm-mmse",
-    "inexact",
-)
+DENOISER_KINDS = ("identity", "soft-threshold", "tv-prox", "gaussian-mmse", "gmm-mmse", "inexact")
+# smallest seed ensemble the theorem-2 check accepts; 0 turns the ensemble off
+MIN_ENSEMBLE_SEEDS = 10
 
 
 class ConfigError(ValueError):
@@ -88,11 +66,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def synthetic_image(shape, kind="blobs", seed=0):
+def synthetic_image(shape, seed=0):
     """Seeded test image in [0, 1]: a ramp with random smooth bumps."""
     H, W = shape
-    if kind != "blobs":
-        raise ConfigError(f"unknown synthetic image kind {kind!r}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:H, 0:W] / max(H, W)
     img = 0.15 + 0.2 * xx + 0.1 * yy
@@ -150,118 +126,404 @@ def smooth_coil_maps(shape, num_coils, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# config loading and validation
+# typed config
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ProblemConfig:
+    """The problem section; arrays are ground truth in natural units.
+
+    Seeded draws (noise, coil maps, random matrix, perturbation) wait for
+    `build_problem`, which may override the seed.
+    """
+
+    kind: str
+    seed: int
+    noise_sigma: float
+    layout: BlockLayout
+    model: object = None  # BlindConvolutionModel | MultiCoilModel
+    image: np.ndarray | None = None
+    kernel: np.ndarray | None = None
+    theta_init: np.ndarray | None = None  # explicit initial kernel
+    perturb: float | None = None  # relative perturbation of the true theta
+    perturb_seed: int | None = None  # None: problem seed + 1
+    balance_blocks: bool = True
+    rows: int = 0  # generic-linear
+    matrix: np.ndarray | None = None  # generic-linear; None: drawn at seed + 3
+
+
+@dataclass(frozen=True)
+class TheoryChecks:
+    enabled: bool = False
+    reference_multiplier: int = 10
+    ensemble_seeds: int = 0
+    strict: bool = False
+
+
+@dataclass(frozen=True)
+class Config:
+    """A parsed experiment config; see `load_config`."""
+
+    problem: ProblemConfig
+    denoisers: tuple  # one per block, natural units; see `build_denoiser`
+    solver: SolverConfig  # at the first mode; `_solver_config` sets another
+    modes: tuple  # (label as written, canonical mode) per solver mode
+    theory: TheoryChecks
+    out_dir: str
+
+
+@contextmanager
+def _at(field):
+    """Report a rule that an object or function enforces as an error of `field`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
+def _with_fields(obj, node, **values):
+    """Replace dataclass fields one at a time, so a rejected value names its key."""
+    for key, value in values.items():
+        with _at(node.at(key)):
+            obj = dataclasses.replace(obj, **{key: value})
+    return obj
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_REQUIRED = object()
+
+
+class _Node:
+    """A mapping of the YAML tree and its dotted path; reads typed fields.
+
+    An absent or null field takes its default; one without a default is
+    missing.
+    """
+
+    def __init__(self, data, path):
+        if not isinstance(data, (dict, type(None))):
+            raise ConfigError(f"{path}: must be a mapping, got {data!r}")
+        self.data, self.path = data or {}, path
+
+    def at(self, key):
+        return f"{self.path}.{key}" if self.path else key
+
+    def has(self, key):
+        return self.data.get(key) is not None
+
+    def node(self, key, required=False):
+        return _Node(self.get(key) if required else self.data.get(key), self.at(key))
+
+    def get(self, key, default=_REQUIRED, want="", ok=None):
+        """The field's value; `ok` vets a given value, which `want` describes."""
+        value = self.data.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.at(key)}: missing")
+            return default
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{self.at(key)}: must be {want}, got {value!r}")
+        return value
+
+    def number(self, key, default=_REQUIRED):
+        value = self.get(key, default)
+        try:  # float() also takes 1e-5, which YAML 1.1 leaves a string
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{self.at(key)}: must be a finite number, got {value!r}")
+        return number
+
+    def numbers(self, key, default=_REQUIRED):
+        values = self.get(key, default, "a list", lambda v: isinstance(v, list))
+        items = _Node(dict(enumerate(values)), self.at(key))
+        return tuple(items.number(i) for i in range(len(values)))
+
+    def integer(self, key, default=_REQUIRED):
+        return self.get(key, default, "an integer >= 0", lambda v: _is_int(v) and v >= 0)
+
+    def integers(self, key, default, length=None):
+        def ok(v):
+            sized = isinstance(v, list) and (len(v) == length if length else len(v) > 0)
+            return sized and all(_is_int(n) and n > 0 for n in v)
+
+        want = f"a list of {length or 'one or more'} positive integers"
+        return tuple(self.get(key, default, want, ok))
+
+    def flag(self, key, default):
+        return self.get(key, default, "true or false", lambda v: isinstance(v, bool))
+
+    def string(self, key, default=_REQUIRED, options=None):
+        want = "a string" if options is None else "one of " + ", ".join(options)
+        ok = (lambda v: isinstance(v, str)) if options is None else (lambda v: v in options)
+        return self.get(key, default, want, ok)
+
+
+def _unit_problem():
+    """A one-unknown linear problem, to run rules that live in functions."""
+    layout = BlockLayout((1,))
+    model = LinearModel(np.ones((1, 1)))
+    return model, LinearFidelity(model, layout, np.zeros(1)), BlockVector(layout, [1.0])
+
+
 def load_config(path):
+    """Parse an experiment YAML file, and every file it names, into a Config.
+
+    Range rules stay with the objects and functions that enforce them; the
+    parser builds those objects, so the first unusable field raises
+    ConfigError("<dotted.field>: <reason>").
+    """
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error: {exc}")
-    if not isinstance(cfg, dict):
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"config parse error: {exc}") from None
+    if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    return cfg
+    root = _Node(data, "")
+    problem = _parse_problem(root.node("problem", required=True))
+    denoisers = _parse_denoisers(root.node("denoisers", required=True), problem)
+    solver, modes = _parse_solver(root.node("solver"), problem.layout.num_blocks)
+    theory = _parse_theory(root.node("theory_checks"), solver)
+    return Config(problem, denoisers, solver, modes, theory,
+                  root.node("output").string("directory", "out"))
 
 
-def _get(cfg, section, field, default=None, required=False):
-    sec = cfg.get(section)
-    if not isinstance(sec, dict):
-        if required:
-            raise ConfigError(f"missing section {section!r}")
-        return default
-    if field not in sec:
-        if required:
-            raise ConfigError(f"missing field {section}.{field}")
-        return default
-    return sec[field]
+def _read_array(node, shape=None):
+    """The matrix in the file at `<node>.path` (PGM or CSV), of `shape` if given."""
+    path = node.string("path")
+    with _at(node.at("path")):
+        arr = fileio.read_pgm(path) if path.endswith(".pgm") else fileio.load_matrix_csv(path)
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{node.at('path')}: file shape {arr.shape} != {shape}")
+    return arr
 
 
-def validate(config_path):
-    """Collect configuration diagnostics without executing the solver."""
-    diagnostics = []
+def _parse_problem(node):
+    kind = node.string("kind", options=(BLIND, MULTI_COIL, LINEAR))
+    common = dict(kind=kind, seed=node.integer("seed", 0),
+                  noise_sigma=node.number("noise_sigma", 0.0))
+    with _at(node.at("noise_sigma")):
+        synthesize(_unit_problem()[0], np.zeros(1), noise_sigma=common["noise_sigma"])
+
+    if kind == LINEAR:
+        layout = BlockLayout(node.integers("block_sizes", (4, 4)))
+        matrix = _read_array(node.node("matrix")) if node.has("matrix") else None
+        if matrix is not None:
+            with _at(node.at("matrix")):
+                LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
+        rows = node.get("rows", layout.total, "a positive integer", lambda v: _is_int(v) and v > 0)
+        return ProblemConfig(**common, layout=layout, rows=rows, matrix=matrix)
+
+    shape = node.integers("image_shape", (64, 64) if kind == BLIND else (32, 32), length=2)
+    image = _image_source(node.node("image"), shape)
+    theta_init = node.node("theta_init")
+    if kind == MULTI_COIL:
+        coils = node.integer("num_coils", 2)
+        with _at(node.at("num_coils")):
+            MultiCoilModel(shape, coils, np.ones(shape))
+        mask = node.node("mask")
+        with _at(mask.path):
+            if mask.has("path"):
+                model = MultiCoilModel(shape, coils, _read_array(mask))
+            else:
+                accel, center = mask.integer("accel", 2), mask.integer("center_rows", 4)
+                model = MultiCoilModel(shape, coils, cartesian_rows_mask(shape, accel, center))
+        return ProblemConfig(**common, layout=model.layout, model=model, image=image,
+                             **_theta_init(theta_init, None))
+
+    kshape = node.integers("kernel_shape", (9, 9), length=2)
+    with _at(node.at("kernel_shape")):
+        model = BlindConvolutionModel(shape, kshape)
+    return ProblemConfig(**common, layout=model.layout, model=model, image=image,
+                         kernel=_kernel_source(node.node("kernel"), kshape, 1.5),
+                         balance_blocks=node.flag("balance_blocks", True),
+                         **_theta_init(theta_init, kshape))
+
+
+def _image_source(node, shape):
+    if node.has("path"):
+        return _read_array(node, shape)
+    node.string("synthetic", "blobs", options=("blobs",))
+    return synthetic_image(shape, node.integer("seed", 0))
+
+
+def _kernel_source(node, shape, width):
+    """A kernel file, or a synthetic kernel (gaussian of `width` by default)."""
+    if node.has("path"):
+        return _read_array(node, shape)
+    kind = node.string("synthetic", "gaussian", options=("gaussian", "uniform", "delta"))
+    if kind == "uniform":
+        return uniform_kernel(shape)
+    if kind == "delta":
+        return delta_kernel(shape)
+    return gaussian_kernel(shape, node.number("width", width))
+
+
+def _theta_init(node, kernel_shape):
+    """problem.theta_init: a kernel file, a synthetic kernel, a perturbed
+    truth or, with none of these, the true kernel.  Multi-coil (no kernel
+    shape) takes only a perturbation of the true maps, by default 0."""
+    if kernel_shape is not None:
+        if node.has("path"):
+            with _at(node.at("path")):
+                return {"theta_init": _read_array(node).reshape(kernel_shape).ravel()}
+        if node.has("synthetic") or node.has("width"):
+            return {"theta_init": _kernel_source(node, kernel_shape, 2.0).ravel()}
+        if not node.has("perturb"):
+            return {}
+    return {"perturb": node.number("perturb", 0.0), "perturb_seed": node.integer("seed", None)}
+
+
+def _parse_denoisers(node, problem):
+    """image/theta denoisers, or `blocks: [...]` for generic-linear."""
+    sizes = problem.layout.sizes
+    if problem.kind == LINEAR:
+        specs = node.get("blocks", want=f"a list of {len(sizes)} denoisers (one per block)",
+                         ok=lambda v: isinstance(v, list) and len(v) == len(sizes))
+        nodes = [_Node(s, f"{node.at('blocks')}[{i}]") for i, s in enumerate(specs)]
+    else:
+        nodes = [node.node("image", required=True), node.node("theta", required=True)]
+    shapes = [None] * len(sizes)
+    if problem.kind == BLIND:
+        shapes = [problem.model.image_shape, problem.model.kernel_shape]
+    return tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes))
+
+
+def _parse_denoiser(node, size, shape):
+    """One block's denoiser in natural units; its constructor checks ranges."""
+    kind = node.string("kind", options=DENOISER_KINDS)
+    if kind == "identity":
+        den = IdentityDenoiser()
+    elif kind == "soft-threshold":
+        threshold = node.number("threshold")
+        with _at(node.at("threshold")):
+            den = SoftThresholdDenoiser(threshold)
+    elif kind == "tv-prox":
+        if shape is None:
+            raise ConfigError(f"{node.at('kind')}: tv-prox needs a real 2-D image block")
+        weight, inner_iters = node.number("weight"), node.integer("inner_iters", 30)
+        with _at(node.at("weight")):
+            den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)
+    elif kind == "inexact":
+        sch = node.node("schedule")
+        schedule = _with_fields(
+            ErrorSchedule(), sch, kind=sch.string("kind", "zero"), base=sch.number("base", 0.0),
+            values=sch.numbers("values", ()), seed=sch.integer("seed", 0),
+        )
+        base = _parse_denoiser(node.node("base", required=True), size, shape)
+        den = InexactDenoiser(base, schedule)
+    else:
+        prior = _parse_prior(node.node("prior"), kind, size, shape)
+        sigma = node.number("sigma")
+        with _at(node.at("sigma")):
+            den = MmseDenoiser(prior, sigma)
+    # a denoiser that cannot act on its block (a prior of another
+    # dimension) fails here rather than mid-run
+    with _at(node.path):
+        den.apply(np.zeros(size))
+    return den
+
+
+def _parse_prior(node, kind, size, shape):
+    if kind == "gaussian-mmse":
+        mean, var = _prior_mean(node, size, shape), node.number("var")
+        with _at(node.at("var")):
+            return GaussianPrior(mean, var)
+    with _at(node.path):
+        return GmmPrior(
+            np.asarray(node.numbers("weights")),
+            np.asarray(node.get("means"), dtype=float),
+            np.asarray(node.numbers("variances")),
+        )
+
+
+def _prior_mean(node, size, shape):
+    if node.get("mean", "zeros") == "zeros":
+        return np.zeros(size)
+    mean = node.node("mean")
+    if mean.has("constant"):
+        return np.full(size, mean.number("constant"))
+    if mean.has("path"):
+        return _read_array(mean).ravel()
+    if shape is not None and mean.has("gaussian-kernel"):
+        return gaussian_kernel(shape, mean.number("gaussian-kernel")).ravel()
+    if shape is not None and mean.has("uniform-kernel"):
+        return uniform_kernel(shape).ravel()
+    raise ConfigError(f"{mean.path}: must be zeros, {{constant: c}}, {{path: f.csv}} or, on a "
+                      "real 2-D block, {gaussian-kernel: width} or {uniform-kernel: true}")
+
+
+def _parse_solver(node, num_blocks):
+    """The solver section as a SolverConfig and the (label, mode) pairs."""
+    sched = node.node("schedule")
+    seed = sched.integer("seed", 0)
+    with _at(sched.at("kind")):
+        schedule = BlockSchedule(sched.string("kind", "sequential"), num_blocks, seed)
+    gamma = node.get("gamma", "auto")
+    config = _with_fields(
+        SolverConfig(schedule), node,
+        gamma=None if gamma == "auto" else node.number("gamma"),
+        max_iters=node.get("max_iters", 500, "an integer", _is_int),
+        stop_tol=node.number("stop_tol", 1e-5),
+        ball_radius=node.number("ball_radius", 10.0),
+    )
+    _, fidelity, x = _unit_problem()
+    with _at(node.at("ball_radius")):
+        estimate_block_lipschitz(fidelity, x, config.ball_radius)
+
+    labels = node.get("modes", ["bc-pnp"], "a non-empty list of mode names", lambda v: (
+        isinstance(v, list) and v and all(isinstance(m, str) for m in v)))
+    modes = tuple(_MODE_ALIASES.get(m, m) for m in labels)
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"{node.at('modes')}: duplicate modes after aliasing in {labels}")
+    for i, mode in enumerate(modes):
+        with _at(f"{node.at('modes')}[{i}]"):
+            dataclasses.replace(config, mode=mode)
+    return dataclasses.replace(config, mode=modes[0]), tuple(zip(labels, modes))
+
+
+def _parse_theory(node, solver):
+    multiplier = node.get("reference_multiplier", 10, "an integer", _is_int)
+    with _at(node.at("reference_multiplier")):
+        dataclasses.replace(solver, max_iters=solver.max_iters * multiplier)
+    seeds = node.get("ensemble_seeds", 0, f"0 (off) or at least {MIN_ENSEMBLE_SEEDS}",
+                     lambda v: _is_int(v) and (v == 0 or v >= MIN_ENSEMBLE_SEEDS))
+    return TheoryChecks(node.flag("enabled", False), multiplier, seeds, node.flag("strict", False))
+
+
+def validate(config):
+    """Diagnostics for a config path or a parsed Config, without solving.
+
+    The parse, plus the certified step-rule check when convergence checks
+    run at an explicit gamma; an empty list means `run` can start.
+    """
     try:
-        cfg = load_config(config_path)
+        cfg = config if isinstance(config, Config) else load_config(config)
+        gamma = cfg.solver.gamma
+        if cfg.theory.enabled and gamma is not None:
+            # needs the certified constants; builds the problem but never iterates
+            problem = build_problem(cfg)
+            _, lip = resolve_gamma(problem.fidelity, problem.x0_for(cfg.solver.mode), cfg.solver)
+            if lip.l_max > 0 and gamma >= 1.0 / lip.l_max:
+                return ["solver.gamma: step size violates the convergence step rule "
+                        f"(gamma={gamma} >= 1/L_max={1.0 / lip.l_max:.6g})"]
     except ConfigError as exc:
         return [str(exc)]
-
-    kind = _get(cfg, "problem", "kind")
-    if kind not in ("blind-deconvolution", "multi-coil", "generic-linear"):
-        diagnostics.append(f"problem.kind must name a supported model, got {kind!r}")
-        return diagnostics
-
-    if kind == "blind-deconvolution":
-        ishape = _get(cfg, "problem", "image_shape", [64, 64])
-        kshape = _get(cfg, "problem", "kernel_shape", [9, 9])
-        if len(ishape) != 2 or len(kshape) != 2:
-            diagnostics.append("image_shape and kernel_shape must be 2-D")
-        else:
-            if kshape[0] % 2 == 0 or kshape[1] % 2 == 0:
-                diagnostics.append("kernel dimensions must be odd")
-            if kshape[0] > ishape[0] or kshape[1] > ishape[1]:
-                diagnostics.append("kernel must not exceed the image")
-
-    modes = _get(cfg, "solver", "modes", ["bc-pnp"])
-    if not modes:
-        diagnostics.append("solver.modes must not be empty")
-    canonical = []
-    for m in modes:
-        cm = _MODE_ALIASES.get(m, m)
-        if cm not in MODES:
-            diagnostics.append(f"unknown solver mode {m!r}")
-        canonical.append(cm)
-    if len(set(canonical)) != len(canonical):
-        diagnostics.append("solver.modes contains duplicate modes after aliasing")
-
-    sched = _get(cfg, "solver", "schedule", {"kind": "sequential"})
-    if sched.get("kind", "sequential") not in ("sequential", "epoch-shuffle", "random-iid"):
-        diagnostics.append(f"unknown schedule kind {sched.get('kind')!r}")
-
-    gamma = _get(cfg, "solver", "gamma", "auto")
-    if gamma != "auto" and (not isinstance(gamma, (int, float)) or gamma <= 0):
-        diagnostics.append("solver.gamma must be 'auto' or a positive number")
-
-    for name, spec in _denoiser_specs(cfg).items():
-        dk = spec.get("kind")
-        if dk not in DENOISER_KINDS:
-            diagnostics.append(f"unknown denoiser kind {dk!r} for block {name!r}")
-        if dk == "tv-prox" and kind != "blind-deconvolution":
-            diagnostics.append("tv-prox denoiser needs a real 2-D image block")
-
-    if diagnostics:
-        return diagnostics
-
-    # step-rule check needs the certified constants; builds the problem but
-    # never iterates
-    theory = cfg.get("theory_checks", {}) or {}
-    if theory.get("enabled") and gamma != "auto":
-        try:
-            problem = build_problem(cfg)
-            solver_cfg = _solver_config(cfg, canonical[0])
-            _, lip = resolve_gamma(problem.fidelity, problem.x0_for(canonical[0]), solver_cfg)
-            if lip.l_max > 0 and gamma >= 1.0 / lip.l_max:
-                diagnostics.append(
-                    "step size violates the convergence step rule "
-                    f"(gamma={gamma} >= 1/L_max={1.0 / lip.l_max:.6g})"
-                )
-        except ConfigError as exc:
-            diagnostics.append(str(exc))
-    return diagnostics
+    return []
 
 
-def _denoiser_specs(cfg):
-    dens = cfg.get("denoisers", {}) or {}
-    if "blocks" in dens:
-        return {i + 1: spec for i, spec in enumerate(dens["blocks"])}
-    out = {}
-    if "image" in dens:
-        out["image"] = dens["image"]
-    if "theta" in dens:
-        out["theta"] = dens["theta"]
-    return out
+def _solver_config(cfg, mode):
+    return dataclasses.replace(cfg.solver, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -269,51 +531,44 @@ def _denoiser_specs(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _load_image_source(spec, shape):
-    if isinstance(spec, dict) and "path" in spec:
-        path = spec["path"]
-        img = (
-            fileio.read_pgm(path)
-            if str(path).endswith(".pgm")
-            else fileio.load_matrix_csv(path)
-        )
-        if img.shape != tuple(shape):
-            raise ConfigError(f"image file shape {img.shape} != {tuple(shape)}")
-        return img
-    spec = spec or {}
-    return synthetic_image(shape, spec.get("synthetic", "blobs"), spec.get("seed", 0))
+@dataclass(frozen=True)
+class Problem:
+    """Measurements, truth and initial parameter block in work units.
 
+    Blind deconvolution works in blocks rescaled to (v / scale, scale *
+    theta), see `balanced_block_scale`; the other kinds have scale 1.
+    Generic-linear problems have neither an image nor a parameter block.
+    """
 
-def _load_kernel_source(spec, shape):
-    if isinstance(spec, dict) and "path" in spec:
-        k = fileio.load_matrix_csv(spec["path"])
-        if k.shape != tuple(shape):
-            raise ConfigError(f"kernel file shape {k.shape} != {tuple(shape)}")
-        return k
-    spec = spec or {}
-    kind = spec.get("synthetic", "gaussian")
-    if kind == "gaussian":
-        return gaussian_kernel(shape, spec.get("width", 1.5))
-    if kind == "uniform":
-        return uniform_kernel(shape)
-    if kind == "delta":
-        return delta_kernel(shape)
-    raise ConfigError(f"unknown synthetic kernel kind {kind!r}")
+    kind: str
+    fidelity: object
+    truth: BlockVector
+    image_truth: np.ndarray | None = None  # natural units, for SSIM
+    image_shape: tuple | None = None
+    theta0: np.ndarray | None = None
+    theta_true: np.ndarray | None = None
+    scale: float = 1.0
 
+    @property
+    def block_scales(self):
+        """Factor from natural to work units, per block."""
+        if self.theta0 is None:
+            return (1.0,) * self.fidelity.layout.num_blocks
+        return (1.0 / self.scale, self.scale)
 
-def _theta_init(spec, theta_true, shape, problem_seed):
-    spec = spec or {}
-    if "path" in spec:
-        return fileio.load_matrix_csv(spec["path"]).ravel()
-    if "synthetic" in spec or "width" in spec:
-        return _load_kernel_source({"synthetic": spec.get("synthetic", "gaussian"),
-                                    "width": spec.get("width", 2.0)}, shape).ravel()
-    if "perturb" in spec:
-        rng = np.random.default_rng(spec.get("seed", problem_seed + 1))
-        scale = float(spec["perturb"]) * np.linalg.norm(theta_true)
-        noise = rng.standard_normal(theta_true.size)
-        return theta_true + scale * noise / np.linalg.norm(noise)
-    return theta_true.copy()
+    def x0_for(self, mode):
+        """Adjoint initialization; the oracle mode starts from the true theta."""
+        if self.theta0 is None:
+            return BlockVector(self.fidelity.layout, self.fidelity.adjoint_init())
+        theta = self.theta_true if mode == PNP_ORACLE_THETA else self.theta0
+        # adjoint initialization in natural units, then into work units
+        v0 = self.fidelity.adjoint_init(theta / self.scale) / self.scale
+        return BlockVector.from_blocks([v0, theta])
+
+    def natural_image(self, x):
+        if self.kind == MULTI_COIL:
+            return np.abs(pairs_to_complex(x.extract(1), self.image_shape))
+        return (self.scale * x.extract(1)).reshape(self.image_shape)
 
 
 def balanced_block_scale(model, fidelity, theta0):
@@ -333,280 +588,73 @@ def balanced_block_scale(model, fidelity, theta0):
 
 
 def build_problem(cfg, seed_override=None):
-    """Instantiate the model, measurements, truth, and per-mode inits."""
-    kind = _get(cfg, "problem", "kind", required=True)
-    seed = _get(cfg, "problem", "seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    noise = float(_get(cfg, "problem", "noise_sigma", 0.0))
-
-    if kind == "blind-deconvolution":
-        return _build_deconvolution(cfg, seed, noise)
-    if kind == "multi-coil":
-        return _build_multicoil(cfg, seed, noise)
-    if kind == "generic-linear":
-        return _build_linear(cfg, seed, noise)
-    raise ConfigError(f"problem.kind must name a supported model, got {kind!r}")
+    """Synthesize the measurements; build the truth and the initial blocks."""
+    p = cfg.problem
+    seed = p.seed if seed_override is None else seed_override
+    build = {BLIND: _build_deconvolution, MULTI_COIL: _build_multicoil, LINEAR: _build_linear}
+    return build[p.kind](p, seed)
 
 
-def _build_deconvolution(cfg, seed, noise):
-    ishape = tuple(_get(cfg, "problem", "image_shape", [64, 64]))
-    kshape = tuple(_get(cfg, "problem", "kernel_shape", [9, 9]))
-    try:
-        model = BlindConvolutionModel(ishape, kshape)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    image = _load_image_source(_get(cfg, "problem", "image"), ishape)
-    kernel = _load_kernel_source(_get(cfg, "problem", "kernel"), kshape)
-    y = synthesize(model, image.ravel(), kernel.ravel(), noise, seed=seed)
+def _build_deconvolution(p, seed):
+    model, kernel = p.model, p.kernel.ravel()
+    y = synthesize(model, p.image.ravel(), kernel, p.noise_sigma, seed=seed)
     fid = ConvolutionFidelity(model, y)
-    theta0 = _theta_init(
-        _get(cfg, "problem", "theta_init"), kernel.ravel(), kshape, seed
-    )
-    scale = 1.0
-    if _get(cfg, "problem", "balance_blocks", True):
-        scale = balanced_block_scale(model, fid, theta0)
-
-    truth = BlockVector.from_blocks([image.ravel() / scale, scale * kernel.ravel()])
-    theta_true = scale * kernel.ravel()
-    theta0 = scale * theta0
-
-    def x0_for(mode):
-        theta = theta_true if mode == "pnp-oracle-theta" else theta0
-        # adjoint initialization in natural units, then into work units
-        v0 = fid.adjoint_init(theta / scale) / scale
-        return BlockVector.from_blocks([v0, theta])
-
-    def natural_image(x):
-        return (scale * x.extract(1)).reshape(ishape)
-
-    def natural_theta(x):
-        return (x.extract(2) / scale).reshape(kshape)
-
-    return SimpleNamespace(
-        kind="blind-deconvolution",
-        model=model,
-        fidelity=fid,
-        truth=truth,
-        image_truth=image,
-        theta_truth_natural=kernel,
-        scale=scale,
-        image_shape=ishape,
-        x0_for=x0_for,
-        natural_image=natural_image,
-        natural_theta=natural_theta,
-        block_scales=(1.0 / scale, scale),
-    )
+    theta0 = kernel if p.theta_init is None else p.theta_init
+    if p.perturb is not None:
+        rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
+        size = p.perturb * np.linalg.norm(kernel)
+        noise = rng.standard_normal(kernel.size)
+        theta0 = kernel + size * noise / np.linalg.norm(noise)
+    scale = balanced_block_scale(model, fid, theta0) if p.balance_blocks else 1.0
+    truth = BlockVector.from_blocks([p.image.ravel() / scale, scale * kernel])
+    return Problem(BLIND, fid, truth, p.image, model.image_shape,
+                   theta0=scale * theta0, theta_true=scale * kernel, scale=scale)
 
 
-def _build_multicoil(cfg, seed, noise):
-    ishape = tuple(_get(cfg, "problem", "image_shape", [32, 32]))
-    coils = int(_get(cfg, "problem", "num_coils", 2))
-    mask_spec = _get(cfg, "problem", "mask", {}) or {}
-    if "path" in mask_spec:
-        mask = fileio.load_matrix_csv(mask_spec["path"])
-    else:
-        mask = cartesian_rows_mask(
-            ishape, mask_spec.get("accel", 2), mask_spec.get("center_rows", 4)
-        )
-    try:
-        model = MultiCoilModel(ishape, coils, mask)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    image = _load_image_source(_get(cfg, "problem", "image"), ishape).astype(
-        np.complex128
-    )
-    maps = smooth_coil_maps(ishape, coils, seed=seed + 7)
-    y = synthesize(model, image, maps, noise, seed=seed)
-    fid = MultiCoilFidelity(model, y)
-
-    init_spec = _get(cfg, "problem", "theta_init", {}) or {}
-    rng = np.random.default_rng(init_spec.get("seed", seed + 1))
-    rel = float(init_spec.get("perturb", 0.0))
+def _build_multicoil(p, seed):
+    model, image = p.model, p.image.astype(np.complex128)
+    maps = smooth_coil_maps(model.image_shape, model.num_coils, seed=seed + 7)
+    y = synthesize(model, image, maps, p.noise_sigma, seed=seed)
+    rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
     noise_maps = rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape)
-    maps0 = maps + rel * np.linalg.norm(maps) * noise_maps / np.linalg.norm(noise_maps)
-
-    truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
+    maps0 = maps + p.perturb * np.linalg.norm(maps) * noise_maps / np.linalg.norm(noise_maps)
     theta_true = complex_to_pairs(maps)
-    theta0 = complex_to_pairs(maps0)
-
-    def x0_for(mode):
-        theta = theta_true if mode == "pnp-oracle-theta" else theta0
-        return BlockVector.from_blocks([fid.adjoint_init(theta), theta])
-
-    def natural_image(x):
-        return np.abs(pairs_to_complex(x.extract(1), ishape))
-
-    def natural_theta(x):
-        return x.extract(2)
-
-    return SimpleNamespace(
-        kind="multi-coil",
-        model=model,
-        fidelity=fid,
-        truth=truth,
-        image_truth=np.abs(image),
-        theta_truth_natural=theta_true,
-        scale=1.0,
-        image_shape=ishape,
-        x0_for=x0_for,
-        natural_image=natural_image,
-        natural_theta=natural_theta,
-        block_scales=(1.0, 1.0),
-    )
+    truth = BlockVector.from_blocks([complex_to_pairs(image), theta_true])
+    return Problem(MULTI_COIL, MultiCoilFidelity(model, y), truth, np.abs(image),
+                   model.image_shape, complex_to_pairs(maps0), theta_true)
 
 
-def _build_linear(cfg, seed, noise):
-    sizes = tuple(_get(cfg, "problem", "block_sizes", [4, 4]))
-    rows = int(_get(cfg, "problem", "rows", sum(sizes)))
-    matrix_spec = _get(cfg, "problem", "matrix", {}) or {}
-    if "path" in matrix_spec:
-        A = fileio.load_matrix_csv(matrix_spec["path"])
-    else:
-        A = np.random.default_rng(seed + 3).standard_normal((rows, sum(sizes)))
-    from .blocks import BlockLayout
-
-    layout = BlockLayout(sizes)
-    if A.shape[1] != layout.total:
-        raise ConfigError("matrix columns must match the block sizes")
-    rng = np.random.default_rng(seed)
-    x_true = rng.standard_normal(layout.total)
+def _build_linear(p, seed):
+    A = p.matrix
+    if A is None:
+        A = np.random.default_rng(seed + 3).standard_normal((p.rows, p.layout.total))
+    x_true = np.random.default_rng(seed).standard_normal(p.layout.total)
     model = LinearModel(A)
-    y = synthesize(model, x_true, noise_sigma=noise, seed=seed)
-    fid = LinearFidelity(model, layout, y)
-    truth = BlockVector(layout, x_true)
-
-    def x0_for(mode):
-        return BlockVector(layout, fid.adjoint_init())
-
-    return SimpleNamespace(
-        kind="generic-linear",
-        model=model,
-        fidelity=fid,
-        truth=truth,
-        image_truth=None,
-        theta_truth_natural=None,
-        scale=1.0,
-        image_shape=None,
-        x0_for=x0_for,
-        natural_image=None,
-        natural_theta=None,
-        block_scales=tuple(1.0 for _ in sizes),
-    )
+    y = synthesize(model, x_true, noise_sigma=p.noise_sigma, seed=seed)
+    return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true))
 
 
-# ---------------------------------------------------------------------------
-# denoiser construction
-# ---------------------------------------------------------------------------
-
-
-def _prior_mean(spec, size, shape, unit_scale):
-    if spec is None or spec == "zeros":
-        return np.zeros(size)
-    if isinstance(spec, dict):
-        if "constant" in spec:
-            return np.full(size, float(spec["constant"]) * unit_scale)
-        if "path" in spec:
-            return fileio.load_matrix_csv(spec["path"]).ravel() * unit_scale
-        if "gaussian-kernel" in spec:
-            return gaussian_kernel(shape, spec["gaussian-kernel"]).ravel() * unit_scale
-        if "uniform-kernel" in spec:
-            return uniform_kernel(shape).ravel() * unit_scale
-    raise ConfigError(f"unknown prior mean spec {spec!r}")
-
-
-def build_denoiser(spec, size, shape, unit_scale=1.0, block_index=1):
-    """Instantiate one block denoiser from its config mapping.
+def build_denoiser(den, unit_scale=1.0, block_index=1):
+    """A configured (natural-unit) denoiser in the work units of its block.
 
     `unit_scale` converts natural-unit parameters into the work units of
     the (possibly rescaled) block; see `balanced_block_scale`.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"denoiser spec needs a 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind == "identity":
-        return IdentityDenoiser()
-    if kind == "soft-threshold":
-        return SoftThresholdDenoiser(float(spec["threshold"]) * unit_scale)
-    if kind == "tv-prox":
-        if shape is None or len(shape) != 2:
-            raise ConfigError("tv-prox denoiser needs a 2-D image block")
-        return TvProxDenoiser(
-            float(spec["weight"]) * unit_scale,
-            shape,
-            inner_iters=int(spec.get("inner_iters", 30)),
-        )
-    if kind == "gaussian-mmse":
-        pr = spec.get("prior", {}) or {}
-        prior = GaussianPrior(
-            _prior_mean(pr.get("mean"), size, shape, unit_scale),
-            float(pr["var"]) * unit_scale**2,
-        )
-        return MmseDenoiser(prior, float(spec["sigma"]) * unit_scale)
-    if kind == "gmm-mmse":
-        pr = spec.get("prior", {}) or {}
-        prior = GmmPrior(
-            np.asarray(pr["weights"], dtype=float),
-            np.asarray(pr["means"], dtype=float) * unit_scale,
-            np.asarray(pr["variances"], dtype=float) * unit_scale**2,
-        )
-        return MmseDenoiser(prior, float(spec["sigma"]) * unit_scale)
-    if kind == "inexact":
-        base = build_denoiser(spec["base"], size, shape, unit_scale, block_index)
-        sch = spec.get("schedule", {}) or {}
-        schedule = ErrorSchedule(
-            sch.get("kind", "zero"),
-            base=float(sch.get("base", 0.0)) * unit_scale,
-            values=tuple(float(v) * unit_scale for v in sch.get("values", ())),
-            seed=int(sch.get("seed", 0)),
-        )
-        return InexactDenoiser(base, schedule, block_index=block_index)
-    raise ConfigError(f"unknown denoiser kind {kind!r}")
-
-
-def _build_denoisers(cfg, problem):
-    layout = problem.fidelity.layout
-    specs = _denoiser_specs(cfg)
-    if problem.kind == "generic-linear":
-        ordered = [specs.get(i + 1) for i in range(layout.num_blocks)]
-    else:
-        ordered = [specs.get("image"), specs.get("theta")]
-    out = []
-    for i, spec in enumerate(ordered):
-        if spec is None:
-            raise ConfigError(f"missing denoiser for block {i + 1}")
-        shape = problem.image_shape if i == 0 else (
-            problem.model.kernel_shape
-            if problem.kind == "blind-deconvolution"
-            else None
-        )
-        out.append(
-            build_denoiser(
-                spec,
-                layout.sizes[i],
-                shape,
-                unit_scale=problem.block_scales[i],
-                block_index=i + 1,
-            )
-        )
-    return out
-
-
-def _solver_config(cfg, mode):
-    sched_spec = _get(cfg, "solver", "schedule", {}) or {}
-    gamma = _get(cfg, "solver", "gamma", "auto")
-    return SolverConfig(
-        schedule=BlockSchedule(
-            sched_spec.get("kind", "sequential"),
-            2,
-            seed=int(sched_spec.get("seed", 0)),
-        ),
-        gamma=None if gamma == "auto" else float(gamma),
-        mode=mode,
-        max_iters=int(_get(cfg, "solver", "max_iters", 500)),
-        stop_tol=float(_get(cfg, "solver", "stop_tol", 1e-5)),
-        ball_radius=float(_get(cfg, "solver", "ball_radius", 10.0)),
-    )
+    s = unit_scale
+    if isinstance(den, SoftThresholdDenoiser):
+        return SoftThresholdDenoiser(den.threshold * s)
+    if isinstance(den, TvProxDenoiser):
+        return TvProxDenoiser(den.weight * s, den.shape, inner_iters=den.inner_iters)
+    if isinstance(den, MmseDenoiser):
+        p = den.prior
+        if isinstance(p, GaussianPrior):
+            return MmseDenoiser(GaussianPrior(p.mean * s, p.var * s**2), den.sigma * s)
+        return MmseDenoiser(GmmPrior(p.weights, p.means * s, p.variances * s**2), den.sigma * s)
+    if isinstance(den, InexactDenoiser):
+        sch = den.schedule
+        schedule = ErrorSchedule(sch.kind, sch.base * s, tuple(v * s for v in sch.values), sch.seed)
+        return InexactDenoiser(build_denoiser(den.base, s, block_index), schedule, block_index)
+    return den
 
 
 # ---------------------------------------------------------------------------
@@ -618,73 +666,47 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
     """Execute the experiment; returns a process exit code."""
     try:
         cfg = load_config(config_path)
-        diagnostics = validate(config_path)
-        if diagnostics:
-            for d in diagnostics:
-                print(f"config error: {d}", file=sys.stderr)
-            return EXIT_CONFIG
-        problem = build_problem(cfg, seed_override=seed_override)
-        denoisers = _build_denoisers(cfg, problem)
-        modes = [
-            _MODE_ALIASES.get(m, m) for m in _get(cfg, "solver", "modes", ["bc-pnp"])
-        ]
-        labels = _get(cfg, "solver", "modes", ["bc-pnp"])
-        out_dir = Path(out_override or _get(cfg, "output", "directory", "out"))
+        diagnostics = validate(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        diagnostics = [str(exc)]
+    if diagnostics:
+        for d in diagnostics:
+            print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
-
-    theory_cfg = cfg.get("theory_checks", {}) or {}
-    strict = strict or bool(theory_cfg.get("strict", False))
+    strict = strict or cfg.theory.strict
 
     try:
+        problem = build_problem(cfg, seed_override=seed_override)
+        scales = enumerate(zip(cfg.denoisers, problem.block_scales), 1)
+        denoisers = [build_denoiser(den, s, block_index=i) for i, (den, s) in scales]
+        out_dir = Path(out_override or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_truth(out_dir, problem)
         metrics_rows = []
         report = {"modes": {}, "checks": {}}
         checks_failed = False
 
-        for label, mode in zip(labels, modes):
+        for label, mode in cfg.modes:
             mode_dir = out_dir / label
             mode_dir.mkdir(exist_ok=True)
             solver_cfg = _solver_config(cfg, mode)
-            if solver_cfg.schedule.num_blocks != problem.fidelity.layout.num_blocks:
-                solver_cfg = dataclasses.replace(
-                    solver_cfg,
-                    schedule=BlockSchedule(
-                        solver_cfg.schedule.kind,
-                        problem.fidelity.layout.num_blocks,
-                        solver_cfg.schedule.seed,
-                    ),
-                )
             x0 = problem.x0_for(mode)
             gamma, lip = resolve_gamma(problem.fidelity, x0, solver_cfg)
             solver_cfg = dataclasses.replace(solver_cfg, gamma=gamma)
 
-            objective = None
-            constants = None
-            if theory_cfg.get("enabled") and mode == "bc-pnp":
+            objective = constants = None
+            if cfg.theory.enabled and mode == "bc-pnp":
                 try:
                     objective = ImplicitObjective(problem.fidelity, denoisers, gamma)
                     constants = TheoryConstants.from_problem(
-                        gamma,
-                        problem.fidelity.layout.num_blocks,
-                        lip.l_max,
-                        lip.l_full,
+                        gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
                         objective.m_max(),
                     )
                 except (UnsupportedPriorError, ValueError) as exc:
                     report["checks"]["objective"] = f"skipped: {exc}"
 
-            result = solve(
-                problem.fidelity,
-                denoisers,
-                solver_cfg,
-                x0,
-                truth=problem.truth,
-                objective=objective,
-                lipschitz=lip,
-            )
+            result = solve(problem.fidelity, denoisers, solver_cfg, x0, truth=problem.truth,
+                           objective=objective, lipschitz=lip)
             result.trace.to_csv(mode_dir / "trace.csv")
             row = _mode_metrics(label, problem, result)
             metrics_rows.append(row)
@@ -703,7 +725,7 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
 
             if objective is not None and constants is not None:
                 checks = _theory_checks(
-                    problem, denoisers, solver_cfg, x0, result, constants, theory_cfg, lip
+                    problem, denoisers, solver_cfg, x0, result, constants, cfg.theory, lip
                 )
                 report["checks"][label] = checks
                 checks_failed = checks_failed or not all(
@@ -714,10 +736,7 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         with open(out_dir / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
-    except NonFiniteIterateError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (NonFiniteIterateError, OSError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -727,15 +746,14 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
     return EXIT_OK
 
 
-def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory_cfg, lip):
+def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory, lip):
     """Descent always; the schedule decides which bound check applies."""
     checks = {}
     descent = check_descent(result.trace, constants)
     checks["descent"] = descent.to_dict()
 
-    multiplier = int(theory_cfg.get("reference_multiplier", 10))
     ref_cfg = dataclasses.replace(
-        solver_cfg, max_iters=solver_cfg.max_iters * multiplier
+        solver_cfg, max_iters=solver_cfg.max_iters * theory.reference_multiplier
     )
     objective = ImplicitObjective(problem.fidelity, denoisers, solver_cfg.gamma)
     ref = solve(
@@ -748,42 +766,27 @@ def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory
             checks["theorem1"] = check_theorem1(
                 result.trace, constants, f_star
             ).to_dict()
-    elif solver_cfg.schedule.kind == "random-iid":
-        seeds = int(theory_cfg.get("ensemble_seeds", 0))
-        if seeds >= 10:
-            traces = []
-            for s in range(seeds):
-                cfg_s = dataclasses.replace(
-                    solver_cfg,
-                    schedule=solver_cfg.schedule.with_seed(
-                        solver_cfg.schedule.seed + s
-                    ),
-                )
-                traces.append(
-                    solve(
-                        problem.fidelity,
-                        denoisers,
-                        cfg_s,
-                        x0,
-                        objective=objective,
-                        lipschitz=lip,
-                    ).trace
-                )
-            checks["theorem2"] = check_theorem2(
-                traces, constants, f_star, floor_ratio=1e-4
-            ).to_dict()
+    elif solver_cfg.schedule.kind == "random-iid" and theory.ensemble_seeds:
+        traces = []
+        for s in range(theory.ensemble_seeds):
+            cfg_s = dataclasses.replace(
+                solver_cfg,
+                schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s),
+            )
+            traces.append(solve(problem.fidelity, denoisers, cfg_s, x0,
+                                objective=objective, lipschitz=lip).trace)
+        checks["theorem2"] = check_theorem2(
+            traces, constants, f_star, floor_ratio=1e-4, min_seeds=MIN_ENSEMBLE_SEEDS
+        ).to_dict()
     return checks
 
 
 def _mode_metrics(label, problem, result):
-    row = {"mode": label, "rmse_x": float("nan"), "ssim_x": float("nan"),
-           "rmse_theta": float("nan")}
-    if problem.truth is None:
-        return row
-    row["rmse_x"] = rmse(result.x.extract(1), problem.truth.extract(1))
+    row = {"mode": label, "rmse_x": rmse(result.x.extract(1), problem.truth.extract(1)),
+           "ssim_x": float("nan"), "rmse_theta": float("nan")}
     if problem.fidelity.layout.num_blocks >= 2:
         row["rmse_theta"] = rmse(result.x.extract(2), problem.truth.extract(2))
-    if problem.natural_image is not None and min(problem.image_shape) >= 16:
+    if problem.image_shape is not None and min(problem.image_shape) >= 16:
         row["ssim_x"] = ssim(
             problem.natural_image(result.x), problem.image_truth, data_range=1.0
         )
@@ -791,27 +794,18 @@ def _mode_metrics(label, problem, result):
 
 
 def _write_truth(out_dir, problem):
-    if problem.kind == "generic-linear":
+    if problem.kind == LINEAR:
         fileio.save_matrix_csv(out_dir / "truth_x.csv", problem.truth.data[None, :])
         return
-    fileio.save_matrix_csv(
-        out_dir / "truth_image.csv",
-        problem.truth.extract(1)[None, :],
-    )
-    fileio.save_matrix_csv(
-        out_dir / "truth_theta.csv", problem.truth.extract(2)[None, :]
-    )
+    fileio.save_matrix_csv(out_dir / "truth_image.csv", problem.truth.extract(1)[None, :])
+    fileio.save_matrix_csv(out_dir / "truth_theta.csv", problem.truth.extract(2)[None, :])
 
 
 def _write_mode_outputs(mode_dir, problem, result):
-    fileio.save_matrix_csv(
-        mode_dir / "final_image.csv", result.x.extract(1)[None, :]
-    )
+    fileio.save_matrix_csv(mode_dir / "final_image.csv", result.x.extract(1)[None, :])
     if problem.fidelity.layout.num_blocks >= 2:
-        fileio.save_matrix_csv(
-            mode_dir / "final_theta.csv", result.x.extract(2)[None, :]
-        )
-    if problem.natural_image is not None:
+        fileio.save_matrix_csv(mode_dir / "final_theta.csv", result.x.extract(2)[None, :])
+    if problem.image_shape is not None:
         fileio.write_pgm(mode_dir / "image.pgm", problem.natural_image(result.x))
 
 
@@ -870,9 +864,9 @@ def main(argv=None):
             strict=args.strict_checks,
         )
     diagnostics = validate(args.config)
+    for d in diagnostics:
+        print(f"config error: {d}")
     if diagnostics:
-        for d in diagnostics:
-            print(d)
         return EXIT_CONFIG
     print("config ok")
     return EXIT_OK

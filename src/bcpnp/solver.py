@@ -40,20 +40,16 @@ class SolverConfig:
     """Algorithmic knobs of a solve.
 
     gamma=None certifies Lipschitz constants at the initialization and uses
-    0.9 / l_max.  `sigmas` optionally records the per-block denoiser
-    strengths for provenance; the denoiser objects own the operative values.
+    0.9 / l_max.
     """
 
     schedule: BlockSchedule
     gamma: float | None = None
-    sigmas: tuple = ()
     mode: str = BC_PNP
     max_iters: int = 500
     stop_tol: float = 1e-5
     ball_radius: float = 10.0
     theta_block: int = 2
-    recertify_every: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -223,10 +219,6 @@ def solve(
             flags["left_ball"] = any(
                 n > r for n, r in zip(x_new.block_norms(), radii)
             )
-        if config.recertify_every and k % config.recertify_every == 0:
-            recert = estimate_block_lipschitz(fidelity, x_new, config.ball_radius)
-            if recert.l_max > 0 and gamma >= 1.0 / recert.l_max:
-                flags["gamma_exceeds_rule"] = True
 
         if objective is not None:
             f_k, g_k, h_k = objective.value(x_new)

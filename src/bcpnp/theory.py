@@ -9,7 +9,6 @@ bound constants assembled from the certified smoothness constants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -576,9 +575,3 @@ def ssim(estimate, truth, data_range=1.0, window_size=11, window_sigma=1.5):
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
 
-
-def report_to_json(report, path):
-    """Serialize a checker report (anything with to_dict) deterministically."""
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

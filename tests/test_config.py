@@ -1,0 +1,177 @@
+"""Typed config parsing: shipped configs, field-named errors, and a
+property test that `validate` and `run` agree on every mutated config."""
+
+import copy
+import tempfile
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bcpnp import cli
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+THEORY = next(p for p in CONFIGS if p.stem == "theory_checks")
+
+
+def _write(tmp_path, cfg, name="config.yaml"):
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def _set(cfg, dotted, value):
+    *parents, key = dotted.split(".")
+    reduce(getitem, parents, cfg)[key] = value
+
+
+def _drop(cfg, dotted):
+    *parents, key = dotted.split(".")
+    del reduce(getitem, parents, cfg)[key]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_parses_and_builds(path):
+    """Every shipped config validates and builds its problem and denoisers
+    (without solving)."""
+    assert cli.validate(path) == []
+    cfg = cli.load_config(path)
+    problem = cli.build_problem(cfg)
+    for i, (den, scale) in enumerate(zip(cfg.denoisers, problem.block_scales), 1):
+        cli.build_denoiser(den, scale, block_index=i)
+    for _, mode in cfg.modes:
+        assert problem.x0_for(mode).layout == problem.fidelity.layout
+
+
+PROBES = {
+    "denoisers.image.sigma": lambda c: _drop(c, "denoisers.image.sigma"),
+    "denoisers.image.weight": lambda c: _set(c, "denoisers.image", {"kind": "tv-prox"}),
+    "denoisers.image.prior.var": lambda c: _set(c, "denoisers.image.prior.var", -1),
+    "solver.schedule": lambda c: _set(c, "solver.schedule", "random-iid"),
+    "solver.modes": lambda c: _set(c, "solver.modes", "bc-pnp"),
+    "solver.max_iters": lambda c: _set(c, "solver.max_iters", "many"),
+    "solver.stop_tol": lambda c: _set(c, "solver.stop_tol", -1),
+    "solver.ball_radius": lambda c: _set(c, "solver.ball_radius", 0.5),
+    "problem.image": lambda c: _set(c, "problem.image", {"path": "/nonexistent.pgm"}),
+    "theory_checks": lambda c: _set(c, "theory_checks", [1]),
+    "denoisers": lambda c: _set(c, "denoisers", [1, 2]),
+    "denoisers.theta": lambda c: _drop(c, "denoisers.theta"),
+    "theory_checks.ensemble_seeds": lambda c: (
+        _set(c, "solver.schedule.kind", "random-iid"),
+        _set(c, "theory_checks.ensemble_seeds", 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("field", PROBES)
+def test_config_error_names_field(field, tmp_path, capsys):
+    """Both commands exit 1 and name the offending field; nothing raises."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    PROBES[field](cfg)
+    path = _write(tmp_path, cfg)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    assert f"config error: {field}" in capsys.readouterr().out
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds, accepted", [(0, True), (1, False), (9, False), (10, True)])
+def test_theorem2_ensemble_size(seeds, accepted, tmp_path):
+    """A random-iid ensemble below the theorem-2 minimum would skip the check
+    without notice, so the parser rejects it."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    _set(cfg, "solver.schedule.kind", "random-iid")
+    _set(cfg, "theory_checks.ensemble_seeds", seeds)
+    diags = cli.validate(_write(tmp_path, cfg))
+    if accepted:
+        assert diags == []
+    else:
+        assert len(diags) == 1 and diags[0].startswith("theory_checks.ensemble_seeds:")
+
+
+# ---------------------------------------------------------------------------
+# property: validate and run agree on mutated configs, and nothing raises
+# ---------------------------------------------------------------------------
+
+MAX_ITERS = 2  # the default of 500 would make each example a full solve
+
+
+def _base_configs():
+    from test_cli import write_config
+
+    with tempfile.TemporaryDirectory() as tmp:
+        test_cfg = yaml.safe_load(write_config(Path(tmp)).read_text())
+    linear = copy.deepcopy(test_cfg)
+    prior = {"kind": "gaussian-mmse", "sigma": 0.3, "prior": {"mean": "zeros", "var": 1.0}}
+    linear["problem"] = {"kind": "generic-linear", "rows": 10, "block_sizes": [4, 4]}
+    linear["denoisers"] = {"blocks": [dict(prior), copy.deepcopy(prior)]}
+    return [yaml.safe_load(p.read_text()) for p in CONFIGS] + [test_cfg, linear]
+
+
+BASES = _base_configs()
+for _cfg in BASES:
+    _cfg["solver"]["max_iters"] = MAX_ITERS
+
+
+def _key_paths(node, prefix=()):
+    """Key or index path of every field, section and list entry."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _negate(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return -value
+    if isinstance(value, str):
+        return "-" + value
+    if isinstance(value, list):
+        return [_negate(v) for v in value]
+    return {k: _negate(v) for k, v in value.items()}
+
+
+RETYPED = {"str": "x", "list": [1], "dict": {"a": 1}, "none": None}
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    path = draw(st.sampled_from(sorted(_key_paths(cfg), key=str)))
+    how = draw(st.sampled_from(["drop", "negate", *RETYPED]))
+    parent = reduce(getitem, path[:-1], cfg)
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "negate":
+        parent[path[-1]] = _negate(parent[path[-1]])
+    else:
+        parent[path[-1]] = copy.deepcopy(RETYPED[how])
+    if cfg.get("solver") is None:
+        cfg["solver"] = {}
+    if isinstance(cfg["solver"], dict) and cfg["solver"].get("max_iters") is None:
+        cfg["solver"]["max_iters"] = MAX_ITERS
+    return cfg
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_configs())
+def test_validate_and_run_agree(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), cfg)
+        status_validate = cli.main(["validate", str(path)])
+        status_run = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert status_validate in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    assert status_run in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME, cli.EXIT_CHECK_FAILED)
+    assert (status_run == cli.EXIT_CONFIG) == (status_validate == cli.EXIT_CONFIG)
