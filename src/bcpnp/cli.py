@@ -78,15 +78,22 @@ def synthetic_image(shape, seed=0):
         amp = rng.uniform(0.25, 0.7)
         img = img + amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * spread**2))
     img -= img.min()
+    if img.max() == 0:
+        raise ValueError(f"a synthetic image needs at least two pixels, got shape {tuple(shape)}")
     img /= img.max()
     return img
 
 
 def gaussian_kernel(shape, width):
-    """Centered normalized Gaussian blur kernel."""
+    """Centered normalized Gaussian blur kernel of standard deviation `width`."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width!r}")
+    two_var = 2 * float(width) ** 2
+    if two_var == 0:
+        raise ValueError(f"width {width!r} is too small: its square underflows to 0")
     h, w = shape
     yy, xx = np.mgrid[-(h // 2) : h // 2 + 1, -(w // 2) : w // 2 + 1]
-    k = np.exp(-(xx**2 + yy**2) / (2 * float(width) ** 2))
+    k = np.exp(-(xx**2 + yy**2) / two_var)
     return k / k.sum()
 
 
@@ -354,7 +361,9 @@ def _image_source(node, shape):
     if node.has("path"):
         return _read_array(node, shape)
     node.string("synthetic", "blobs", options=("blobs",))
-    return synthetic_image(shape, node.integer("seed", 0))
+    seed = node.integer("seed", 0)
+    with _at(node.path):
+        return synthetic_image(shape, seed)
 
 
 def _kernel_source(node, shape, width):
@@ -366,7 +375,9 @@ def _kernel_source(node, shape, width):
         return uniform_kernel(shape)
     if kind == "delta":
         return delta_kernel(shape)
-    return gaussian_kernel(shape, node.number("width", width))
+    width = node.number("width", width)
+    with _at(node.at("width")):
+        return gaussian_kernel(shape, width)
 
 
 def _theta_init(node, kernel_shape):
@@ -456,7 +467,9 @@ def _prior_mean(node, size, shape):
     if mean.has("path"):
         return _read_array(mean).ravel()
     if shape is not None and mean.has("gaussian-kernel"):
-        return gaussian_kernel(shape, mean.number("gaussian-kernel")).ravel()
+        width = mean.number("gaussian-kernel")
+        with _at(mean.at("gaussian-kernel")):
+            return gaussian_kernel(shape, width).ravel()
     if shape is not None and mean.has("uniform-kernel"):
         return uniform_kernel(shape).ravel()
     raise ConfigError(f"{mean.path}: must be zeros, {{constant: c}}, {{path: f.csv}} or, on a "
@@ -665,6 +678,8 @@ def build_denoiser(den, unit_scale=1.0, block_index=1):
 def run(config_path, out_override=None, seed_override=None, strict=False):
     """Execute the experiment; returns a process exit code."""
     try:
+        if seed_override is not None and not (_is_int(seed_override) and seed_override >= 0):
+            raise ConfigError(f"--seed-override: must be an integer >= 0, got {seed_override!r}")
         cfg = load_config(config_path)
         diagnostics = validate(cfg)
     except ConfigError as exc:

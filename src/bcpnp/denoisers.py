@@ -350,36 +350,37 @@ class TvProxDenoiser:
         self.tau = float(tau)
 
     @staticmethod
-    def _grad(u):
-        gx = np.zeros_like(u)
-        gy = np.zeros_like(u)
-        gx[:-1, :] = u[1:, :] - u[:-1, :]
-        gy[:, :-1] = u[:, 1:] - u[:, :-1]
-        return gx, gy
-
-    @staticmethod
-    def _div(px, py):
-        dx = np.zeros_like(px)
-        dx[0, :] = px[0, :]
-        dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
-        dx[-1, :] = -px[-2, :]
-        dy = np.zeros_like(py)
+    def _div(px, py, out, dy):
+        """Divergence of (px, py) into `out`; `dy` is scratch space."""
+        out[0, :] = px[0, :]
+        np.subtract(px[1:-1, :], px[:-2, :], out=out[1:-1, :])
+        out[-1, :] = -px[-2, :]
         dy[:, 0] = py[:, 0]
-        dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
+        np.subtract(py[:, 1:-1], py[:, :-2], out=dy[:, 1:-1])
+        # plain assignment: np.negative(out=) into a strided column view gave
+        # wrong values on numpy 2.4 for 8-row images
         dy[:, -1] = -py[:, -2]
-        return dx + dy
+        return np.add(out, dy, out=out)
 
     def apply(self, z, k=1):
         z = np.asarray(z, dtype=np.float64).reshape(self.shape)
-        lam = self.weight
-        px = np.zeros(self.shape)
-        py = np.zeros(self.shape)
+        lam, tau = self.weight, self.tau
+        z_lam = z / lam
+        # dual variables, forward differences (last row / column stay zero)
+        # and scratch, allocated once per call and updated in place
+        px, py, gx, gy = (np.zeros(self.shape) for _ in range(4))
+        u, dy, denom, tmp = (np.empty(self.shape) for _ in range(4))
         for _ in range(self.inner_iters):
-            gx, gy = self._grad(self._div(px, py) - z / lam)
-            denom = 1.0 + self.tau * np.sqrt(gx**2 + gy**2)
-            px = (px + self.tau * gx) / denom
-            py = (py + self.tau * gy) / denom
-        return (z - lam * self._div(px, py)).ravel()
+            np.subtract(self._div(px, py, u, dy), z_lam, out=u)
+            np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
+            np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
+            # denom = 1 + tau * sqrt(gx^2 + gy^2)
+            np.add(np.square(gx, out=denom), np.square(gy, out=tmp), out=denom)
+            np.add(1.0, np.multiply(tau, np.sqrt(denom, out=denom), out=denom), out=denom)
+            # p = (p + tau * g) / denom, for both components
+            np.divide(np.add(px, np.multiply(tau, gx, out=tmp), out=px), denom, out=px)
+            np.divide(np.add(py, np.multiply(tau, gy, out=tmp), out=py), denom, out=py)
+        return (z - lam * self._div(px, py, u, dy)).ravel()
 
 
 class InexactDenoiser:

@@ -88,26 +88,44 @@ def _effective_denoisers(config: SolverConfig, denoisers, num_blocks):
     return list(denoisers)
 
 
-def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, active=None):
+def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, active=None, grad=None):
     """Scaled fixed-point residual (x - D(x - gamma grad g(x))) / gamma.
 
     The denoiser acts separably per block; blocks outside `active`
     contribute zero (used by variants that freeze the parameter block).
+    `grad` is grad g(x) when the caller already has it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if active is None:
         active = range(1, fidelity.layout.num_blocks + 1)
-    grad = fidelity.grad(x)
+    if grad is None:
+        grad = fidelity.grad(x)
+    denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
+    return _residual(gamma, x, denoised)
+
+
+def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, active):
+    """{i: D_i(x_i - gamma grad_i)} for each active block i at iteration k.
+
+    Raises NonFiniteIterateError naming the first block whose denoised
+    values are NaN/inf.
+    """
+    denoised = {}
+    for i in active:
+        di = apply_denoiser(denoisers[i - 1], x.extract(i) - gamma * grad.extract(i), k)
+        if not np.all(np.isfinite(di)):
+            raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
+        denoised[i] = di
+    return denoised
+
+
+def _residual(gamma, x: BlockVector, denoised):
+    """(x_i - denoised_i) / gamma per block; zero on blocks not denoised."""
     parts = []
-    for i in range(1, fidelity.layout.num_blocks + 1):
+    for i in range(1, x.layout.num_blocks + 1):
         xi = x.extract(i)
-        if i in active:
-            zi = xi - gamma * grad.extract(i)
-            di = apply_denoiser(denoisers[i - 1], zi, k)
-            parts.append((xi - di) / gamma)
-        else:
-            parts.append(np.zeros_like(xi))
+        parts.append((xi - denoised[i]) / gamma if i in denoised else np.zeros_like(xi))
     return BlockVector.from_blocks(parts)
 
 
@@ -119,8 +137,8 @@ def step(fidelity, denoisers, config: SolverConfig, x: BlockVector, k):
     active = _active_blocks(config, num_blocks)
     effective = _effective_denoisers(config, denoisers, num_blocks)
     i_k = _pick_index(config, active, k)
-    x_new = _update_block(fidelity, effective[i_k - 1], config.gamma, x, k, i_k)
-    return x_new, i_k
+    denoised = _denoise_blocks(effective, config.gamma, x, fidelity.grad(x), k, [i_k])
+    return x.inject(i_k, denoised[i_k]), i_k
 
 
 def _pick_index(config: SolverConfig, active, k):
@@ -130,16 +148,6 @@ def _pick_index(config: SolverConfig, active, k):
     if schedule.num_blocks != len(active):
         schedule = BlockSchedule(schedule.kind, len(active), schedule.seed)
     return active[schedule.next_index(k) - 1]
-
-
-def _update_block(fidelity, denoiser, gamma, x: BlockVector, k, i):
-    z = x.extract(i) - gamma * fidelity.grad_block(x, i)
-    new_block = apply_denoiser(denoiser, z, k)
-    if not np.all(np.isfinite(new_block)):
-        raise NonFiniteIterateError(
-            f"non-finite values in block {i} at iteration {k}"
-        )
-    return x.inject(i, new_block)
 
 
 def initialize(fidelity, theta0=None):
@@ -166,7 +174,10 @@ def solve(
 
     `objective` (see theory.ImplicitObjective) enables f/g/h and gradient
     recording; it must be built with the same gamma the solver uses.
-    Raises NonFiniteIterateError when an update produces NaN/inf.
+    Each iteration evaluates grad g once and denoises each active block
+    once; the chosen block's output is the update, and all of them give the
+    logged residual.  Raises NonFiniteIterateError when any denoised block
+    holds NaN/inf.
     """
     layout = fidelity.layout
     if x0.layout.sizes != layout.sizes:
@@ -176,11 +187,7 @@ def solve(
 
     if lipschitz is None:
         lipschitz = estimate_block_lipschitz(fidelity, x0, config.ball_radius)
-    gamma = config.gamma
-    if gamma is None:
-        if lipschitz.l_max <= 0:
-            raise ValueError("cannot auto-select gamma: certified l_max is zero")
-        gamma = DEFAULT_STEP_FRACTION / lipschitz.l_max
+    gamma = _step_size(config, lipschitz)
     if objective is not None and abs(objective.gamma - gamma) > 1e-15 * gamma:
         raise ValueError("objective was built with a different gamma")
 
@@ -197,10 +204,13 @@ def solve(
         ),
     }
 
+    # grad g at the current iterate: one evaluation per iteration, shared by
+    # the denoising pass, the objective gradient and the final residual
+    grad = fidelity.grad(x0)
     trace = TraceBuilder(num_blocks)
     if objective is not None:
         f0, g0, h0 = objective.value(x0)
-        trace.set_initial(f0, g0, h0, objective.grad(x0).norm() ** 2)
+        trace.set_initial(f0, g0, h0, objective.grad(x0, grad).norm() ** 2)
     else:
         nan = float("nan")
         trace.set_initial(nan, nan, nan, nan)
@@ -209,41 +219,32 @@ def solve(
     reason = "max-iters"
     k = 0
     for k in range(1, config.max_iters + 1):
-        g_res = g_operator(fidelity, effective, gamma, x, k, active)
+        # one denoising pass: the residual G(x) for the trace, and the
+        # chosen block's update
+        denoised = _denoise_blocks(effective, gamma, x, grad, k, active)
+        g_norm2 = _residual(gamma, x, denoised).norm() ** 2
         i_k = _pick_index(config, active, k)
         prev_norm = x.norm()
-        x_new = _update_block(fidelity, effective[i_k - 1], gamma, x, k, i_k)
+        x_new = x.inject(i_k, denoised[i_k])
+        grad = fidelity.grad(x_new)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
 
         if not flags["left_ball"]:
-            flags["left_ball"] = any(
-                n > r for n, r in zip(x_new.block_norms(), radii)
-            )
+            flags["left_ball"] = any(n > r for n, r in zip(x_new.block_norms(), radii))
 
         if objective is not None:
             f_k, g_k, h_k = objective.value(x_new)
-            gradf2 = objective.grad(x_new).norm() ** 2
+            gradf2 = objective.grad(x_new, grad).norm() ** 2
         else:
             f_k = g_k = h_k = gradf2 = float("nan")
+        rmse_blocks = [float("nan")] * num_blocks
         if truth is not None:
-            rmse_blocks = [
-                rmse(x_new.extract(i), truth.extract(i))
-                for i in range(1, num_blocks + 1)
-            ]
-        else:
-            rmse_blocks = [float("nan")] * num_blocks
+            rmse_blocks = [rmse(a, b) for a, b in zip(x_new.blocks(), truth.blocks())]
 
         trace.append(
-            iters=k,
-            block=i_k,
-            f=f_k,
-            g=g_k,
-            h=h_k,
-            g_norm2=g_res.norm() ** 2,
-            step_norm=step_norm,
+            iters=k, block=i_k, f=f_k, g=g_k, h=h_k, g_norm2=g_norm2, step_norm=step_norm,
             eps=max(error_magnitude(effective[i - 1], k) for i in active),
-            grad_f_norm2=gradf2,
-            rmse=rmse_blocks,
+            grad_f_norm2=gradf2, rmse=rmse_blocks,
         )
         x = x_new
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm
@@ -252,16 +253,10 @@ def solve(
             break
 
     frozen = trace.freeze()
-    g_final = g_operator(fidelity, effective, gamma, x, k + 1, active).norm()
+    g_final = g_operator(fidelity, effective, gamma, x, k + 1, active, grad).norm()
     return SolveResult(
-        x=x,
-        trace=frozen,
-        reason=reason,
-        flags=flags,
-        gamma=gamma,
-        lipschitz=lipschitz,
-        g_norm_initial=float(np.sqrt(frozen.g_norm2[0])),
-        g_norm_final=g_final,
+        x=x, trace=frozen, reason=reason, flags=flags, gamma=gamma, lipschitz=lipschitz,
+        g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,
     )
 
 
@@ -272,11 +267,15 @@ def resolve_gamma(fidelity, x0, config: SolverConfig):
     subsequent solve will use; pass the estimate back via `lipschitz=`.
     """
     lip = estimate_block_lipschitz(fidelity, x0, config.ball_radius)
+    return _step_size(config, lip), lip
+
+
+def _step_size(config: SolverConfig, lip: LipschitzEstimate):
     if config.gamma is not None:
-        return config.gamma, lip
+        return config.gamma
     if lip.l_max <= 0:
         raise ValueError("cannot auto-select gamma: certified l_max is zero")
-    return DEFAULT_STEP_FRACTION / lip.l_max, lip
+    return DEFAULT_STEP_FRACTION / lip.l_max
 
 
 def pnp_ista_reference(fidelity, denoiser, gamma, x0_data, num_iters):

@@ -206,9 +206,13 @@ class ImplicitObjective:
             h += implicit_reg_value(prior, sigma, self.gamma, x.extract(i))
         return g + h, g, h
 
-    def grad(self, x: BlockVector):
-        """Full gradient (grad_i g + grad h_i) stacked across blocks."""
-        grad_g = self.fidelity.grad(x)
+    def grad(self, x: BlockVector, grad_g: BlockVector | None = None):
+        """Full gradient (grad_i g + grad h_i) stacked across blocks.
+
+        `grad_g` is the fidelity gradient at x when the caller has it.
+        """
+        if grad_g is None:
+            grad_g = self.fidelity.grad(x)
         parts = []
         for i, (prior, sigma) in enumerate(self.block_priors, start=1):
             parts.append(

@@ -140,6 +140,15 @@ class TestRun:
         b = (tmp_path / "b" / "bc-pnp" / "trace.csv").read_bytes()
         assert a != b
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        args = ["run", str(path), "--out", str(tmp_path / "out"), "--seed-override", "-1"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed-override: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, **{"problem.kind": "tomography"})
         assert cli.run(path) == cli.EXIT_CONFIG

@@ -64,6 +64,23 @@ PROBES = {
         _set(c, "solver.schedule.kind", "random-iid"),
         _set(c, "theory_checks.ensemble_seeds", 5),
     ),
+    # degenerate synthetic sources, which would make NaN blocks at run time
+    "problem.kernel.width": lambda c: _set(
+        c, "problem.kernel", {"synthetic": "gaussian", "width": 0}
+    ),
+    "problem.kernel.width: width 1e-170 is too small": lambda c: _set(
+        c, "problem.kernel.width", 1e-170
+    ),
+    "problem.theta_init.width": lambda c: _set(
+        c, "problem.theta_init", {"synthetic": "gaussian", "width": 0}
+    ),
+    "denoisers.theta.prior.mean.gaussian-kernel": lambda c: _set(
+        c, "denoisers.theta.prior.mean", {"gaussian-kernel": 0}
+    ),
+    "problem.image: a synthetic image needs at least two pixels": lambda c: (
+        _set(c, "problem.image_shape", [1, 1]),
+        _set(c, "problem.kernel_shape", [1, 1]),
+    ),
 }
 
 

@@ -277,6 +277,51 @@ class TestPlumbingDenoisers:
             assert objective(u) <= objective(w) + 1e-10
 
 
+def _tv_prox_allocating(den, z):
+    """The TV prox as first written, allocating fresh arrays each inner step;
+    the reference for the buffered `TvProxDenoiser.apply`."""
+
+    def grad(u):
+        gx = np.zeros_like(u)
+        gy = np.zeros_like(u)
+        gx[:-1, :] = u[1:, :] - u[:-1, :]
+        gy[:, :-1] = u[:, 1:] - u[:, :-1]
+        return gx, gy
+
+    def div(px, py):
+        dx = np.zeros_like(px)
+        dx[0, :] = px[0, :]
+        dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
+        dx[-1, :] = -px[-2, :]
+        dy = np.zeros_like(py)
+        dy[:, 0] = py[:, 0]
+        dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
+        dy[:, -1] = -py[:, -2]
+        return dx + dy
+
+    z = np.asarray(z, dtype=np.float64).reshape(den.shape)
+    lam = den.weight
+    px = np.zeros(den.shape)
+    py = np.zeros(den.shape)
+    for _ in range(den.inner_iters):
+        gx, gy = grad(div(px, py) - z / lam)
+        denom = 1.0 + den.tau * np.sqrt(gx**2 + gy**2)
+        px = (px + den.tau * gx) / denom
+        py = (py + den.tau * gy) / denom
+    return (z - lam * div(px, py)).ravel()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (64, 64), (5, 9), (9, 2)])
+@pytest.mark.parametrize("inner_iters", [0, 1, 30])
+def test_tv_prox_buffers_bitwise_equal_allocating_version(shape, inner_iters):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for weight in (0.01, 0.3, 5.0):
+        den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)
+        for scale in (1e-3, 1.0, 1e3):
+            z = scale * rng.standard_normal(shape[0] * shape[1])
+            assert den.apply(z).tobytes() == _tv_prox_allocating(den, z).tobytes()
+
+
 class TestInexactWrapper:
     BASE = MmseDenoiser(GaussianPrior(np.zeros(4), 1.0), 0.5)
 

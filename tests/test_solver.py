@@ -10,6 +10,7 @@ from bcpnp import (
     BlockVector,
     GaussianPrior,
     IdentityDenoiser,
+    ImplicitObjective,
     MmseDenoiser,
     NonFiniteIterateError,
     SolverConfig,
@@ -18,10 +19,11 @@ from bcpnp import (
     initialize,
     pnp_ista_reference,
     resolve_gamma,
+    rmse,
     solve,
     step,
 )
-from bcpnp.solver import _update_block
+from bcpnp.denoisers import error_magnitude
 
 from desk_problems import (
     blind_desk_problem,
@@ -292,6 +294,117 @@ class TestModes:
             for k in range(1, num + 1):
                 x, _ = step(prob.fidelity, dens, cfg, x, k)
                 assert np.array_equal(x.data, ref[k - 1]), (mode, k)
+
+
+def _two_pass_reference(desk, dens, config, objective):
+    """The iteration as two passes of the public operators: the residual
+    G(x) from `g_operator`, then the update from `step`.  Returns the final
+    iterate, the trace rows, the initial (f, g, h, |grad f|^2) and the final
+    residual norm, for comparison with the fused `solve`."""
+    effective = list(dens)
+    if config.mode == "pnp-gd-theta":
+        effective[1] = IdentityDenoiser()
+    active = [1] if config.mode in ("pnp-ista", "pnp-oracle-theta") else [1, 2]
+    x = desk.x0
+    rows = []
+    for k in range(1, config.max_iters + 1):
+        g_norm2 = g_operator(desk.fidelity, effective, config.gamma, x, k, active).norm() ** 2
+        x_new, i_k = step(desk.fidelity, dens, config, x, k)
+        f, g, h = objective.value(x_new)
+        rows.append([
+            k, i_k, f, g, h, g_norm2, float(np.linalg.norm(x_new.data - x.data)),
+            max(error_magnitude(effective[i - 1], k) for i in active),
+            objective.grad(x_new).norm() ** 2,
+            *(rmse(a, b) for a, b in zip(x_new.blocks(), desk.truth.blocks())),
+        ])
+        x = x_new
+    initial = (*objective.value(desk.x0), objective.grad(desk.x0).norm() ** 2)
+    g_final = g_operator(desk.fidelity, effective, config.gamma, x, len(rows) + 1, active)
+    return x, np.array(rows), initial, g_final.norm()
+
+
+class _CountingFidelity:
+    """Delegates to a fidelity and counts its full-gradient evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grad_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return self.inner.grad(x)
+
+
+class _CountingDenoiser:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def apply(self, z, k=1):
+        self.calls += 1
+        return self.inner.apply(z, k)
+
+
+class _NanAtIteration:
+    def __init__(self, inner, k):
+        self.inner, self.k = inner, k
+
+    def apply(self, z, k=1):
+        out = self.inner.apply(z, k)
+        return np.full_like(out, np.nan) if k == self.k else out
+
+
+class TestFusedIteration:
+    @pytest.mark.parametrize("schedule", ["sequential", "random-iid"])
+    @pytest.mark.parametrize("mode", ["bc-pnp", "pnp-ista", "pnp-gd-theta", "pnp-oracle-theta"])
+    def test_matches_two_pass_reference_bitwise(self, mode, schedule):
+        desk = blind_desk_problem()
+        dens = desk.denoisers("constant", 0.01, 3)
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma)
+        cfg = dataclasses.replace(
+            desk.config, mode=mode, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
+        )
+        res = solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth,
+                    objective=objective, lipschitz=desk.lipschitz)
+        x, rows, initial, g_final = _two_pass_reference(desk, dens, cfg, objective)
+        tr = res.trace
+        columns = [tr.iters, tr.block, tr.f, tr.g, tr.h, tr.g_norm2, tr.step_norm, tr.eps,
+                   tr.grad_f_norm2, tr.rmse[:, 0], tr.rmse[:, 1]]
+        assert len(tr) == len(rows) == 40
+        for j, col in enumerate(columns):
+            assert np.asarray(col, dtype=float).tobytes() == rows[:, j].tobytes(), j
+        got_initial = (tr.f_initial, tr.g_initial, tr.h_initial, tr.grad_f_norm2_initial)
+        assert got_initial == initial
+        assert res.x.data.tobytes() == x.data.tobytes()
+        assert res.g_norm_final == g_final
+
+    @pytest.mark.parametrize("mode, num_active", [("bc-pnp", 2), ("pnp-ista", 1)])
+    @pytest.mark.parametrize("with_objective", [False, True])
+    def test_one_gradient_and_one_denoise_per_active_block(self, mode, num_active,
+                                                           with_objective):
+        desk = blind_desk_problem()
+        fid = _CountingFidelity(desk.fidelity)
+        dens = [_CountingDenoiser(d) for d in desk.denoisers()]
+        objective = ImplicitObjective(fid, desk.denoisers(), desk.gamma) if with_objective else None
+        n = 25
+        cfg = dataclasses.replace(desk.config, mode=mode, max_iters=n)
+        res = solve(fid, dens, cfg, desk.x0, objective=objective, lipschitz=desk.lipschitz)
+        assert len(res.trace) == n
+        assert fid.grad_calls == n + 1
+        assert sum(d.calls for d in dens) == num_active * (n + 1)
+
+    def test_nonfinite_in_unchosen_block_is_caught_at_once(self):
+        """A NaN from block 2's denoiser at k=1, when block 1 is the one
+        updated, is reported at that iteration, not when block 2 is chosen."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers()
+        dens[1] = _NanAtIteration(dens[1], 1)
+        cfg = dataclasses.replace(desk.config, max_iters=5)
+        with pytest.raises(NonFiniteIterateError, match="block 2 at iteration 1$"):
+            solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz)
 
 
 class TestGradientChainIdentity:
