@@ -69,32 +69,35 @@ class BlindConvolutionModel:
         )
         return rolled[: self.kernel_shape[0], : self.kernel_shape[1]]
 
-    def _conv(self, a, b):
-        fa = np.fft.rfft2(a)
-        fb = np.fft.rfft2(b)
-        return np.fft.irfft2(fa * fb, s=self.image_shape)
+    def spectrum(self, image):
+        """rfft2 of an image-shaped array (an image or a measurement)."""
+        return np.fft.rfft2(np.asarray(image, dtype=np.float64).reshape(self.image_shape))
 
-    def _corr(self, a, b):
-        # correlation of a with b == adjoint of convolution-by-a applied to b
-        fa = np.fft.rfft2(a)
-        fb = np.fft.rfft2(b)
-        return np.fft.irfft2(np.conj(fa) * fb, s=self.image_shape)
+    def kernel_spectrum(self, theta):
+        """rfft2 of the kernel embedded at image size."""
+        return np.fft.rfft2(self._embed(theta))
 
-    def forward(self, theta, v):
+    # Each operator below takes the spectra of its two arguments when the
+    # caller already has them, so that an evaluation sharing an argument
+    # between operators transforms it once.
+
+    def forward(self, theta, v, ft=None, fv=None):
         """A(theta) v = theta (*) v, flattened to length H*W."""
-        img = np.asarray(v, dtype=np.float64).reshape(self.image_shape)
-        return self._conv(self._embed(theta), img).ravel()
+        ft = self.kernel_spectrum(theta) if ft is None else ft
+        fv = self.spectrum(v) if fv is None else fv
+        return np.fft.irfft2(ft * fv, s=self.image_shape).ravel()
 
-    def adjoint_v(self, theta, w):
+    def adjoint_v(self, theta, w, ft=None, fw=None):
         """A(theta)^T w: correlate the kernel against a measurement image."""
-        img = np.asarray(w, dtype=np.float64).reshape(self.image_shape)
-        return self._corr(self._embed(theta), img).ravel()
+        ft = self.kernel_spectrum(theta) if ft is None else ft
+        fw = self.spectrum(w) if fw is None else fw
+        return np.fft.irfft2(np.conj(ft) * fw, s=self.image_shape).ravel()
 
-    def adjoint_theta(self, v, w):
+    def adjoint_theta(self, v, w, fv=None, fw=None):
         """Adjoint of theta -> theta (*) v: correlate v with w, crop to kernel."""
-        vi = np.asarray(v, dtype=np.float64).reshape(self.image_shape)
-        wi = np.asarray(w, dtype=np.float64).reshape(self.image_shape)
-        return self._extract(self._corr(vi, wi)).ravel()
+        fv = self.spectrum(v) if fv is None else fv
+        fw = self.spectrum(w) if fw is None else fw
+        return self._extract(np.fft.irfft2(np.conj(fv) * fw, s=self.image_shape)).ravel()
 
 
 class MultiCoilModel:
@@ -138,17 +141,28 @@ class MultiCoilModel:
             out[i] = self.mask * np.fft.fft2(m * img, norm="ortho")
         return out
 
-    def adjoint_v(self, maps, w):
+    def inverse(self, w):
+        """Masked inverse unitary DFT of each coil of w, shared by both adjoints."""
+        out = np.empty((self.num_coils,) + self.image_shape, dtype=np.complex128)
+        for i in range(self.num_coils):
+            out[i] = np.fft.ifft2(self.mask * w[i], norm="ortho")
+        return out
+
+    def adjoint_v(self, maps, w, back=None):
+        """A(maps)^H w; `back` is `inverse(w)` when the caller has it."""
+        back = self.inverse(w) if back is None else back
         img = np.zeros(self.image_shape, dtype=np.complex128)
-        for i, m in enumerate(self._as_maps(maps)):
-            img += np.conj(m) * np.fft.ifft2(self.mask * w[i], norm="ortho")
+        for m, b in zip(self._as_maps(maps), back):
+            img += np.conj(m) * b
         return img
 
-    def adjoint_maps(self, v, w):
+    def adjoint_maps(self, v, w, back=None):
+        """Adjoint of maps -> A(maps) v; `back` is `inverse(w)` when the caller has it."""
+        back = self.inverse(w) if back is None else back
         img = self._as_image(v)
         out = np.empty((self.num_coils,) + self.image_shape, dtype=np.complex128)
         for i in range(self.num_coils):
-            out[i] = np.conj(img) * np.fft.ifft2(self.mask * w[i], norm="ortho")
+            out[i] = np.conj(img) * back[i]
         return out
 
 
@@ -182,8 +196,9 @@ class ConvolutionFidelity:
             raise ValueError("measurement size does not match the image shape")
         self.layout = model.layout
 
-    def residual(self, v, theta):
-        return self.model.forward(theta, v) - self.y
+    def residual(self, v, theta, ft=None, fv=None):
+        """A(theta) v - y; `ft`, `fv` are the spectra of theta and v when the caller has them."""
+        return self.model.forward(theta, v, ft, fv) - self.y
 
     def value(self, x: BlockVector):
         r = self.residual(x.extract(1), x.extract(2))
@@ -203,21 +218,54 @@ class ConvolutionFidelity:
             return self.grad_theta(v, theta)
         raise IndexError(f"block index {i} out of range 1..2")
 
-    def grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector):
+        # theta, v and the residual are each transformed once
+        m = self.model
         v, theta = x.extract(1), x.extract(2)
-        r = self.residual(v, theta)
-        return BlockVector.from_blocks(
-            [self.model.adjoint_v(theta, r), self.model.adjoint_theta(v, r)]
+        ft, fv = m.kernel_spectrum(theta), m.spectrum(v)
+        r = self.residual(v, theta, ft, fv)
+        fr = m.spectrum(r)
+        grad = BlockVector.from_blocks(
+            [m.adjoint_v(theta, r, ft, fr), m.adjoint_theta(v, r, fv, fr)]
         )
+        return r, grad
 
-    def hessian_vec(self, x: BlockVector, u: BlockVector):
-        """Exact Hessian-vector product of the bilinear fidelity at x."""
+    def grad(self, x: BlockVector):
+        return self._residual_and_grad(x)[1]
+
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
+        r, grad = self._residual_and_grad(x)
+        return 0.5 * float(np.dot(r, r)), grad
+
+    def hessian_vec(self, x: BlockVector, u, block=None):
+        """Exact Hessian-vector product of the bilinear fidelity at x.
+
+        With `block=i`, `u` holds only block i of the direction (the other
+        blocks are zero) and the result is block i of H(x)u: A(theta)^T
+        A(theta) u for the image block and A_v^T A_v u for the kernel block,
+        where A_v theta = theta (*) v; the residual terms drop out.
+        """
+        m = self.model
+        if block == 1:
+            theta = x.extract(2)
+            ft = m.kernel_spectrum(theta)
+            return m.adjoint_v(theta, m.forward(theta, u, ft), ft)
+        if block == 2:
+            v = x.extract(1)
+            fv = m.spectrum(v)
+            return m.adjoint_theta(v, m.forward(u, v, fv=fv), fv)
+        if block is not None:
+            raise IndexError(f"block index {block} out of range 1..2")
         v, theta = x.extract(1), x.extract(2)
         dv, dtheta = u.extract(1), u.extract(2)
-        r = self.residual(v, theta)
-        s = self.model.forward(theta, dv) + self.model.forward(dtheta, v)
-        hv = self.model.adjoint_v(theta, s) + self.model.adjoint_v(dtheta, r)
-        ht = self.model.adjoint_theta(v, s) + self.model.adjoint_theta(dv, r)
+        ft, fv = m.kernel_spectrum(theta), m.spectrum(v)
+        fdt, fdv = m.kernel_spectrum(dtheta), m.spectrum(dv)
+        r = self.residual(v, theta, ft, fv)
+        s = m.forward(theta, dv, ft, fdv) + m.forward(dtheta, v, fdt, fv)
+        fs, fr = m.spectrum(s), m.spectrum(r)
+        hv = m.adjoint_v(theta, s, ft, fs) + m.adjoint_v(dtheta, r, fdt, fr)
+        ht = m.adjoint_theta(v, s, fv, fs) + m.adjoint_theta(dv, r, fdv, fr)
         return BlockVector.from_blocks([hv, ht])
 
     def adjoint_init(self, theta):
@@ -236,12 +284,14 @@ class MultiCoilFidelity:
         self.y = y
         self.layout = model.layout
 
+    def _image(self, pairs):
+        return pairs_to_complex(pairs, self.model.image_shape)
+
+    def _maps(self, pairs):
+        return pairs_to_complex(pairs, (self.model.num_coils,) + self.model.image_shape)
+
     def _unpack(self, x: BlockVector):
-        v = pairs_to_complex(x.extract(1), self.model.image_shape)
-        maps = pairs_to_complex(
-            x.extract(2), (self.model.num_coils,) + self.model.image_shape
-        )
-        return v, maps
+        return self._image(x.extract(1)), self._maps(x.extract(2))
 
     def residual(self, v, maps):
         return self.model.forward(maps, v) - self.y
@@ -251,19 +301,13 @@ class MultiCoilFidelity:
         return 0.5 * float(np.sum(np.abs(r) ** 2))
 
     def grad_v(self, v_pairs, theta_pairs):
-        v = pairs_to_complex(v_pairs, self.model.image_shape)
-        maps = pairs_to_complex(
-            theta_pairs, (self.model.num_coils,) + self.model.image_shape
-        )
-        r = self.residual(v, maps)
+        maps = self._maps(theta_pairs)
+        r = self.residual(self._image(v_pairs), maps)
         return complex_to_pairs(self.model.adjoint_v(maps, r))
 
     def grad_theta(self, v_pairs, theta_pairs):
-        v = pairs_to_complex(v_pairs, self.model.image_shape)
-        maps = pairs_to_complex(
-            theta_pairs, (self.model.num_coils,) + self.model.image_shape
-        )
-        r = self.residual(v, maps)
+        v = self._image(v_pairs)
+        r = self.residual(v, self._maps(theta_pairs))
         return complex_to_pairs(self.model.adjoint_maps(v, r))
 
     def grad_block(self, x: BlockVector, i):
@@ -273,30 +317,49 @@ class MultiCoilFidelity:
             return self.grad_theta(x.extract(1), x.extract(2))
         raise IndexError(f"block index {i} out of range 1..2")
 
-    def grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector):
+        # both adjoints share one masked inverse DFT of the residual per coil
+        m = self.model
         v, maps = self._unpack(x)
         r = self.residual(v, maps)
-        return BlockVector.from_blocks(
-            [
-                complex_to_pairs(self.model.adjoint_v(maps, r)),
-                complex_to_pairs(self.model.adjoint_maps(v, r)),
-            ]
+        back = m.inverse(r)
+        grad = BlockVector.from_blocks(
+            [complex_to_pairs(m.adjoint_v(maps, r, back)),
+             complex_to_pairs(m.adjoint_maps(v, r, back))]
         )
+        return r, grad
 
-    def hessian_vec(self, x: BlockVector, u: BlockVector):
+    def grad(self, x: BlockVector):
+        return self._residual_and_grad(x)[1]
+
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
+        r, grad = self._residual_and_grad(x)
+        return 0.5 * float(np.sum(np.abs(r) ** 2)), grad
+
+    def hessian_vec(self, x: BlockVector, u, block=None):
+        """Exact Hessian-vector product at x; `block=i` as in ConvolutionFidelity:
+        A(maps)^H A(maps) u for the image block, A_v^H A_v u for the map block."""
+        m = self.model
+        if block == 1:
+            maps = self._maps(x.extract(2))
+            return complex_to_pairs(m.adjoint_v(maps, m.forward(maps, self._image(u))))
+        if block == 2:
+            v = self._image(x.extract(1))
+            return complex_to_pairs(m.adjoint_maps(v, m.forward(self._maps(u), v)))
+        if block is not None:
+            raise IndexError(f"block index {block} out of range 1..2")
         v, maps = self._unpack(x)
         dv, dmaps = self._unpack(u)
         r = self.residual(v, maps)
-        s = self.model.forward(maps, dv) + self.model.forward(dmaps, v)
-        hv = self.model.adjoint_v(maps, s) + self.model.adjoint_v(dmaps, r)
-        ht = self.model.adjoint_maps(v, s) + self.model.adjoint_maps(dv, r)
+        s = m.forward(maps, dv) + m.forward(dmaps, v)
+        back_s, back_r = m.inverse(s), m.inverse(r)
+        hv = m.adjoint_v(maps, s, back_s) + m.adjoint_v(dmaps, r, back_r)
+        ht = m.adjoint_maps(v, s, back_s) + m.adjoint_maps(dv, r, back_r)
         return BlockVector.from_blocks([complex_to_pairs(hv), complex_to_pairs(ht)])
 
     def adjoint_init(self, theta_pairs):
-        maps = pairs_to_complex(
-            theta_pairs, (self.model.num_coils,) + self.model.image_shape
-        )
-        return complex_to_pairs(self.model.adjoint_v(maps, self.y))
+        return complex_to_pairs(self.model.adjoint_v(self._maps(theta_pairs), self.y))
 
 
 class LinearFidelity:
@@ -316,13 +379,22 @@ class LinearFidelity:
         return 0.5 * float(np.dot(r, r))
 
     def grad(self, x: BlockVector):
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
         r = self.model.forward(x.data) - self.y
-        return BlockVector(self.layout, self.model.adjoint(r))
+        return 0.5 * float(np.dot(r, r)), BlockVector(self.layout, self.model.adjoint(r))
 
     def grad_block(self, x: BlockVector, i):
         return self.grad(x).extract(i)
 
-    def hessian_vec(self, x: BlockVector, u: BlockVector):
+    def hessian_vec(self, x: BlockVector, u, block=None):
+        """A^T A u; with `block=i`, `u` holds only block i and the result is
+        A_i^T A_i u for the column slice A_i of block i."""
+        if block is not None:
+            a = self.model.matrix[:, self.layout.block_slice(block)]
+            return a.T @ (a @ np.asarray(u, dtype=np.float64))
         return BlockVector(self.layout, self.model.adjoint(self.model.forward(u.data)))
 
     def adjoint_init(self, theta=None):
@@ -378,7 +450,8 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
     The bilinear fidelity has no global smoothness constant, so constants
     are certified over the ball {||x_i|| <= radius * ||current x_i||} by
     evaluating block Hessians at the iterate scaled blockwise to the ball
-    boundary and running power iteration there.  The full-gradient constant
+    boundary and running power iteration there, on the block-restricted
+    products `hessian_vec(boundary, u, block=i)`.  The full-gradient constant
     is estimated the same way on the joint Hessian and floored at l_max.
     Requires radius >= 1 so the current iterate lies inside the ball.
     """
@@ -393,8 +466,7 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
         size = layout.sizes[i - 1]
 
         def block_op(u, i=i):
-            du = BlockVector(layout, np.zeros(layout.total)).inject(i, u)
-            return fidelity.hessian_vec(boundary, du).extract(i)
+            return fidelity.hessian_vec(boundary, u, block=i)
 
         lam, ok = _power_iteration(block_op, size, rng)
         converged = converged and ok

@@ -32,7 +32,8 @@ DEFAULT_STEP_FRACTION = 0.9  # gamma = 0.9 / l_max keeps gamma < 1/l_max strict
 
 
 class NonFiniteIterateError(RuntimeError):
-    """An iterate block became NaN/inf; names the block and iteration."""
+    """An iterate block or a recorded objective quantity became NaN/inf;
+    names the block or quantity and the iteration."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def solve(
     Each iteration evaluates grad g once and denoises each active block
     once; the chosen block's output is the update, and all of them give the
     logged residual.  Raises NonFiniteIterateError when any denoised block
-    holds NaN/inf.
+    or any recorded objective quantity (f, g, h, ||grad f||^2) is NaN/inf.
     """
     layout = fidelity.layout
     if x0.layout.sizes != layout.sizes:
@@ -205,12 +206,11 @@ def solve(
     }
 
     # grad g at the current iterate: one evaluation per iteration, shared by
-    # the denoising pass, the objective gradient and the final residual
-    grad = fidelity.grad(x0)
+    # the denoising pass, the objective and the final residual
+    grad, value = _fidelity_at(fidelity, x0, objective)
     trace = TraceBuilder(num_blocks)
     if objective is not None:
-        f0, g0, h0 = objective.value(x0)
-        trace.set_initial(f0, g0, h0, objective.grad(x0, grad).norm() ** 2)
+        trace.set_initial(*_objective_at(objective, x0, grad, value, 0))
     else:
         nan = float("nan")
         trace.set_initial(nan, nan, nan, nan)
@@ -226,15 +226,14 @@ def solve(
         i_k = _pick_index(config, active, k)
         prev_norm = x.norm()
         x_new = x.inject(i_k, denoised[i_k])
-        grad = fidelity.grad(x_new)
+        grad, value = _fidelity_at(fidelity, x_new, objective)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
 
         if not flags["left_ball"]:
             flags["left_ball"] = any(n > r for n, r in zip(x_new.block_norms(), radii))
 
         if objective is not None:
-            f_k, g_k, h_k = objective.value(x_new)
-            gradf2 = objective.grad(x_new, grad).norm() ** 2
+            f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, grad, value, k)
         else:
             f_k = g_k = h_k = gradf2 = float("nan")
         rmse_blocks = [float("nan")] * num_blocks
@@ -258,6 +257,28 @@ def solve(
         x=x, trace=frozen, reason=reason, flags=flags, gamma=gamma, lipschitz=lipschitz,
         g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,
     )
+
+
+def _fidelity_at(fidelity, x, objective):
+    """(grad g(x), g(x)); the value, which only an objective records, is
+    taken from the gradient's residual, else it is None."""
+    if objective is None:
+        return fidelity.grad(x), None
+    value, grad = fidelity.value_and_grad(x)
+    return grad, value
+
+
+def _objective_at(objective, x, grad, value, k):
+    """(f, g, h, ||grad f||^2) at the iterate x of iteration k.
+
+    Raises NonFiniteIterateError naming the first non-finite quantity.
+    """
+    f, g, h = objective.value(x, value)
+    quantities = {"f": f, "g": g, "h": h, "||grad f||^2": objective.grad(x, grad).norm() ** 2}
+    for name, q in quantities.items():
+        if not np.isfinite(q):
+            raise NonFiniteIterateError(f"non-finite objective {name} at iteration {k}")
+    return tuple(quantities.values())
 
 
 def resolve_gamma(fidelity, x0, config: SolverConfig):

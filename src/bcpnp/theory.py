@@ -198,9 +198,13 @@ class ImplicitObjective:
         if len(self.block_priors) != fidelity.layout.num_blocks:
             raise ValueError("one denoiser per block required")
 
-    def value(self, x: BlockVector):
-        """(f, g, h) at x."""
-        g = self.fidelity.value(x)
+    def value(self, x: BlockVector, g=None):
+        """(f, g, h) at x.
+
+        `g` is the fidelity value g(x) when the caller has it.
+        """
+        if g is None:
+            g = self.fidelity.value(x)
         h = 0.0
         for i, (prior, sigma) in enumerate(self.block_priors, start=1):
             h += implicit_reg_value(prior, sigma, self.gamma, x.extract(i))

@@ -1,13 +1,29 @@
 """Config-driven runner: validation diagnostics, outputs, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from bcpnp import cli, fileio
-from bcpnp.theory import IterateTrace
+from bcpnp import cli, fileio, solver
+from bcpnp.theory import (
+    ImplicitObjective, IterateTrace, TheoryConstants, check_theorem2, reference_f_star,
+)
+
+
+_MULTICOIL = {
+    "problem.kind": "multi-coil",
+    "problem.image_shape": [16, 16],
+    "problem.num_coils": 2,
+    "problem.mask": {"accel": 2, "center_rows": 4},
+    "problem.theta_init": {"perturb": 0.1, "seed": 3},
+    "denoisers.image": {"kind": "gaussian-mmse", "sigma": 0.1, "prior": {"mean": "zeros", "var": 1.0}},
+    "denoisers.theta": {"kind": "gaussian-mmse", "sigma": 0.1, "prior": {"mean": "zeros", "var": 4.0}},
+    "solver.max_iters": 30,
+    "solver.ball_radius": 3.0,
+}
 
 
 def write_config(tmp_path, name="config.yaml", **overrides):
@@ -187,29 +203,65 @@ class TestRun:
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
 
+    def test_modes_with_one_start_share_one_certificate(self, tmp_path, monkeypatch):
+        calls = []
+        certify = solver.estimate_block_lipschitz
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "estimate_block_lipschitz", counted)
+        path = write_config(tmp_path, **_MULTICOIL, **{"solver.modes": ["bc-pnp", "pnp"]})
+        assert cli.run(path) == cli.EXIT_OK
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        a, b = report["modes"]["bc-pnp"], report["modes"]["pnp"]
+        assert (a["gamma"], a["l_max"]) == (b["gamma"], b["l_max"])
+
+        # the oracle mode starts from the true kernel: a second certificate
+        calls.clear()
+        path = write_config(tmp_path, **{"solver.modes": ["pnp-oracle-theta", "bc-pnp", "pnp"],
+                                         "solver.max_iters": 5})
+        assert cli.run(path) == cli.EXIT_OK
+        assert len(calls) == 2
+
+    def test_theorem2_report_equals_ensemble_with_objective(self, tmp_path):
+        """The ensemble runs without the objective; its report equals one
+        computed from solves that record the objective."""
+        gaussian = {"kind": "gaussian-mmse", "sigma": 0.25, "prior": {"mean": "zeros", "var": 0.25}}
+        path = write_config(tmp_path, **{
+            "problem.image_shape": [8, 8], "problem.balance_blocks": False,
+            "denoisers.image": gaussian, "solver.max_iters": 30, "solver.stop_tol": 1e-12,
+            "solver.schedule": {"kind": "random-iid", "seed": 3},
+            "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": 10},
+        })
+        assert cli.run(path) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+
+        cfg = cli.load_config(path)
+        problem = cli.build_problem(cfg)
+        scales = enumerate(zip(cfg.denoisers, problem.block_scales), 1)
+        dens = [cli.build_denoiser(d, s, block_index=i) for i, (d, s) in scales]
+        x0 = problem.x0_for("bc-pnp")
+        gamma, lip = solver.resolve_gamma(problem.fidelity, x0, cfg.solver)
+        config = dataclasses.replace(cfg.solver, gamma=gamma)
+        objective = ImplicitObjective(problem.fidelity, dens, gamma)
+        constants = TheoryConstants.from_problem(gamma, 2, lip.l_max, lip.l_full, objective.m_max())
+        ref_cfg = dataclasses.replace(config, max_iters=60)
+        ref = solver.solve(problem.fidelity, dens, ref_cfg, x0, objective=objective, lipschitz=lip)
+        traces = [
+            solver.solve(problem.fidelity, dens,
+                         dataclasses.replace(config, schedule=config.schedule.with_seed(3 + s)),
+                         x0, objective=objective, lipschitz=lip).trace
+            for s in range(10)
+        ]
+        want = check_theorem2(traces, constants, reference_f_star(ref.trace), floor_ratio=1e-4)
+        got = report["checks"]["bc-pnp"]["theorem2"]
+        assert got == json.loads(json.dumps(want.to_dict(), default=cli._json_default))
+
     def test_multicoil_smoke(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            **{
-                "problem.kind": "multi-coil",
-                "problem.image_shape": [16, 16],
-                "problem.num_coils": 2,
-                "problem.mask": {"accel": 2, "center_rows": 4},
-                "problem.theta_init": {"perturb": 0.1, "seed": 3},
-                "denoisers.image": {
-                    "kind": "gaussian-mmse",
-                    "sigma": 0.1,
-                    "prior": {"mean": "zeros", "var": 1.0},
-                },
-                "denoisers.theta": {
-                    "kind": "gaussian-mmse",
-                    "sigma": 0.1,
-                    "prior": {"mean": "zeros", "var": 4.0},
-                },
-                "solver.max_iters": 30,
-                "solver.ball_radius": 3.0,
-            },
-        )
+        path = write_config(tmp_path, **_MULTICOIL)
         assert cli.run(path) == cli.EXIT_OK
         trace = IterateTrace.from_csv(tmp_path / "out" / "bc-pnp" / "trace.csv")
         assert len(trace) == 30

@@ -8,7 +8,7 @@ sample statistics for the synthesized noise.
 import numpy as np
 import pytest
 
-from bcpnp.blocks import BlockLayout, BlockVector, complex_to_pairs
+from bcpnp.blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex
 from bcpnp.forward import (
     BlindConvolutionModel,
     ConvolutionFidelity,
@@ -205,6 +205,147 @@ class TestMultiCoilModel:
     def test_mask_validation(self):
         with pytest.raises(ValueError):
             MultiCoilModel((4, 4), 1, np.full((4, 4), 0.5))
+
+    def test_hessian_vec_matches_fd_of_gradient(self):
+        rng = np.random.default_rng(16)
+        model, fid, v, maps = make_coil_problem(rng)
+        layout = fid.layout
+        x = BlockVector(layout, rng.standard_normal(layout.total))
+        u = BlockVector(layout, rng.standard_normal(layout.total))
+        step = 1e-6
+        xp = BlockVector(layout, x.data + step * u.data)
+        xm = BlockVector(layout, x.data - step * u.data)
+        fd = (fid.grad(xp).data - fid.grad(xm).data) / (2 * step)
+        np.testing.assert_allclose(fid.hessian_vec(x, u).data, fd, rtol=1e-5, atol=1e-6)
+
+
+def _bilinear_problems():
+    """(fidelity, random point) for the convolution and multi-coil fidelities."""
+    rng = np.random.default_rng(17)
+    out = []
+    for fid in (make_conv_problem(rng, noise=0.05)[1], make_coil_problem(rng)[1]):
+        out.append((fid, BlockVector(fid.layout, rng.standard_normal(fid.layout.total))))
+    return out
+
+
+def _all_problems():
+    rng = np.random.default_rng(18)
+    A = rng.standard_normal((9, 8))
+    layout = BlockLayout((5, 3))
+    linear = LinearFidelity(LinearModel(A), layout, rng.standard_normal(9))
+    return _bilinear_problems() + [(linear, BlockVector(layout, rng.standard_normal(8)))]
+
+
+class TestSharedEvaluations:
+    """The fused evaluations equal their one-operator-at-a-time definitions."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_block_product_is_block_of_full_product(self, case):
+        fid, x = _all_problems()[case]
+        layout = fid.layout
+        rng = np.random.default_rng(19)
+        for i in range(1, layout.num_blocks + 1):
+            u = rng.standard_normal(layout.sizes[i - 1])
+            full = BlockVector(layout, np.zeros(layout.total)).inject(i, u)
+            want = fid.hessian_vec(x, full).extract(i)
+            got = fid.hessian_vec(x, u, block=i)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_grad_is_block_gradients_bitwise(self, case):
+        fid, x = _bilinear_problems()[case]
+        want = np.concatenate([fid.grad_v(x.extract(1), x.extract(2)),
+                               fid.grad_theta(x.extract(1), x.extract(2))])
+        assert fid.grad(x).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_full_product_is_operator_composition_bitwise(self, case):
+        """H(x)u equals its terms, each operator applied on its own."""
+        fid, x = _bilinear_problems()[case]
+        u = BlockVector(fid.layout, np.random.default_rng(22).standard_normal(fid.layout.total))
+        m = fid.model
+        if case == 0:
+            adjoint_theta = m.adjoint_theta
+            v, th, dv, dth = x.extract(1), x.extract(2), u.extract(1), u.extract(2)
+        else:
+            adjoint_theta = m.adjoint_maps
+            v, dv = (pairs_to_complex(b.extract(1), m.image_shape) for b in (x, u))
+            th, dth = (pairs_to_complex(b.extract(2), (m.num_coils,) + m.image_shape)
+                       for b in (x, u))
+        r = m.forward(th, v) - fid.y
+        s = m.forward(th, dv) + m.forward(dth, v)
+        hv = m.adjoint_v(th, s) + m.adjoint_v(dth, r)
+        ht = adjoint_theta(v, s) + adjoint_theta(dv, r)
+        if case == 1:
+            hv, ht = complex_to_pairs(hv), complex_to_pairs(ht)
+        want = np.concatenate([hv, ht])
+        assert fid.hessian_vec(x, u).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_value_and_grad_is_value_and_grad_bitwise(self, case):
+        fid, x = _all_problems()[case]
+        value, grad = fid.value_and_grad(x)
+        assert value == fid.value(x)
+        assert grad.data.tobytes() == fid.grad(x).data.tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_bad_block_index(self, case):
+        fid, x = _bilinear_problems()[case]
+        with pytest.raises(IndexError):
+            fid.hessian_vec(x, np.zeros(4), block=3)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts calls of the numpy FFT entry points the models use."""
+    calls = {}
+    for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestTransformBudgets:
+    """Each distinct array is transformed once per evaluation."""
+
+    def test_convolution_grad_takes_six(self, fft_calls):
+        fid, x = _bilinear_problems()[0]
+        fft_calls.clear()
+        fid.grad(x)
+        assert fft_calls == {"rfft2": 3, "irfft2": 3}
+        fid.value_and_grad(x)
+        assert sum(fft_calls.values()) == 12
+
+    @pytest.mark.parametrize("block, budget", [(None, 13), (1, 5), (2, 5)])
+    def test_convolution_hessian_vec(self, fft_calls, block, budget):
+        fid, x = _bilinear_problems()[0]
+        u = x if block is None else x.extract(block)
+        fft_calls.clear()
+        fid.hessian_vec(x, u, block=block)
+        assert sum(fft_calls.values()) == budget
+
+    @pytest.mark.parametrize("coils", [1, 3])
+    def test_multicoil_grad_takes_two_per_coil(self, fft_calls, coils):
+        rng = np.random.default_rng(20)
+        _, fid, _, _ = make_coil_problem(rng, coils=coils)
+        x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
+        fft_calls.clear()
+        fid.grad(x)
+        assert fft_calls == {"fft2": coils, "ifft2": coils}
+
+    @pytest.mark.parametrize("block, per_coil", [(None, 5), (1, 2), (2, 2)])
+    def test_multicoil_hessian_vec(self, fft_calls, block, per_coil):
+        rng = np.random.default_rng(21)
+        _, fid, _, _ = make_coil_problem(rng, coils=3)
+        x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
+        u = x if block is None else x.extract(block)
+        fft_calls.clear()
+        fid.hessian_vec(x, u, block=block)
+        assert sum(fft_calls.values()) == 3 * per_coil
 
 
 class TestLipschitzEstimation:

@@ -1,6 +1,7 @@
 """Solver iteration: block updates, modes, stopping, determinism."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -324,7 +325,8 @@ def _two_pass_reference(desk, dens, config, objective):
 
 
 class _CountingFidelity:
-    """Delegates to a fidelity and counts its full-gradient evaluations."""
+    """Delegates to a fidelity and counts its full-gradient evaluations,
+    with or without the value."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -336,6 +338,10 @@ class _CountingFidelity:
     def grad(self, x):
         self.grad_calls += 1
         return self.inner.grad(x)
+
+    def value_and_grad(self, x):
+        self.grad_calls += 1
+        return self.inner.value_and_grad(x)
 
 
 class _CountingDenoiser:
@@ -405,6 +411,49 @@ class TestFusedIteration:
         cfg = dataclasses.replace(desk.config, max_iters=5)
         with pytest.raises(NonFiniteIterateError, match="block 2 at iteration 1$"):
             solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz)
+
+
+class _NanObjectiveAt:
+    """Delegates to an objective; one quantity is NaN at iteration k (the
+    objective is evaluated once at x0, then once per iteration)."""
+
+    def __init__(self, inner, k, quantity):
+        self.inner, self.k, self.quantity = inner, k, quantity
+        self.gamma = inner.gamma
+        self.value_calls = self.grad_calls = 0
+
+    def value(self, x, g=None):
+        self.value_calls += 1
+        f, g, h = self.inner.value(x, g)
+        if self.value_calls == self.k + 1 and self.quantity in ("f", "g", "h"):
+            f, g, h = (np.nan if q == self.quantity else v for q, v in zip("fgh", (f, g, h)))
+        return f, g, h
+
+    def grad(self, x, grad_g=None):
+        self.grad_calls += 1
+        out = self.inner.grad(x, grad_g)
+        if self.grad_calls == self.k + 1 and self.quantity == "||grad f||^2":
+            return BlockVector(out.layout, np.full(out.layout.total, np.nan))
+        return out
+
+
+class TestNonFiniteObjective:
+    @pytest.mark.parametrize("quantity", ["f", "g", "h", "||grad f||^2"])
+    def test_nan_at_iteration_3_is_named(self, quantity):
+        desk = blind_desk_problem()
+        objective = _NanObjectiveAt(desk.objective, 3, quantity)
+        cfg = dataclasses.replace(desk.config, max_iters=10)
+        match = f"non-finite objective {re.escape(quantity)} at iteration 3$"
+        with pytest.raises(NonFiniteIterateError, match=match):
+            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, objective=objective,
+                  lipschitz=desk.lipschitz)
+
+    def test_nan_at_the_start_is_iteration_0(self):
+        desk = blind_desk_problem()
+        objective = _NanObjectiveAt(desk.objective, 0, "f")
+        with pytest.raises(NonFiniteIterateError, match="objective f at iteration 0$"):
+            solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=objective,
+                  lipschitz=desk.lipschitz)
 
 
 class TestGradientChainIdentity:
