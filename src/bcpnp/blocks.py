@@ -9,7 +9,7 @@ complex ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,10 @@ class BlockLayout:
     """Partition of R^n into b contiguous blocks of the given sizes."""
 
     sizes: tuple
+    # derived from `sizes` once, at construction
+    num_blocks: int = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
+    slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -31,41 +35,45 @@ class BlockLayout:
             raise ValueError("layout needs at least one block")
         if any(s < 1 for s in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
+        bounds = [0]
+        for s in sizes:
+            bounds.append(bounds[-1] + s)
         object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def num_blocks(self):
-        return len(self.sizes)
-
-    @property
-    def total(self):
-        return sum(self.sizes)
+        object.__setattr__(self, "num_blocks", len(sizes))
+        object.__setattr__(self, "total", bounds[-1])
+        object.__setattr__(
+            self, "slices", tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        )
 
     def offset(self, i):
         """Start offset of 1-based block i in the flat vector."""
-        self._check_index(i)
-        return sum(self.sizes[: i - 1])
+        return self.block_slice(i).start
 
     def block_slice(self, i):
-        off = self.offset(i)
-        return slice(off, off + self.sizes[i - 1])
-
-    def _check_index(self, i):
         if not 1 <= i <= self.num_blocks:
             raise IndexError(
                 f"block index {i} out of range 1..{self.num_blocks}"
             )
+        return self.slices[i - 1]
 
 
 @dataclass(frozen=True)
 class BlockVector:
-    """Immutable flat vector together with its block layout."""
+    """Immutable flat vector together with its block layout.
+
+    The constructor copies `data`; `_wrap` is the internal constructor for
+    an array that was just computed and is held by no one else.
+    """
 
     layout: BlockLayout
     data: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, copy=True).ravel()
+    def __post_init__(self, _owned):
+        if _owned:
+            data = self.data.reshape(-1)
+        else:
+            data = np.array(self.data, dtype=np.float64, copy=True).ravel()
         if data.size != self.layout.total:
             raise ValueError(
                 f"data length {data.size} != layout total {self.layout.total}"
@@ -74,27 +82,45 @@ class BlockVector:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def from_blocks(cls, arrays):
-        """Build a BlockVector by concatenating per-block coordinate arrays."""
+    def _wrap(cls, layout, data):
+        """A vector over the float64 array `data` without a copy; `data` is
+        made read-only, so its creator must not keep writing to it."""
+        return cls(layout, data, True)
+
+    @classmethod
+    def from_blocks(cls, arrays, layout=None):
+        """Build a BlockVector by concatenating per-block coordinate arrays.
+
+        With `layout`, the blocks must have its sizes; without, the layout
+        is read off the arrays.
+        """
         flats = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
-        layout = BlockLayout(tuple(a.size for a in flats))
-        return cls(layout, np.concatenate(flats))
+        sizes = tuple(a.size for a in flats)
+        if layout is None:
+            layout = BlockLayout(sizes)
+        elif sizes != layout.sizes:
+            raise ValueError(f"block sizes {sizes} != layout sizes {layout.sizes}")
+        return cls._wrap(layout, np.concatenate(flats))
 
     def extract(self, i):
         """Return a copy of block i (1-based); never aliases self.data."""
         return self.data[self.layout.block_slice(i)].copy()
 
+    def block(self, i):
+        """Read-only view of block i (1-based), for reading without a copy."""
+        return self.data[self.layout.block_slice(i)]
+
     def inject(self, i, values):
         """Return a new vector with block i replaced by `values`."""
+        s = self.layout.block_slice(i)
         values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size != self.layout.sizes[i - 1]:
+        if values.size != s.stop - s.start:
             raise ValueError(
-                f"block {i} expects length {self.layout.sizes[i - 1]}, "
-                f"got {values.size}"
+                f"block {i} expects length {s.stop - s.start}, got {values.size}"
             )
         out = self.data.copy()
-        out[self.layout.block_slice(i)] = values
-        return BlockVector(self.layout, out)
+        out[s] = values
+        return BlockVector._wrap(self.layout, out)
 
     def blocks(self):
         return [self.extract(i) for i in range(1, self.layout.num_blocks + 1)]
@@ -103,13 +129,13 @@ class BlockVector:
         return float(np.linalg.norm(self.data))
 
     def block_norms(self):
-        return [float(np.linalg.norm(b)) for b in self.blocks()]
+        return [float(np.linalg.norm(self.data[s])) for s in self.layout.slices]
 
     def __sub__(self, other):
-        return BlockVector(self.layout, self.data - other.data)
+        return BlockVector._wrap(self.layout, self.data - other.data)
 
     def __add__(self, other):
-        return BlockVector(self.layout, self.data + other.data)
+        return BlockVector._wrap(self.layout, self.data + other.data)
 
 
 @dataclass
@@ -117,14 +143,17 @@ class BlockSchedule:
     """Block-selection rule: which block index to update at iteration k >= 1.
 
     The index stream is a pure function of (kind, seed, num_blocks, k):
-    random kinds derive a fresh generator per draw from a spawned seed
-    sequence, so equal inputs always reproduce equal streams and draws can
-    be evaluated out of order.
+    random kinds derive a fresh generator per draw (random-iid) or per
+    epoch (epoch-shuffle) from a spawned seed sequence, so equal inputs
+    always reproduce equal streams and draws can be evaluated out of order.
+    Epoch-shuffle keeps the last epoch's permutation, keyed by everything
+    that determines it.
     """
 
     kind: str
     num_blocks: int
     seed: int = 0
+    _epoch: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -141,10 +170,13 @@ class BlockSchedule:
             return 1 + (k - 1) % b
         if self.kind == EPOCH_SHUFFLE:
             epoch, pos = divmod(k - 1, b)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(self.seed, spawn_key=(0, epoch))
-            )
-            return int(rng.permutation(b)[pos]) + 1
+            key = (self.seed, b, epoch)
+            if self._epoch[0] != key:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(self.seed, spawn_key=(0, epoch))
+                )
+                self._epoch = (key, rng.permutation(b))
+            return int(self._epoch[1][pos]) + 1
         rng = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(1, k))
         )
@@ -156,11 +188,8 @@ class BlockSchedule:
 
 def complex_to_pairs(z):
     """Interleave a complex array into (re0, im0, re1, im1, ...) reals."""
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    out = np.empty(2 * z.size, dtype=np.float64)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    # a fresh C-ordered complex128 array already stores (re, im) pairs in order
+    return np.array(z, dtype=np.complex128, order="C").reshape(-1).view(np.float64)
 
 
 def pairs_to_complex(x, shape=None):

@@ -514,25 +514,40 @@ def _parse_theory(node, solver):
     return TheoryChecks(node.flag("enabled", False), multiplier, seeds, node.flag("strict", False))
 
 
-def validate(config):
+def validate(config, step_rule=True):
     """Diagnostics for a config path or a parsed Config, without solving.
 
     The parse, plus the certified step-rule check when convergence checks
     run at an explicit gamma; an empty list means `run` can start.
+    `step_rule=False` leaves that check out: `run` makes it on the
+    problem it builds and keeps the certificate for its first mode.
     """
     try:
         cfg = config if isinstance(config, Config) else load_config(config)
-        gamma = cfg.solver.gamma
-        if cfg.theory.enabled and gamma is not None:
+        if step_rule and cfg.theory.enabled and cfg.solver.gamma is not None:
             # needs the certified constants; builds the problem but never iterates
-            problem = build_problem(cfg)
-            _, lip = resolve_gamma(problem.fidelity, problem.x0_for(cfg.solver.mode), cfg.solver)
-            if lip.l_max > 0 and gamma >= 1.0 / lip.l_max:
-                return ["solver.gamma: step size violates the convergence step rule "
-                        f"(gamma={gamma} >= 1/L_max={1.0 / lip.l_max:.6g})"]
+            _, diagnostics = _certify_first_start(cfg, build_problem(cfg))
+            return diagnostics
     except ConfigError as exc:
         return [str(exc)]
     return []
+
+
+def _certify_first_start(cfg, problem):
+    """Certify the first mode's starting point and check the step rule.
+
+    Returns ({x0 bytes: (gamma, certificate)}, diagnostics); the
+    diagnostics name a step-rule violation when convergence checks run at
+    an explicit gamma.
+    """
+    x0 = problem.x0_for(cfg.solver.mode)
+    gamma, lip = resolve_gamma(problem.fidelity, x0, cfg.solver)
+    diagnostics = []
+    if cfg.theory.enabled and cfg.solver.gamma is not None:
+        if lip.l_max > 0 and gamma >= 1.0 / lip.l_max:
+            diagnostics.append("solver.gamma: step size violates the convergence step rule "
+                               f"(gamma={gamma} >= 1/L_max={1.0 / lip.l_max:.6g})")
+    return {x0.data.tobytes(): (gamma, lip)}, diagnostics
 
 
 def _solver_config(cfg, mode):
@@ -681,17 +696,23 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         if seed_override is not None and not (_is_int(seed_override) and seed_override >= 0):
             raise ConfigError(f"--seed-override: must be an integer >= 0, got {seed_override!r}")
         cfg = load_config(config_path)
-        diagnostics = validate(cfg)
+        diagnostics = validate(cfg, step_rule=False)
     except ConfigError as exc:
         diagnostics = [str(exc)]
     if diagnostics:
-        for d in diagnostics:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_errors(diagnostics)
     strict = strict or cfg.theory.strict
 
     try:
         problem = build_problem(cfg, seed_override=seed_override)
+        # (gamma, certificate) per starting point: modes share the ball radius
+        # and the step rule, and certification is deterministic, so modes that
+        # start from the same x0 share one certificate.  The first is made
+        # here, at the seed the run uses, for validate's step-rule check
+        # before any output is written.
+        certified, diagnostics = _certify_first_start(cfg, problem)
+        if diagnostics:
+            return _config_errors(diagnostics)
         scales = enumerate(zip(cfg.denoisers, problem.block_scales), 1)
         denoisers = [build_denoiser(den, s, block_index=i) for i, (den, s) in scales]
         out_dir = Path(out_override or cfg.out_dir)
@@ -700,10 +721,6 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         metrics_rows = []
         report = {"modes": {}, "checks": {}}
         checks_failed = False
-        # (gamma, certificate) per starting point: modes share the ball radius
-        # and the step rule, and certification is deterministic, so modes that
-        # start from the same x0 share one certificate
-        certified = {}
 
         for label, mode in cfg.modes:
             mode_dir = out_dir / label
@@ -766,6 +783,12 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         print("strict mode: a convergence check failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
+
+
+def _config_errors(diagnostics):
+    for d in diagnostics:
+        print(f"config error: {d}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory, lip):

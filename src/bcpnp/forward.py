@@ -48,26 +48,22 @@ class BlindConvolutionModel:
             raise ValueError("kernel must not exceed the image")
         self.image_shape = (hI, wI)
         self.kernel_shape = (hK, wK)
-
-    @property
-    def layout(self):
-        return BlockLayout(
-            (self.image_shape[0] * self.image_shape[1],
-             self.kernel_shape[0] * self.kernel_shape[1])
-        )
+        self.layout = BlockLayout((hI * wI, hK * wK))
+        # flat image position of each kernel entry, with the kernel center
+        # at the origin (circularly wrapped)
+        rows = (np.arange(hK) - hK // 2) % hI
+        cols = (np.arange(wK) - wK // 2) % wI
+        self._kernel_index = (rows[:, None] * wI + cols[None, :]).ravel()
 
     def _embed(self, kernel):
-        # pad to image size with the kernel center moved to the origin
-        k = np.asarray(kernel, dtype=np.float64).reshape(self.kernel_shape)
-        full = np.zeros(self.image_shape)
-        full[: k.shape[0], : k.shape[1]] = k
-        return np.roll(full, (-(k.shape[0] // 2), -(k.shape[1] // 2)), axis=(0, 1))
+        """The kernel padded to image size with its center at the origin."""
+        full = np.zeros(self.image_shape[0] * self.image_shape[1])
+        full[self._kernel_index] = np.asarray(kernel, dtype=np.float64).ravel()
+        return full.reshape(self.image_shape)
 
     def _extract(self, full):
-        rolled = np.roll(
-            full, (self.kernel_shape[0] // 2, self.kernel_shape[1] // 2), axis=(0, 1)
-        )
-        return rolled[: self.kernel_shape[0], : self.kernel_shape[1]]
+        """Inverse of `_embed`: the flat kernel-sized crop around the origin."""
+        return full.reshape(-1)[self._kernel_index]
 
     def spectrum(self, image):
         """rfft2 of an image-shaped array (an image or a measurement)."""
@@ -97,7 +93,18 @@ class BlindConvolutionModel:
         """Adjoint of theta -> theta (*) v: correlate v with w, crop to kernel."""
         fv = self.spectrum(v) if fv is None else fv
         fw = self.spectrum(w) if fw is None else fw
-        return self._extract(np.fft.irfft2(np.conj(fv) * fw, s=self.image_shape)).ravel()
+        return self._extract(np.fft.irfft2(np.conj(fv) * fw, s=self.image_shape))
+
+    def adjoints(self, ft, fv, fw):
+        """(adjoint_v(theta, w), adjoint_theta(v, w)) from the spectra of theta,
+        v and w, with one inverse transform of the two stacked products.
+
+        numpy transforms each plane of a stack exactly as it would transform
+        that plane alone, so both equal the separate adjoints bitwise.
+        """
+        products = np.stack([np.conj(ft) * fw, np.conj(fv) * fw])
+        back = np.fft.irfft2(products, s=self.image_shape)
+        return back[0].ravel(), self._extract(back[1])
 
 
 class MultiCoilModel:
@@ -119,11 +126,8 @@ class MultiCoilModel:
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask entries must be 0 or 1")
         self.mask = mask
-
-    @property
-    def layout(self):
         n = self.image_shape[0] * self.image_shape[1]
-        return BlockLayout((2 * n, 2 * self.num_coils * n))
+        self.layout = BlockLayout((2 * n, 2 * self.num_coils * n))
 
     def _as_image(self, v):
         return np.asarray(v, dtype=np.complex128).reshape(self.image_shape)
@@ -133,37 +137,31 @@ class MultiCoilModel:
             (self.num_coils,) + self.image_shape
         )
 
+    # The per-coil transforms below run as one call over the stacked coil
+    # axis; numpy transforms each plane of a stack exactly as it would
+    # transform that plane alone.
+
     def forward(self, maps, v):
         """Stack of masked unitary DFTs of (map_i * image)."""
-        img = self._as_image(v)
-        out = np.empty((self.num_coils,) + self.image_shape, dtype=np.complex128)
-        for i, m in enumerate(self._as_maps(maps)):
-            out[i] = self.mask * np.fft.fft2(m * img, norm="ortho")
-        return out
+        return self.mask * np.fft.fft2(self._as_maps(maps) * self._as_image(v), norm="ortho")
 
     def inverse(self, w):
         """Masked inverse unitary DFT of each coil of w, shared by both adjoints."""
-        out = np.empty((self.num_coils,) + self.image_shape, dtype=np.complex128)
-        for i in range(self.num_coils):
-            out[i] = np.fft.ifft2(self.mask * w[i], norm="ortho")
-        return out
+        return np.fft.ifft2(self.mask * w, norm="ortho")
 
     def adjoint_v(self, maps, w, back=None):
         """A(maps)^H w; `back` is `inverse(w)` when the caller has it."""
         back = self.inverse(w) if back is None else back
+        terms = np.conj(self._as_maps(maps)) * back
         img = np.zeros(self.image_shape, dtype=np.complex128)
-        for m, b in zip(self._as_maps(maps), back):
-            img += np.conj(m) * b
+        for term in terms:  # summed in coil order
+            img += term
         return img
 
     def adjoint_maps(self, v, w, back=None):
         """Adjoint of maps -> A(maps) v; `back` is `inverse(w)` when the caller has it."""
         back = self.inverse(w) if back is None else back
-        img = self._as_image(v)
-        out = np.empty((self.num_coils,) + self.image_shape, dtype=np.complex128)
-        for i in range(self.num_coils):
-            out[i] = np.conj(img) * back[i]
-        return out
+        return np.conj(self._as_image(v)) * back
 
 
 class LinearModel:
@@ -186,8 +184,41 @@ class LinearModel:
 # ---------------------------------------------------------------------------
 
 
+class _LastSpectrum:
+    """The transform of the last array given, kept while the next array
+    given is bitwise equal to it.
+
+    One entry: a solve changes one block per iteration, so the other
+    block's spectrum carries over to the next gradient.  Not for sharing
+    between threads.
+    """
+
+    def __init__(self, transform):
+        self.transform = transform
+        self.key = self.value = None
+
+    def __call__(self, a):
+        """The transform of the float64 array `a`; do not modify the result."""
+        if not self._holds(a):
+            self.value = self.transform(a)
+            self.key = a.copy()
+        return self.value
+
+    def _holds(self, a):
+        # compared as bit patterns: -0.0 and 0.0 differ, and a NaN matches itself
+        key = self.key
+        return key is not None and key.shape == a.shape and bool(
+            (key.view(np.int64) == a.view(np.int64)).all()
+        )
+
+
 class ConvolutionFidelity:
-    """Least-squares fidelity for the blind deconvolution model."""
+    """Least-squares fidelity for the blind deconvolution model.
+
+    Keeps the spectrum of the last image block and of the last kernel it
+    transformed at an iterate, so a point that repeats a block (in a solve,
+    every block but the one just updated) transforms only what changed.
+    """
 
     def __init__(self, model: BlindConvolutionModel, y):
         self.model = model
@@ -195,13 +226,21 @@ class ConvolutionFidelity:
         if self.y.size != model.image_shape[0] * model.image_shape[1]:
             raise ValueError("measurement size does not match the image shape")
         self.layout = model.layout
+        self._image_spectrum = _LastSpectrum(model.spectrum)
+        self._kernel_spectrum = _LastSpectrum(model.kernel_spectrum)
+
+    def _spectra(self, x: BlockVector):
+        """(v, theta, fv, ft): read-only views of the blocks and their spectra."""
+        v, theta = x.block(1), x.block(2)
+        return v, theta, self._image_spectrum(v), self._kernel_spectrum(theta)
 
     def residual(self, v, theta, ft=None, fv=None):
         """A(theta) v - y; `ft`, `fv` are the spectra of theta and v when the caller has them."""
         return self.model.forward(theta, v, ft, fv) - self.y
 
     def value(self, x: BlockVector):
-        r = self.residual(x.extract(1), x.extract(2))
+        v, theta, fv, ft = self._spectra(x)
+        r = self.residual(v, theta, ft, fv)
         return 0.5 * float(np.dot(r, r))
 
     def grad_v(self, v, theta):
@@ -211,7 +250,7 @@ class ConvolutionFidelity:
         return self.model.adjoint_theta(v, self.residual(v, theta))
 
     def grad_block(self, x: BlockVector, i):
-        v, theta = x.extract(1), x.extract(2)
+        v, theta = x.block(1), x.block(2)
         if i == 1:
             return self.grad_v(v, theta)
         if i == 2:
@@ -219,15 +258,12 @@ class ConvolutionFidelity:
         raise IndexError(f"block index {i} out of range 1..2")
 
     def _residual_and_grad(self, x: BlockVector):
-        # theta, v and the residual are each transformed once
-        m = self.model
-        v, theta = x.extract(1), x.extract(2)
-        ft, fv = m.kernel_spectrum(theta), m.spectrum(v)
+        # theta, v and the residual are each transformed at most once, and
+        # both adjoints share one inverse transform
+        v, theta, fv, ft = self._spectra(x)
         r = self.residual(v, theta, ft, fv)
-        fr = m.spectrum(r)
-        grad = BlockVector.from_blocks(
-            [m.adjoint_v(theta, r, ft, fr), m.adjoint_theta(v, r, fv, fr)]
-        )
+        fr = self.model.spectrum(r)
+        grad = BlockVector.from_blocks(self.model.adjoints(ft, fv, fr), self.layout)
         return r, grad
 
     def grad(self, x: BlockVector):
@@ -248,25 +284,24 @@ class ConvolutionFidelity:
         """
         m = self.model
         if block == 1:
-            theta = x.extract(2)
-            ft = m.kernel_spectrum(theta)
+            theta = x.block(2)
+            ft = self._kernel_spectrum(theta)
             return m.adjoint_v(theta, m.forward(theta, u, ft), ft)
         if block == 2:
-            v = x.extract(1)
-            fv = m.spectrum(v)
+            v = x.block(1)
+            fv = self._image_spectrum(v)
             return m.adjoint_theta(v, m.forward(u, v, fv=fv), fv)
         if block is not None:
             raise IndexError(f"block index {block} out of range 1..2")
-        v, theta = x.extract(1), x.extract(2)
-        dv, dtheta = u.extract(1), u.extract(2)
-        ft, fv = m.kernel_spectrum(theta), m.spectrum(v)
+        v, theta, fv, ft = self._spectra(x)
+        dv, dtheta = u.block(1), u.block(2)
         fdt, fdv = m.kernel_spectrum(dtheta), m.spectrum(dv)
         r = self.residual(v, theta, ft, fv)
         s = m.forward(theta, dv, ft, fdv) + m.forward(dtheta, v, fdt, fv)
         fs, fr = m.spectrum(s), m.spectrum(r)
         hv = m.adjoint_v(theta, s, ft, fs) + m.adjoint_v(dtheta, r, fdt, fr)
         ht = m.adjoint_theta(v, s, fv, fs) + m.adjoint_theta(dv, r, fdv, fr)
-        return BlockVector.from_blocks([hv, ht])
+        return BlockVector.from_blocks([hv, ht], self.layout)
 
     def adjoint_init(self, theta):
         """Image-block initialization A(theta)^T y."""
@@ -291,7 +326,7 @@ class MultiCoilFidelity:
         return pairs_to_complex(pairs, (self.model.num_coils,) + self.model.image_shape)
 
     def _unpack(self, x: BlockVector):
-        return self._image(x.extract(1)), self._maps(x.extract(2))
+        return self._image(x.block(1)), self._maps(x.block(2))
 
     def residual(self, v, maps):
         return self.model.forward(maps, v) - self.y
@@ -312,20 +347,21 @@ class MultiCoilFidelity:
 
     def grad_block(self, x: BlockVector, i):
         if i == 1:
-            return self.grad_v(x.extract(1), x.extract(2))
+            return self.grad_v(x.block(1), x.block(2))
         if i == 2:
-            return self.grad_theta(x.extract(1), x.extract(2))
+            return self.grad_theta(x.block(1), x.block(2))
         raise IndexError(f"block index {i} out of range 1..2")
 
     def _residual_and_grad(self, x: BlockVector):
-        # both adjoints share one masked inverse DFT of the residual per coil
+        # both adjoints share one masked inverse DFT of the residual
         m = self.model
         v, maps = self._unpack(x)
         r = self.residual(v, maps)
         back = m.inverse(r)
         grad = BlockVector.from_blocks(
             [complex_to_pairs(m.adjoint_v(maps, r, back)),
-             complex_to_pairs(m.adjoint_maps(v, r, back))]
+             complex_to_pairs(m.adjoint_maps(v, r, back))],
+            self.layout,
         )
         return r, grad
 
@@ -342,10 +378,10 @@ class MultiCoilFidelity:
         A(maps)^H A(maps) u for the image block, A_v^H A_v u for the map block."""
         m = self.model
         if block == 1:
-            maps = self._maps(x.extract(2))
+            maps = self._maps(x.block(2))
             return complex_to_pairs(m.adjoint_v(maps, m.forward(maps, self._image(u))))
         if block == 2:
-            v = self._image(x.extract(1))
+            v = self._image(x.block(1))
             return complex_to_pairs(m.adjoint_maps(v, m.forward(self._maps(u), v)))
         if block is not None:
             raise IndexError(f"block index {block} out of range 1..2")
@@ -356,7 +392,7 @@ class MultiCoilFidelity:
         back_s, back_r = m.inverse(s), m.inverse(r)
         hv = m.adjoint_v(maps, s, back_s) + m.adjoint_v(dmaps, r, back_r)
         ht = m.adjoint_maps(v, s, back_s) + m.adjoint_maps(dv, r, back_r)
-        return BlockVector.from_blocks([complex_to_pairs(hv), complex_to_pairs(ht)])
+        return BlockVector.from_blocks([complex_to_pairs(hv), complex_to_pairs(ht)], self.layout)
 
     def adjoint_init(self, theta_pairs):
         return complex_to_pairs(self.model.adjoint_v(self._maps(theta_pairs), self.y))
@@ -384,7 +420,7 @@ class LinearFidelity:
     def value_and_grad(self, x: BlockVector):
         """(g(x), grad g(x)) from one residual."""
         r = self.model.forward(x.data) - self.y
-        return 0.5 * float(np.dot(r, r)), BlockVector(self.layout, self.model.adjoint(r))
+        return 0.5 * float(np.dot(r, r)), BlockVector._wrap(self.layout, self.model.adjoint(r))
 
     def grad_block(self, x: BlockVector, i):
         return self.grad(x).extract(i)
@@ -395,7 +431,7 @@ class LinearFidelity:
         if block is not None:
             a = self.model.matrix[:, self.layout.block_slice(block)]
             return a.T @ (a @ np.asarray(u, dtype=np.float64))
-        return BlockVector(self.layout, self.model.adjoint(self.model.forward(u.data)))
+        return BlockVector._wrap(self.layout, self.model.adjoint(self.model.forward(u.data)))
 
     def adjoint_init(self, theta=None):
         return self.model.adjoint(self.y)
@@ -458,7 +494,7 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
     if radius < 1.0:
         raise ValueError("ball radius factor must be >= 1 (iterate inside ball)")
     layout = fidelity.layout
-    boundary = BlockVector(layout, radius * x.data)
+    boundary = BlockVector._wrap(layout, radius * x.data)
     rng = np.random.default_rng(_POWER_SEED)
     converged = True
     block_constants = []

@@ -103,7 +103,7 @@ def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, active=None, gra
     if grad is None:
         grad = fidelity.grad(x)
     denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
-    return _residual(gamma, x, denoised)
+    return BlockVector._wrap(x.layout, _residual(gamma, x, denoised))
 
 
 def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, active):
@@ -114,20 +114,19 @@ def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, acti
     """
     denoised = {}
     for i in active:
-        di = apply_denoiser(denoisers[i - 1], x.extract(i) - gamma * grad.extract(i), k)
-        if not np.all(np.isfinite(di)):
+        di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
+        if not np.isfinite(di).all():
             raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
         denoised[i] = di
     return denoised
 
 
 def _residual(gamma, x: BlockVector, denoised):
-    """(x_i - denoised_i) / gamma per block; zero on blocks not denoised."""
-    parts = []
-    for i in range(1, x.layout.num_blocks + 1):
-        xi = x.extract(i)
-        parts.append((xi - denoised[i]) / gamma if i in denoised else np.zeros_like(xi))
-    return BlockVector.from_blocks(parts)
+    """Flat array of (x_i - denoised_i) / gamma per block; zero on blocks not denoised."""
+    out = np.zeros(x.layout.total)
+    for i, di in denoised.items():
+        out[x.layout.block_slice(i)] = (x.block(i) - di) / gamma
+    return out
 
 
 def step(fidelity, denoisers, config: SolverConfig, x: BlockVector, k):
@@ -137,17 +136,22 @@ def step(fidelity, denoisers, config: SolverConfig, x: BlockVector, k):
     num_blocks = fidelity.layout.num_blocks
     active = _active_blocks(config, num_blocks)
     effective = _effective_denoisers(config, denoisers, num_blocks)
-    i_k = _pick_index(config, active, k)
+    i_k = _pick_index(_active_schedule(config, active), active, k)
     denoised = _denoise_blocks(effective, config.gamma, x, fidelity.grad(x), k, [i_k])
     return x.inject(i_k, denoised[i_k]), i_k
 
 
-def _pick_index(config: SolverConfig, active, k):
-    if len(active) == 1:
-        return active[0]
+def _active_schedule(config: SolverConfig, active):
+    """The configured schedule over the active blocks only."""
     schedule = config.schedule
     if schedule.num_blocks != len(active):
         schedule = BlockSchedule(schedule.kind, len(active), schedule.seed)
+    return schedule
+
+
+def _pick_index(schedule: BlockSchedule, active, k):
+    if len(active) == 1:
+        return active[0]
     return active[schedule.next_index(k) - 1]
 
 
@@ -194,7 +198,9 @@ def solve(
 
     num_blocks = layout.num_blocks
     active = _active_blocks(config, num_blocks)
+    schedule = _active_schedule(config, active)
     effective = _effective_denoisers(config, denoisers, num_blocks)
+    active_denoisers = [effective[i - 1] for i in active]
     radii = [config.ball_radius * n for n in x0.block_norms()]
 
     flags = {
@@ -222,15 +228,19 @@ def solve(
         # one denoising pass: the residual G(x) for the trace, and the
         # chosen block's update
         denoised = _denoise_blocks(effective, gamma, x, grad, k, active)
-        g_norm2 = _residual(gamma, x, denoised).norm() ** 2
-        i_k = _pick_index(config, active, k)
+        g_norm2 = float(np.linalg.norm(_residual(gamma, x, denoised))) ** 2
+        i_k = _pick_index(schedule, active, k)
         prev_norm = x.norm()
         x_new = x.inject(i_k, denoised[i_k])
         grad, value = _fidelity_at(fidelity, x_new, objective)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
 
         if not flags["left_ball"]:
-            flags["left_ball"] = any(n > r for n, r in zip(x_new.block_norms(), radii))
+            # a block other than i_k was checked in the iteration that set it
+            checked = range(1, num_blocks + 1) if k == 1 else (i_k,)
+            flags["left_ball"] = any(
+                float(np.linalg.norm(x_new.block(i))) > radii[i - 1] for i in checked
+            )
 
         if objective is not None:
             f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, grad, value, k)
@@ -238,11 +248,11 @@ def solve(
             f_k = g_k = h_k = gradf2 = float("nan")
         rmse_blocks = [float("nan")] * num_blocks
         if truth is not None:
-            rmse_blocks = [rmse(a, b) for a, b in zip(x_new.blocks(), truth.blocks())]
+            rmse_blocks = [rmse(x_new.block(i), truth.block(i)) for i in range(1, num_blocks + 1)]
 
         trace.append(
             iters=k, block=i_k, f=f_k, g=g_k, h=h_k, g_norm2=g_norm2, step_norm=step_norm,
-            eps=max(error_magnitude(effective[i - 1], k) for i in active),
+            eps=max(error_magnitude(d, k) for d in active_denoisers),
             grad_f_norm2=gradf2, rmse=rmse_blocks,
         )
         x = x_new

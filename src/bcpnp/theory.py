@@ -207,7 +207,7 @@ class ImplicitObjective:
             g = self.fidelity.value(x)
         h = 0.0
         for i, (prior, sigma) in enumerate(self.block_priors, start=1):
-            h += implicit_reg_value(prior, sigma, self.gamma, x.extract(i))
+            h += implicit_reg_value(prior, sigma, self.gamma, x.block(i))
         return g + h, g, h
 
     def grad(self, x: BlockVector, grad_g: BlockVector | None = None):
@@ -220,10 +220,9 @@ class ImplicitObjective:
         parts = []
         for i, (prior, sigma) in enumerate(self.block_priors, start=1):
             parts.append(
-                grad_g.extract(i)
-                + implicit_reg_gradient(prior, sigma, self.gamma, x.extract(i))
+                grad_g.block(i) + implicit_reg_gradient(prior, sigma, self.gamma, x.block(i))
             )
-        return BlockVector.from_blocks(parts)
+        return BlockVector.from_blocks(parts, x.layout)
 
     def m_max(self):
         """Largest Lipschitz constant of the per-block regularizer gradients."""

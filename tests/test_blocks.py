@@ -72,6 +72,35 @@ class TestBlockVector:
         with pytest.raises(ValueError):
             x.data[0] = 0.0
 
+    def test_block_is_a_read_only_view(self):
+        x = BlockVector(BlockLayout((2, 2)), [1.0, 2.0, 3.0, 4.0])
+        view = x.block(2)
+        np.testing.assert_array_equal(view, [3.0, 4.0])
+        assert np.shares_memory(view, x.data)
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+
+    def test_computed_vectors_are_immutable_and_unaliased(self):
+        """inject, from_blocks and arithmetic own their data and make it read-only."""
+        layout = BlockLayout((2, 1))
+        x = BlockVector(layout, [1.0, 2.0, 3.0])
+        parts = [np.array([5.0, 6.0]), np.array([7.0])]
+        for y in (x.inject(1, [5.0, 6.0]), BlockVector.from_blocks(parts, layout),
+                  BlockVector.from_blocks(parts), x + x, x - x):
+            assert y.layout == layout
+            assert not y.data.flags.writeable
+            assert not np.shares_memory(y.data, x.data)
+            assert not any(np.shares_memory(y.data, p) for p in parts)
+        with pytest.raises(ValueError):
+            BlockVector.from_blocks(parts, BlockLayout((1, 2)))
+
+    def test_layout_slices(self):
+        layout = BlockLayout((4, 3, 5))
+        assert (layout.num_blocks, layout.total) == (3, 12)
+        assert [layout.offset(i) for i in (1, 2, 3)] == [0, 4, 7]
+        assert layout.block_slice(3) == slice(7, 12)
+        assert layout == BlockLayout([4, 3, 5]) and hash(layout) == hash(BlockLayout((4, 3, 5)))
+
     def test_errors(self):
         x = BlockVector(BlockLayout((2, 1)), [1.0, 2.0, 3.0])
         with pytest.raises(IndexError):
@@ -117,6 +146,36 @@ class TestSchedules:
             rev = [b.next_index(k) for k in reversed(ks)][::-1]
             assert fwd == rev
 
+    @pytest.mark.parametrize("kind", ["sequential", "epoch-shuffle", "random-iid"])
+    @pytest.mark.parametrize("b", [1, 2, 3, 5])
+    def test_stream_equals_per_draw_formula(self, kind, b):
+        """Draws over three epochs, in order, reversed and shuffled, equal
+        the definition: one generator per draw (random-iid) or per epoch
+        (epoch-shuffle) from a spawned seed sequence."""
+
+        def formula(k):
+            if kind == "sequential":
+                return 1 + (k - 1) % b
+            if kind == "epoch-shuffle":
+                epoch, pos = divmod(k - 1, b)
+                ss = np.random.SeedSequence(9, spawn_key=(0, epoch))
+                return int(np.random.default_rng(ss).permutation(b)[pos]) + 1
+            ss = np.random.SeedSequence(9, spawn_key=(1, k))
+            return int(np.random.default_rng(ss).integers(b)) + 1
+
+        ks = list(range(1, 3 * b + 1))
+        want = [formula(k) for k in ks]
+        shuffled = [int(k) for k in np.random.default_rng(b).permutation(ks)]
+        sched = BlockSchedule(kind, b, seed=9)
+        for order in (ks, ks[::-1], shuffled):
+            got = {k: sched.next_index(k) for k in order}
+            assert [got[k] for k in ks] == want
+        # a changed seed or block count is not served the kept permutation
+        sched.seed = 10
+        assert [sched.next_index(k) for k in ks] == [
+            BlockSchedule(kind, b, seed=10).next_index(k) for k in ks
+        ]
+
     def test_seed_changes_stream(self):
         a = BlockSchedule("random-iid", 4, seed=1)
         b = BlockSchedule("random-iid", 4, seed=2)
@@ -140,6 +199,18 @@ class TestComplexPairs:
     def test_interleaving(self):
         pairs = complex_to_pairs(np.array([1.0 + 2.0j, 3.0 - 4.0j]))
         np.testing.assert_array_equal(pairs, [1.0, 2.0, 3.0, -4.0])
+
+    def test_packing_follows_index_order_for_any_layout(self):
+        """Pairs come in C index order whatever the input's memory layout,
+        in a new array."""
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        for a in (z, z.T, z[:, ::-1], z[::2], np.asfortranarray(z)):
+            want = np.empty(2 * a.size)
+            want[0::2], want[1::2] = a.real.ravel(), a.imag.ravel()
+            got = complex_to_pairs(a)
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, a)
 
     def test_norm_equality(self):
         rng = np.random.default_rng(5)

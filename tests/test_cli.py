@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from bcpnp.theory import (
     ImplicitObjective, IterateTrace, TheoryConstants, check_theorem2, reference_f_star,
 )
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 _MULTICOIL = {
     "problem.kind": "multi-coil",
@@ -225,6 +228,51 @@ class TestRun:
                                          "solver.max_iters": 5})
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 2
+
+    def test_run_builds_and_certifies_once(self, tmp_path, monkeypatch):
+        """With theory checks at an explicit gamma, run builds the problem
+        and certifies x0 once, at the seed it uses, for both the step-rule
+        check and the solve."""
+        calls = {"build": 0, "certify": 0}
+        build, certify = cli.build_problem, solver.estimate_block_lipschitz
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_certify(*args, **kwargs):
+            calls["certify"] += 1
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_problem", counted_build)
+        monkeypatch.setattr(solver, "estimate_block_lipschitz", counted_certify)
+        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+        cfg["solver"].update(gamma=0.001, modes=["bc-pnp"])
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+
+        assert cli.run(path, out_override=tmp_path / "own") == cli.EXIT_OK
+        assert calls == {"build": 1, "certify": 1}
+        calls.update(build=0, certify=0)
+        seed = cfg["problem"]["seed"]
+        assert cli.run(path, out_override=tmp_path / "same", seed_override=seed) == cli.EXIT_OK
+        assert calls == {"build": 1, "certify": 1}
+        for name in ("metrics.csv", "report.json", "bc-pnp/trace.csv", "bc-pnp/final_image.csv"):
+            assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+
+    def test_run_step_rule_violation_is_a_config_error(self, tmp_path, capsys):
+        """run applies validate's step-rule check before writing any output."""
+        probe = write_config(tmp_path, name="probe.yaml")
+        cfg = cli.load_config(probe)
+        problem = cli.build_problem(cfg)
+        _, lip = solver.resolve_gamma(problem.fidelity, problem.x0_for(cfg.solver.mode), cfg.solver)
+        path = write_config(
+            tmp_path, **{"solver.gamma": float(2.0 / lip.l_max), "theory_checks.enabled": True}
+        )
+        out = tmp_path / "violating"
+        assert cli.run(path, out_override=out) == cli.EXIT_CONFIG
+        assert "step rule" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_theorem2_report_equals_ensemble_with_objective(self, tmp_path):
         """The ensemble runs without the objective; its report equals one

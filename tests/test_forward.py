@@ -85,6 +85,20 @@ class TestConvolutionModel:
             model.forward(delta_kernel((3, 3)), v), v, atol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "image, kernel", [((8, 8), (3, 3)), ((5, 7), (5, 3)), ((4, 6), (1, 5))]
+    )
+    def test_embed_and_extract_match_rolls(self, image, kernel):
+        """The flat-index embedding equals padding and rolling the center to
+        the origin, and the crop is its inverse."""
+        model = BlindConvolutionModel(image, kernel)
+        k = np.random.default_rng(3).standard_normal(kernel)
+        padded = np.zeros(image)
+        padded[: kernel[0], : kernel[1]] = k
+        rolled = np.roll(padded, (-(kernel[0] // 2), -(kernel[1] // 2)), axis=(0, 1))
+        assert model._embed(k.ravel()).tobytes() == rolled.tobytes()
+        assert model._extract(rolled).tobytes() == k.ravel().tobytes()
+
     def test_matches_naive_convolution(self):
         rng = np.random.default_rng(1)
         model = BlindConvolutionModel((4, 4), (3, 3))
@@ -296,56 +310,191 @@ class TestSharedEvaluations:
             fid.hessian_vec(x, np.zeros(4), block=3)
 
 
+class _FftCount:
+    """Calls of the numpy FFT entry points the models use, and the planes
+    they transform (a call on a stack of planes transforms each of them)."""
+
+    def __init__(self):
+        self.calls, self.planes = {}, {}
+
+    def clear(self):
+        self.calls.clear()
+        self.planes.clear()
+
+    def total(self):
+        return sum(self.planes.values())
+
+
 @pytest.fixture
-def fft_calls(monkeypatch):
-    """Counts calls of the numpy FFT entry points the models use."""
-    calls = {}
+def fft(monkeypatch):
+    count = _FftCount()
     for name in ("rfft2", "irfft2", "fft2", "ifft2"):
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            count.calls[_name] = count.calls.get(_name, 0) + 1
+            count.planes[_name] = count.planes.get(_name, 0) + int(np.prod(np.shape(a)[:-2]))
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    return calls
+    return count
+
+
+def _change_block(x, i, step=1.0):
+    """x with one entry of block i moved by `step`; the other blocks repeat."""
+    block = x.extract(i)
+    block[0] += step
+    return x.inject(i, block)
 
 
 class TestTransformBudgets:
-    """Each distinct array is transformed once per evaluation."""
+    """Each evaluation transforms each distinct array once, and a
+    convolution fidelity does not transform again an image block or a
+    kernel that it transformed last."""
 
-    def test_convolution_grad_takes_six(self, fft_calls):
+    def test_convolution_grad_takes_six(self, fft):
         fid, x = _bilinear_problems()[0]
-        fft_calls.clear()
-        fid.grad(x)
-        assert fft_calls == {"rfft2": 3, "irfft2": 3}
-        fid.value_and_grad(x)
-        assert sum(fft_calls.values()) == 12
+        fft.clear()
+        fid.grad(x)  # a new point: both blocks, the residual and two adjoints
+        assert fft.planes == {"rfft2": 3, "irfft2": 3}
+        assert fft.calls == {"rfft2": 3, "irfft2": 2}  # the adjoints share one call
+        for i in (1, 2):  # one block repeated
+            x = _change_block(x, i)
+            fft.clear()
+            fid.grad(x)
+            assert fft.total() == 5
+        fft.clear()
+        fid.value_and_grad(x)  # both blocks repeated
+        assert fft.total() == 4
+        fft.clear()
+        fid.value(x)
+        assert fft.total() == 1
 
     @pytest.mark.parametrize("block, budget", [(None, 13), (1, 5), (2, 5)])
-    def test_convolution_hessian_vec(self, fft_calls, block, budget):
+    def test_convolution_hessian_vec(self, fft, block, budget):
+        """`budget` at a new point; at the same point again (as in a power
+        iteration) the spectra of x's blocks are kept."""
         fid, x = _bilinear_problems()[0]
-        u = x if block is None else x.extract(block)
-        fft_calls.clear()
-        fid.hessian_vec(x, u, block=block)
-        assert sum(fft_calls.values()) == budget
+        rng = np.random.default_rng(23)
+        for budget in (budget, {None: 11, 1: 4, 2: 4}[block]):
+            size = fid.layout.total if block is None else fid.layout.sizes[block - 1]
+            u = rng.standard_normal(size)
+            u = BlockVector(fid.layout, u) if block is None else u
+            fft.clear()
+            fid.hessian_vec(x, u, block=block)
+            assert fft.total() == budget
 
     @pytest.mark.parametrize("coils", [1, 3])
-    def test_multicoil_grad_takes_two_per_coil(self, fft_calls, coils):
+    def test_multicoil_grad_takes_two_per_coil(self, fft, coils):
         rng = np.random.default_rng(20)
         _, fid, _, _ = make_coil_problem(rng, coils=coils)
         x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
-        fft_calls.clear()
+        fft.clear()
         fid.grad(x)
-        assert fft_calls == {"fft2": coils, "ifft2": coils}
+        assert fft.planes == {"fft2": coils, "ifft2": coils}
+        assert fft.calls == {"fft2": 1, "ifft2": 1}  # one call over the coil stack
 
     @pytest.mark.parametrize("block, per_coil", [(None, 5), (1, 2), (2, 2)])
-    def test_multicoil_hessian_vec(self, fft_calls, block, per_coil):
+    def test_multicoil_hessian_vec(self, fft, block, per_coil):
         rng = np.random.default_rng(21)
         _, fid, _, _ = make_coil_problem(rng, coils=3)
         x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
         u = x if block is None else x.extract(block)
-        fft_calls.clear()
+        fft.clear()
         fid.hessian_vec(x, u, block=block)
-        assert sum(fft_calls.values()) == 3 * per_coil
+        assert fft.total() == 3 * per_coil
+
+
+class TestStackedTransforms:
+    """numpy transforms each plane of a stack bit for bit as it transforms
+    that plane alone; the stacked coil DFTs and the stacked convolution
+    adjoints rely on it."""
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 64, 64), (2, 9, 7), (4, 5, 12)])
+    def test_real_transforms(self, shape):
+        a = np.random.default_rng(30).standard_normal(shape)
+        spectra = np.fft.rfft2(a)
+        back = np.fft.irfft2(spectra, s=shape[1:])
+        for i in range(shape[0]):
+            assert spectra[i].tobytes() == np.fft.rfft2(a[i]).tobytes()
+            assert back[i].tobytes() == np.fft.irfft2(spectra[i], s=shape[1:]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (4, 64, 64), (3, 9, 7)])
+    def test_unitary_complex_transforms(self, shape):
+        rng = np.random.default_rng(31)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        forward, inverse = np.fft.fft2(z, norm="ortho"), np.fft.ifft2(z, norm="ortho")
+        for i in range(shape[0]):
+            assert forward[i].tobytes() == np.fft.fft2(z[i], norm="ortho").tobytes()
+            assert inverse[i].tobytes() == np.fft.ifft2(z[i], norm="ortho").tobytes()
+
+    def test_stacked_coil_operators_equal_per_coil_loops(self):
+        rng = np.random.default_rng(32)
+        model, fid, _, _ = make_coil_problem(rng, coils=3)
+        maps = rng.standard_normal((3,) + model.image_shape) + 1j
+        v = rng.standard_normal(model.image_shape) - 1j
+        w = fid.y
+        want_fwd = np.stack([model.mask * np.fft.fft2(m * v, norm="ortho") for m in maps])
+        want_back = np.stack([np.fft.ifft2(model.mask * c, norm="ortho") for c in w])
+        want_adj = np.zeros(model.image_shape, dtype=complex)
+        for m, b in zip(maps, want_back):
+            want_adj += np.conj(m) * b
+        assert model.forward(maps, v).tobytes() == want_fwd.tobytes()
+        assert model.inverse(w).tobytes() == want_back.tobytes()
+        assert model.adjoint_v(maps, w).tobytes() == want_adj.tobytes()
+
+    def test_stacked_convolution_adjoints_equal_separate(self):
+        model, fid, v, k = make_conv_problem(np.random.default_rng(33), noise=0.05)
+        ft, fv, fw = model.kernel_spectrum(k), model.spectrum(v), model.spectrum(fid.y)
+        adj_v, adj_theta = model.adjoints(ft, fv, fw)
+        assert adj_v.tobytes() == model.adjoint_v(k, fid.y).tobytes()
+        assert adj_theta.tobytes() == model.adjoint_theta(v, fid.y).tobytes()
+
+
+class TestSpectrumReuse:
+    """A kept spectrum is never served for a block that differs in any bit."""
+
+    @staticmethod
+    def _points(x, rng):
+        """A walk that changes one entry of one block per step, by a random
+        amount, by one ulp, or only the sign of a zero."""
+        points = [x]
+        for step in range(12):
+            i = 1 + step % 2
+            block = points[-1].extract(i)
+            j = rng.integers(block.size)
+            if step % 3 == 0:
+                block[j] += rng.standard_normal()
+            elif step % 3 == 1:
+                block[j] = np.nextafter(block[j], np.inf)
+            else:
+                block[j] = 0.0 if np.signbit(block[j]) else -0.0
+            points.append(points[-1].inject(i, block))
+            points.append(points[-1])  # and a repeat of the same point
+        return points
+
+    def test_grad_and_value_equal_a_fresh_fidelity(self):
+        fid, x = _bilinear_problems()[0]
+        for y in self._points(x, np.random.default_rng(40)):
+            fresh = ConvolutionFidelity(fid.model, fid.y)
+            assert fid.grad(y).data.tobytes() == fresh.grad(y).data.tobytes()
+            value, grad = fid.value_and_grad(y)
+            fresh_value, fresh_grad = ConvolutionFidelity(fid.model, fid.y).value_and_grad(y)
+            assert value == fresh_value
+            assert grad.data.tobytes() == fresh_grad.data.tobytes()
+            assert fid.value(y) == ConvolutionFidelity(fid.model, fid.y).value(y)
+
+    def test_hessian_vec_equals_a_fresh_fidelity(self):
+        fid, x = _bilinear_problems()[0]
+        rng = np.random.default_rng(41)
+        for y in self._points(x, rng):
+            for block in (1, 2, None):
+                size = fid.layout.total if block is None else fid.layout.sizes[block - 1]
+                u = rng.standard_normal(size)
+                u = BlockVector(fid.layout, u) if block is None else u
+                got = fid.hessian_vec(y, u, block=block)
+                want = ConvolutionFidelity(fid.model, fid.y).hessian_vec(y, u, block=block)
+                if block is None:
+                    got, want = got.data, want.data
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLipschitzEstimation:
