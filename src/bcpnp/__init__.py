@@ -62,8 +62,6 @@ from .theory import (
     check_descent,
     check_theorem1,
     check_theorem2,
-    eval_grad_f,
-    eval_objective,
     reference_f_star,
     rmse,
     ssim,

@@ -194,8 +194,10 @@ def complex_to_pairs(z):
 
 def pairs_to_complex(x, shape=None):
     """Inverse of complex_to_pairs; optionally reshape the complex result."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = np.array(x, dtype=np.float64, order="C").reshape(-1)
     if x.size % 2:
         raise ValueError("real-pair array must have even length")
-    z = x[0::2] + 1j * x[1::2]
+    # a fresh C-ordered float64 copy holds (re, im) pairs as complex128 does,
+    # so every value, -0.0 and inf included, comes back as it went in
+    z = x.view(np.complex128)
     return z.reshape(shape) if shape is not None else z

@@ -55,6 +55,8 @@ _MODE_ALIASES = {"pnp": "pnp-ista"}
 DENOISER_KINDS = ("identity", "soft-threshold", "tv-prox", "gaussian-mmse", "gmm-mmse", "inexact")
 # smallest seed ensemble the theorem-2 check accepts; 0 turns the ensemble off
 MIN_ENSEMBLE_SEEDS = 10
+# metrics.csv columns; a mode's row is also its report.json "metrics" entry
+METRICS_COLUMNS = ("mode", "rmse_x", "ssim_x", "rmse_theta")
 
 
 class ConfigError(ValueError):
@@ -792,10 +794,11 @@ def _config_errors(diagnostics):
 
 
 def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory, lip):
-    """Descent always; the schedule decides which bound check applies."""
-    checks = {}
-    descent = check_descent(result.trace, constants)
-    checks["descent"] = descent.to_dict()
+    """Descent always; the schedule decides which bound check applies.
+
+    Each check's report.json entry holds its report's dataclass fields.
+    """
+    checks = {"descent": check_descent(result.trace, constants)}
 
     ref_cfg = dataclasses.replace(
         solver_cfg, max_iters=solver_cfg.max_iters * theory.reference_multiplier
@@ -808,9 +811,7 @@ def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory
 
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
-            checks["theorem1"] = check_theorem1(
-                result.trace, constants, f_star
-            ).to_dict()
+            checks["theorem1"] = check_theorem1(result.trace, constants, f_star)
     elif solver_cfg.schedule.kind == "random-iid" and theory.ensemble_seeds:
         # the check reads each trace's residuals, errors and f(x0) only, so
         # the seeds run without the objective and share one f(x0)
@@ -825,13 +826,14 @@ def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory
             traces.append(dataclasses.replace(trace, f_initial=f_initial))
         checks["theorem2"] = check_theorem2(
             traces, constants, f_star, floor_ratio=1e-4, min_seeds=MIN_ENSEMBLE_SEEDS
-        ).to_dict()
-    return checks
+        )
+    return {name: dataclasses.asdict(report) for name, report in checks.items()}
 
 
 def _mode_metrics(label, problem, result):
-    row = {"mode": label, "rmse_x": rmse(result.x.extract(1), problem.truth.extract(1)),
-           "ssim_x": float("nan"), "rmse_theta": float("nan")}
+    row = dict.fromkeys(METRICS_COLUMNS, float("nan"))
+    row["mode"] = label
+    row["rmse_x"] = rmse(result.x.extract(1), problem.truth.extract(1))
     if problem.fidelity.layout.num_blocks >= 2:
         row["rmse_theta"] = rmse(result.x.extract(2), problem.truth.extract(2))
     if problem.image_shape is not None and min(problem.image_shape) >= 16:
@@ -858,13 +860,10 @@ def _write_mode_outputs(mode_dir, problem, result):
 
 
 def _write_metrics(path, rows):
+    # the values are the label and Python floats, whose str is their repr
+    lines = [METRICS_COLUMNS] + [[str(row[c]) for c in METRICS_COLUMNS] for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write("mode,rmse_x,ssim_x,rmse_theta\n")
-        for row in rows:
-            fh.write(
-                f"{row['mode']},{row['rmse_x']!r},{row['ssim_x']!r},"
-                f"{row['rmse_theta']!r}\n"
-            )
+        fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _json_default(obj):

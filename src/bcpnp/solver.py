@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import BlockSchedule, BlockVector
 from .denoisers import IdentityDenoiser, apply_denoiser, error_magnitude
-from .forward import LipschitzEstimate, estimate_block_lipschitz
+from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 from .theory import TraceBuilder, rmse
 
 BC_PNP = "bc-pnp"
@@ -29,6 +29,7 @@ MODES = (BC_PNP, PNP_ISTA, PNP_GD_THETA, PNP_ORACLE_THETA)
 _FROZEN_THETA_MODES = (PNP_ISTA, PNP_ORACLE_THETA)
 
 DEFAULT_STEP_FRACTION = 0.9  # gamma = 0.9 / l_max keeps gamma < 1/l_max strict
+_THETA_BLOCK = 2  # the operator-parameter block of a two-block model
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -50,7 +51,6 @@ class SolverConfig:
     max_iters: int = 500
     stop_tol: float = 1e-5
     ball_radius: float = 10.0
-    theta_block: int = 2
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -77,14 +77,14 @@ class SolveResult:
 
 def _active_blocks(config: SolverConfig, num_blocks):
     if num_blocks > 1 and config.mode in _FROZEN_THETA_MODES:
-        return [i for i in range(1, num_blocks + 1) if i != config.theta_block]
+        return [i for i in range(1, num_blocks + 1) if i != _THETA_BLOCK]
     return list(range(1, num_blocks + 1))
 
 
 def _effective_denoisers(config: SolverConfig, denoisers, num_blocks):
     if num_blocks > 1 and config.mode == PNP_GD_THETA:
         out = list(denoisers)
-        out[config.theta_block - 1] = IdentityDenoiser()
+        out[_THETA_BLOCK - 1] = IdentityDenoiser()
         return out
     return list(denoisers)
 
@@ -157,7 +157,7 @@ def _pick_index(schedule: BlockSchedule, active, k):
 
 def initialize(fidelity, theta0=None):
     """Adjoint initialization: image block A(theta0)^H y, parameters theta0."""
-    if fidelity.layout.num_blocks == 1 or not hasattr(fidelity, "grad_theta"):
+    if fidelity.layout.num_blocks == 1 or isinstance(fidelity, LinearFidelity):
         return BlockVector(fidelity.layout, fidelity.adjoint_init())
     if theta0 is None:
         raise ValueError("blind models need an initial parameter block theta0")

@@ -9,7 +9,7 @@ bound constants assembled from the certified smoothness constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +24,27 @@ from .denoisers import (
     implicit_reg_value,
 )
 
-TRACE_CSV_HEADER = (
-    "iter,block,f,g,h,Gnorm2,step_norm,eps,rmse_v,rmse_theta"
+# trace.csv, column by column: (csv column, IterateTrace field).  The
+# `rmse` columns take the per-block relative errors in block order, NaN
+# past the trace's last block, so the file carries blocks 1 and 2 only.
+TRACE_COLUMNS = (
+    ("iter", "iters"),
+    ("block", "block"),
+    ("f", "f"),
+    ("g", "g"),
+    ("h", "h"),
+    ("Gnorm2", "g_norm2"),
+    ("step_norm", "step_norm"),
+    ("eps", "eps"),
+    ("rmse_v", "rmse"),
+    ("rmse_theta", "rmse"),
 )
+TRACE_CSV_HEADER = ",".join(column for column, _ in TRACE_COLUMNS)
+_INT_FIELDS = ("iters", "block")
+
+
+def _dtype(name):
+    return int if name in _INT_FIELDS else float
 
 
 # ---------------------------------------------------------------------------
@@ -63,52 +81,36 @@ class IterateTrace:
     def __len__(self):
         return self.iters.size
 
-    def _csv_rows(self):
-        def fmt(v):
-            return repr(float(v))
-
-        nb = self.rmse.shape[1] if self.rmse.size else 0
-        for j in range(len(self)):
-            rmse_v = self.rmse[j, 0] if nb >= 1 else float("nan")
-            rmse_t = self.rmse[j, 1] if nb >= 2 else float("nan")
-            yield ",".join(
-                [
-                    str(int(self.iters[j])),
-                    str(int(self.block[j])),
-                    fmt(self.f[j]),
-                    fmt(self.g[j]),
-                    fmt(self.h[j]),
-                    fmt(self.g_norm2[j]),
-                    fmt(self.step_norm[j]),
-                    fmt(self.eps[j]),
-                    fmt(rmse_v),
-                    fmt(rmse_t),
-                ]
-            )
-
     def to_csv(self, path):
+        blocks = iter(self.rmse.T)  # the rmse columns take blocks 1, 2, ...
+        nan = np.full(len(self), np.nan)
+        columns = [
+            (next(blocks, nan) if name == "rmse" else getattr(self, name))
+            .astype(_dtype(name))
+            .tolist()
+            for _, name in TRACE_COLUMNS
+        ]
+        # repr of a Python float is its shortest round-trip form
+        lines = [TRACE_CSV_HEADER] + [",".join(map(repr, row)) for row in zip(*columns)]
         with open(path, "w", newline="") as fh:
-            fh.write(TRACE_CSV_HEADER + "\n")
-            for row in self._csv_rows():
-                fh.write(row + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path):
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-        n = raw.shape[0]
-        rmse = np.column_stack([raw[:, 8], raw[:, 9]]) if n else np.empty((0, 2))
-        return cls(
-            iters=raw[:, 0].astype(int),
-            block=raw[:, 1].astype(int),
-            f=raw[:, 2],
-            g=raw[:, 3],
-            h=raw[:, 4],
-            g_norm2=raw[:, 5],
-            step_norm=raw[:, 6],
-            eps=raw[:, 7],
-            rmse=rmse,
-            grad_f_norm2=np.full(n, np.nan),
-        )
+        """Read trace.csv by column name; `grad_f_norm2`, which the file
+        does not carry, comes back NaN."""
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            raw = np.genfromtxt(fh, delimiter=",", ndmin=2)
+        by_column = dict(zip(header, raw.T))
+        values = {"rmse": []}
+        for column, name in TRACE_COLUMNS:
+            if name == "rmse":
+                values["rmse"].append(by_column[column])
+            else:
+                values[name] = by_column[column].astype(_dtype(name))
+        values["rmse"] = np.column_stack(values["rmse"])
+        return cls(**values, grad_f_norm2=np.full(raw.shape[0], np.nan))
 
 
 class TraceBuilder:
@@ -116,21 +118,9 @@ class TraceBuilder:
 
     def __init__(self, num_blocks):
         self.num_blocks = num_blocks
-        self.rows = {
-            name: []
-            for name in (
-                "iters",
-                "block",
-                "f",
-                "g",
-                "h",
-                "g_norm2",
-                "step_norm",
-                "eps",
-                "grad_f_norm2",
-            )
-        }
-        self.rmse = []
+        # one list per per-iteration field, i.e. per IterateTrace field
+        # without a default
+        self.rows = {f.name: [] for f in fields(IterateTrace) if f.default is MISSING}
         self.initial = {}
 
     def set_initial(self, f, g, h, grad_f_norm2):
@@ -141,31 +131,17 @@ class TraceBuilder:
             "grad_f_norm2_initial": grad_f_norm2,
         }
 
-    def append(self, **kwargs):
-        rmse = kwargs.pop("rmse")
-        self.rmse.append(rmse)
-        for name, value in kwargs.items():
+    def append(self, **row):
+        """One iteration: a value for every per-iteration field, with `rmse`
+        the list of per-block relative errors."""
+        for name, value in row.items():
             self.rows[name].append(value)
 
     def freeze(self):
-        n = len(self.rows["iters"])
-        return IterateTrace(
-            iters=np.asarray(self.rows["iters"], dtype=int),
-            block=np.asarray(self.rows["block"], dtype=int),
-            f=np.asarray(self.rows["f"], dtype=float),
-            g=np.asarray(self.rows["g"], dtype=float),
-            h=np.asarray(self.rows["h"], dtype=float),
-            g_norm2=np.asarray(self.rows["g_norm2"], dtype=float),
-            step_norm=np.asarray(self.rows["step_norm"], dtype=float),
-            eps=np.asarray(self.rows["eps"], dtype=float),
-            rmse=(
-                np.asarray(self.rmse, dtype=float)
-                if n
-                else np.empty((0, self.num_blocks))
-            ),
-            grad_f_norm2=np.asarray(self.rows["grad_f_norm2"], dtype=float),
-            **self.initial,
-        )
+        arrays = {name: np.asarray(rows, dtype=_dtype(name)) for name, rows in self.rows.items()}
+        if not self.rows["iters"]:
+            arrays["rmse"] = np.empty((0, self.num_blocks))
+        return IterateTrace(**arrays, **self.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +206,6 @@ class ImplicitObjective:
             implicit_reg_lipschitz(prior, sigma, self.gamma)
             for prior, sigma in self.block_priors
         )
-
-
-def eval_objective(fidelity, denoisers, gamma, x):
-    return ImplicitObjective(fidelity, denoisers, gamma).value(x)
-
-
-def eval_grad_f(fidelity, denoisers, gamma, x):
-    return ImplicitObjective(fidelity, denoisers, gamma).grad(x)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +294,6 @@ class DescentReport:
     num_checked: int
     violations: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "worst_slack": float(self.worst_slack),
-            "num_checked": int(self.num_checked),
-            "violations": [int(v) for v in self.violations],
-        }
-
 
 def check_descent(trace: IterateTrace, constants: TheoryConstants, slack=1e-10):
     """Per-iteration decrease of f with the proven quadratic margin.
@@ -376,20 +336,6 @@ class Theorem1Report:
     bounds: np.ndarray
     violations: list
     note: str = "only complete epochs are checked"
-
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "num_epochs": int(self.num_epochs),
-            "f_initial": float(self.f_initial),
-            "f_star": float(self.f_star),
-            "grad_norm2_epochs": self.grad_norm2_epochs.tolist(),
-            "running_mean": self.running_mean.tolist(),
-            "running_min": self.running_min.tolist(),
-            "bounds": self.bounds.tolist(),
-            "violations": [int(v) for v in self.violations],
-            "note": self.note,
-        }
 
 
 def check_theorem1(trace: IterateTrace, constants: TheoryConstants, f_star):
@@ -446,20 +392,6 @@ class Theorem2Report:
     final_ratio_fractions: float
     plateau_mean: float
     plateau_bound: float
-
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "num_seeds": int(self.num_seeds),
-            "num_iters": int(self.num_iters),
-            "f_star": float(self.f_star),
-            "avg_running_mean": self.avg_running_mean.tolist(),
-            "bounds": self.bounds.tolist(),
-            "violations": [int(v) for v in self.violations],
-            "final_ratio_fractions": float(self.final_ratio_fractions),
-            "plateau_mean": float(self.plateau_mean),
-            "plateau_bound": float(self.plateau_bound),
-        }
 
 
 def check_theorem2(

@@ -219,6 +219,18 @@ class TestComplexPairs:
             np.linalg.norm(complex_to_pairs(z)), np.linalg.norm(z), rtol=1e-15
         )
 
+    def test_exact_inverse_keeps_every_bit(self):
+        """-0.0, inf, nan and subnormals survive both directions, and
+        unpacking copies its input whatever its memory layout."""
+        pairs = np.array([-0.0, 1.0, 2.0, np.inf, np.nan, -0.0, -np.inf, 5e-324])
+        z = pairs_to_complex(pairs)
+        assert complex_to_pairs(z).tobytes() == pairs.tobytes()
+        assert pairs_to_complex(complex_to_pairs(z)).tobytes() == z.tobytes()
+        assert not np.shares_memory(z, pairs)
+        flipped = pairs_to_complex(pairs[::-1], (2, 2))
+        assert flipped.shape == (2, 2)
+        assert complex_to_pairs(flipped).tobytes() == pairs[::-1].tobytes()
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             pairs_to_complex([1.0, 2.0, 3.0])

@@ -306,7 +306,7 @@ class TestRun:
         ]
         want = check_theorem2(traces, constants, reference_f_star(ref.trace), floor_ratio=1e-4)
         got = report["checks"]["bc-pnp"]["theorem2"]
-        assert got == json.loads(json.dumps(want.to_dict(), default=cli._json_default))
+        assert got == json.loads(json.dumps(dataclasses.asdict(want), default=cli._json_default))
 
     def test_multicoil_smoke(self, tmp_path):
         path = write_config(tmp_path, **_MULTICOIL)

@@ -521,9 +521,20 @@ class TestInitialize:
         np.testing.assert_allclose(x0.extract(1), dense.T @ y, atol=1e-10)
 
     def test_missing_theta_rejected(self):
+        """Blind models need theta0; a two-block linear fidelity has no
+        parameter block and starts from A^T y alone."""
         desk = blind_desk_problem()
         with pytest.raises(ValueError):
             initialize(desk.fidelity)
+
+        from bcpnp import LinearFidelity, LinearModel
+        from bcpnp.blocks import BlockLayout
+
+        rng = np.random.default_rng(4)
+        model = LinearModel(rng.standard_normal((6, 5)))
+        y = rng.standard_normal(6)
+        x0 = initialize(LinearFidelity(model, BlockLayout((3, 2)), y))
+        np.testing.assert_allclose(x0.data, model.matrix.T @ y, rtol=1e-14)
 
 
 class TestValidation:

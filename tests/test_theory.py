@@ -18,8 +18,6 @@ from bcpnp import (
     check_descent,
     check_theorem1,
     check_theorem2,
-    eval_grad_f,
-    eval_objective,
     reference_f_star,
     rmse,
     solve,
@@ -89,10 +87,11 @@ class TestImplicitObjectiveEvaluation:
         prob = quadratic_problem()
         x = BlockVector(prob.layout, np.ones(prob.layout.total))
         dens = [MmseDenoiser(p, 1e-4) for p in prob.priors]
-        f, g, h = eval_objective(prob.fidelity, dens, 0.1, x)
+        obj = ImplicitObjective(prob.fidelity, dens, 0.1)
+        f, g, h = obj.value(x)
         assert abs(h) < 1e-4
         assert abs(f - g) < 1e-4
-        grad_h = eval_grad_f(prob.fidelity, dens, 0.1, x).data - prob.fidelity.grad(x).data
+        grad_h = obj.grad(x).data - prob.fidelity.grad(x).data
         assert np.linalg.norm(grad_h) < 1e-4
 
     def test_gradient_matches_finite_differences(self):
@@ -132,7 +131,7 @@ class TestImplicitObjectiveEvaluation:
             MmseDenoiser(GaussianPrior(mu_t, 0.1), 0.1),
         ]
         x = BlockVector.from_blocks([mu_v, mu_t])
-        grad = eval_grad_f(fid, dens, 0.05, x)
+        grad = ImplicitObjective(fid, dens, 0.05).grad(x)
         assert grad.norm() < 1e-12
 
     def test_gradient_norm_small_at_quadratic_minimizer(self):
@@ -140,7 +139,7 @@ class TestImplicitObjectiveEvaluation:
         gamma = 0.05
         dens = [MmseDenoiser(p, s) for p, s in zip(prob.priors, prob.sigmas)]
         xstar = quadratic_minimizer(prob, gamma)
-        grad = eval_grad_f(prob.fidelity, dens, gamma, BlockVector(prob.layout, xstar))
+        grad = ImplicitObjective(prob.fidelity, dens, gamma).grad(BlockVector(prob.layout, xstar))
         assert grad.norm() <= 1e-6
 
     def test_objective_above_grid_minimum(self):
@@ -366,7 +365,55 @@ class TestMetrics:
             ssim(np.zeros((16, 16)), np.zeros((16, 17)))
 
 
+def hand_trace(num_blocks):
+    """Two iterations of hand-picked values, -0.0, NaN and 5e-324 among
+    them; blocks 1-3 have relative errors (0.5, nan), (0.25, 1e-17) and
+    (9.0, 9.5)."""
+    rmse_blocks = np.array([[0.5, 0.25, 9.0], [np.nan, 1e-17, 9.5]])
+    return IterateTrace(
+        iters=np.array([1, 2]),
+        block=np.array([1, num_blocks]),
+        f=np.array([0.1, -0.0]),
+        g=np.array([np.nan, 1e300]),
+        h=np.array([5e-324, -2.5]),
+        g_norm2=np.array([3.0, 0.0]),
+        step_norm=np.array([1.5e-8, np.nan]),
+        eps=np.array([0.0, 0.125]),
+        rmse=rmse_blocks[:, :num_blocks],
+        grad_f_norm2=np.array([7.0, 8.0]),
+    )
+
+
 class TestTraceSerialization:
+    @pytest.mark.parametrize(
+        "num_blocks, rows",
+        [
+            (1, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,nan",
+                 "2,1,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,nan"]),
+            (2, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,0.25",
+                 "2,2,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,1e-17"]),
+            # trace.csv carries the relative errors of blocks 1-2 only
+            (3, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,0.25",
+                 "2,3,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,1e-17"]),
+        ],
+    )
+    def test_csv_golden_bytes(self, tmp_path, num_blocks, rows):
+        path = tmp_path / "trace.csv"
+        hand_trace(num_blocks).to_csv(path)
+        header = "iter,block,f,g,h,Gnorm2,step_norm,eps,rmse_v,rmse_theta"
+        assert path.read_bytes() == "".join(r + "\n" for r in [header] + rows).encode()
+
+    def test_csv_round_trip_one_block_bits(self, tmp_path):
+        trace = hand_trace(1)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        back = IterateTrace.from_csv(path)
+        for name in ("iters", "block", "f", "g", "h", "g_norm2", "step_norm", "eps"):
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+        assert back.rmse.shape == (2, 2)
+        assert back.rmse[:, 0].tobytes() == trace.rmse[:, 0].tobytes()
+        assert np.isnan(back.rmse[:, 1]).all() and np.isnan(back.grad_f_norm2).all()
+
     def test_csv_round_trip_exact(self, tmp_path):
         desk = blind_desk_problem()
         res = solve(
