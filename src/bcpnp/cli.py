@@ -35,12 +35,12 @@ from .denoisers import (
 )
 from .forward import (
     BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
-    MultiCoilFidelity, MultiCoilModel, estimate_block_lipschitz, synthesize,
+    MultiCoilFidelity, MultiCoilModel, synthesize,
 )
 from .solver import PNP_ORACLE_THETA, NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
-    ImplicitObjective, TheoryConstants, check_descent, check_theorem1, check_theorem2,
-    reference_f_star, rmse, ssim,
+    MIN_ENSEMBLE_SEEDS, ImplicitObjective, TheoryConstants, check_descent, check_theorem1,
+    check_theorem2, reference_f_star, rmse, ssim,
 )
 
 EXIT_OK = 0
@@ -53,8 +53,6 @@ MULTI_COIL = "multi-coil"
 LINEAR = "generic-linear"
 _MODE_ALIASES = {"pnp": "pnp-ista"}
 DENOISER_KINDS = ("identity", "soft-threshold", "tv-prox", "gaussian-mmse", "gmm-mmse", "inexact")
-# smallest seed ensemble the theorem-2 check accepts; 0 turns the ensemble off
-MIN_ENSEMBLE_SEEDS = 10
 # metrics.csv columns; a mode's row is also its report.json "metrics" entry
 METRICS_COLUMNS = ("mode", "rmse_x", "ssim_x", "rmse_theta")
 
@@ -176,7 +174,7 @@ class Config:
 
     problem: ProblemConfig
     denoisers: tuple  # one per block, natural units; see `build_denoiser`
-    solver: SolverConfig  # at the first mode; `_solver_config` sets another
+    solver: SolverConfig  # at the first mode; `run` replaces the mode for the others
     modes: tuple  # (label as written, canonical mode) per solver mode
     theory: TheoryChecks
     out_dir: str
@@ -275,13 +273,6 @@ class _Node:
         return self.get(key, default, want, ok)
 
 
-def _unit_problem():
-    """A one-unknown linear problem, to run rules that live in functions."""
-    layout = BlockLayout((1,))
-    model = LinearModel(np.ones((1, 1)))
-    return model, LinearFidelity(model, layout, np.zeros(1)), BlockVector(layout, [1.0])
-
-
 def load_config(path):
     """Parse an experiment YAML file, and every file it names, into a Config.
 
@@ -321,8 +312,8 @@ def _parse_problem(node):
     kind = node.string("kind", options=(BLIND, MULTI_COIL, LINEAR))
     common = dict(kind=kind, seed=node.integer("seed", 0),
                   noise_sigma=node.number("noise_sigma", 0.0))
-    with _at(node.at("noise_sigma")):
-        synthesize(_unit_problem()[0], np.zeros(1), noise_sigma=common["noise_sigma"])
+    if common["noise_sigma"] < 0:
+        raise ConfigError(f"{node.at('noise_sigma')}: noise level must be nonnegative")
 
     if kind == LINEAR:
         layout = BlockLayout(node.integers("block_sizes", (4, 4)))
@@ -409,11 +400,12 @@ def _parse_denoisers(node, problem):
     shapes = [None] * len(sizes)
     if problem.kind == BLIND:
         shapes = [problem.model.image_shape, problem.model.kernel_shape]
-    return tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes))
+    indices = range(1, len(sizes) + 1)
+    return tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))
 
 
-def _parse_denoiser(node, size, shape):
-    """One block's denoiser in natural units; its constructor checks ranges."""
+def _parse_denoiser(node, size, shape, block_index):
+    """Block `block_index`'s denoiser in natural units; its constructor checks ranges."""
     kind = node.string("kind", options=DENOISER_KINDS)
     if kind == "identity":
         den = IdentityDenoiser()
@@ -433,8 +425,8 @@ def _parse_denoiser(node, size, shape):
             ErrorSchedule(), sch, kind=sch.string("kind", "zero"), base=sch.number("base", 0.0),
             values=sch.numbers("values", ()), seed=sch.integer("seed", 0),
         )
-        base = _parse_denoiser(node.node("base", required=True), size, shape)
-        den = InexactDenoiser(base, schedule)
+        base = _parse_denoiser(node.node("base", required=True), size, shape, block_index)
+        den = InexactDenoiser(base, schedule, block_index)
     else:
         prior = _parse_prior(node.node("prior"), kind, size, shape)
         sigma = node.number("sigma")
@@ -492,9 +484,6 @@ def _parse_solver(node, num_blocks):
         stop_tol=node.number("stop_tol", 1e-5),
         ball_radius=node.number("ball_radius", 10.0),
     )
-    _, fidelity, x = _unit_problem()
-    with _at(node.at("ball_radius")):
-        estimate_block_lipschitz(fidelity, x, config.ball_radius)
 
     labels = node.get("modes", ["bc-pnp"], "a non-empty list of mode names", lambda v: (
         isinstance(v, list) and v and all(isinstance(m, str) for m in v)))
@@ -508,52 +497,42 @@ def _parse_solver(node, num_blocks):
 
 
 def _parse_theory(node, solver):
-    multiplier = node.get("reference_multiplier", 10, "an integer", _is_int)
-    with _at(node.at("reference_multiplier")):
-        dataclasses.replace(solver, max_iters=solver.max_iters * multiplier)
+    multiplier = node.get("reference_multiplier", 10, "an integer >= 1",
+                          lambda v: _is_int(v) and v >= 1)
     seeds = node.get("ensemble_seeds", 0, f"0 (off) or at least {MIN_ENSEMBLE_SEEDS}",
                      lambda v: _is_int(v) and (v == 0 or v >= MIN_ENSEMBLE_SEEDS))
+    if seeds and solver.schedule.kind != "random-iid":
+        raise ConfigError(f"{node.at('ensemble_seeds')}: the theorem-2 ensemble needs the "
+                          f"random-iid schedule, not {solver.schedule.kind}")
     return TheoryChecks(node.flag("enabled", False), multiplier, seeds, node.flag("strict", False))
 
 
-def validate(config, step_rule=True):
+def validate(config, problem=None):
     """Diagnostics for a config path or a parsed Config, without solving.
 
-    The parse, plus the certified step-rule check when convergence checks
-    run at an explicit gamma; an empty list means `run` can start.
-    `step_rule=False` leaves that check out: `run` makes it on the
-    problem it builds and keeps the certificate for its first mode.
+    The parse, plus the step-rule check when convergence checks run at an
+    explicit gamma: the certificate at every mode's start must bound gamma
+    below 1/L_max.  That check certifies the starts on `problem`, which it
+    builds at the config's seed when none is given.  An empty list means
+    `run` can start.
     """
     try:
         cfg = config if isinstance(config, Config) else load_config(config)
-        if step_rule and cfg.theory.enabled and cfg.solver.gamma is not None:
-            # needs the certified constants; builds the problem but never iterates
-            _, diagnostics = _certify_first_start(cfg, build_problem(cfg))
-            return diagnostics
     except ConfigError as exc:
         return [str(exc)]
-    return []
-
-
-def _certify_first_start(cfg, problem):
-    """Certify the first mode's starting point and check the step rule.
-
-    Returns ({x0 bytes: (gamma, certificate)}, diagnostics); the
-    diagnostics name a step-rule violation when convergence checks run at
-    an explicit gamma.
-    """
-    x0 = problem.x0_for(cfg.solver.mode)
-    gamma, lip = resolve_gamma(problem.fidelity, x0, cfg.solver)
+    gamma = cfg.solver.gamma
+    if not cfg.theory.enabled or gamma is None:
+        return []
+    if problem is None:
+        problem = build_problem(cfg)
     diagnostics = []
-    if cfg.theory.enabled and cfg.solver.gamma is not None:
-        if lip.l_max > 0 and gamma >= 1.0 / lip.l_max:
-            diagnostics.append("solver.gamma: step size violates the convergence step rule "
-                               f"(gamma={gamma} >= 1/L_max={1.0 / lip.l_max:.6g})")
-    return {x0.data.tobytes(): (gamma, lip)}, diagnostics
-
-
-def _solver_config(cfg, mode):
-    return dataclasses.replace(cfg.solver, mode=mode)
+    for label, mode in cfg.modes:
+        _, lip = problem.certify(problem.x0_for(mode), cfg.solver)
+        if lip.exceeded_by(gamma):
+            diagnostics.append(f"solver.gamma: step size violates the convergence step rule at "
+                               f"the start of mode {label} (gamma={gamma} >= "
+                               f"1/L_max={1.0 / lip.l_max:.6g})")
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +547,7 @@ class Problem:
     Blind deconvolution works in blocks rescaled to (v / scale, scale *
     theta), see `balanced_block_scale`; the other kinds have scale 1.
     Generic-linear problems have neither an image nor a parameter block.
+    `denoisers` holds one denoiser per block in those work units.
     """
 
     kind: str
@@ -578,6 +558,9 @@ class Problem:
     theta0: np.ndarray | None = None
     theta_true: np.ndarray | None = None
     scale: float = 1.0
+    denoisers: tuple = ()
+    # (x0 bytes, gamma, ball radius) -> (gamma, certificate); see `certify`
+    _certificates: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @property
     def block_scales(self):
@@ -594,6 +577,18 @@ class Problem:
         # adjoint initialization in natural units, then into work units
         v0 = self.fidelity.adjoint_init(theta / self.scale) / self.scale
         return BlockVector.from_blocks([v0, theta])
+
+    def certify(self, x0, solver):
+        """(gamma, certificate) at x0 for `solver`'s gamma and ball, via `resolve_gamma`.
+
+        Certification is deterministic, so modes that start from the same
+        x0 share one certificate, and a step-rule check and the solve it
+        guards share it too.
+        """
+        key = (x0.data.tobytes(), solver.gamma, solver.ball_radius)
+        if key not in self._certificates:
+            self._certificates[key] = resolve_gamma(self.fidelity, x0, solver)
+        return self._certificates[key]
 
     def natural_image(self, x):
         if self.kind == MULTI_COIL:
@@ -618,11 +613,14 @@ def balanced_block_scale(model, fidelity, theta0):
 
 
 def build_problem(cfg, seed_override=None):
-    """Synthesize the measurements; build the truth and the initial blocks."""
+    """Synthesize the measurements; build the truth, the initial blocks and
+    the work-unit denoisers."""
     p = cfg.problem
     seed = p.seed if seed_override is None else seed_override
     build = {BLIND: _build_deconvolution, MULTI_COIL: _build_multicoil, LINEAR: _build_linear}
-    return build[p.kind](p, seed)
+    problem = build[p.kind](p, seed)
+    denoisers = tuple(build_denoiser(d, s) for d, s in zip(cfg.denoisers, problem.block_scales))
+    return dataclasses.replace(problem, denoisers=denoisers)
 
 
 def _build_deconvolution(p, seed):
@@ -664,7 +662,7 @@ def _build_linear(p, seed):
     return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true))
 
 
-def build_denoiser(den, unit_scale=1.0, block_index=1):
+def build_denoiser(den, unit_scale=1.0):
     """A configured (natural-unit) denoiser in the work units of its block.
 
     `unit_scale` converts natural-unit parameters into the work units of
@@ -683,7 +681,7 @@ def build_denoiser(den, unit_scale=1.0, block_index=1):
     if isinstance(den, InexactDenoiser):
         sch = den.schedule
         schedule = ErrorSchedule(sch.kind, sch.base * s, tuple(v * s for v in sch.values), sch.seed)
-        return InexactDenoiser(build_denoiser(den.base, s, block_index), schedule, block_index)
+        return InexactDenoiser(build_denoiser(den.base, s), schedule, den.block_index)
     return den
 
 
@@ -698,25 +696,17 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         if seed_override is not None and not (_is_int(seed_override) and seed_override >= 0):
             raise ConfigError(f"--seed-override: must be an integer >= 0, got {seed_override!r}")
         cfg = load_config(config_path)
-        diagnostics = validate(cfg, step_rule=False)
     except ConfigError as exc:
-        diagnostics = [str(exc)]
-    if diagnostics:
-        return _config_errors(diagnostics)
+        return _config_errors([str(exc)])
     strict = strict or cfg.theory.strict
 
     try:
+        # the step rule is checked on the problem at the seed the run uses,
+        # before any output is written
         problem = build_problem(cfg, seed_override=seed_override)
-        # (gamma, certificate) per starting point: modes share the ball radius
-        # and the step rule, and certification is deterministic, so modes that
-        # start from the same x0 share one certificate.  The first is made
-        # here, at the seed the run uses, for validate's step-rule check
-        # before any output is written.
-        certified, diagnostics = _certify_first_start(cfg, problem)
+        diagnostics = validate(cfg, problem)
         if diagnostics:
             return _config_errors(diagnostics)
-        scales = enumerate(zip(cfg.denoisers, problem.block_scales), 1)
-        denoisers = [build_denoiser(den, s, block_index=i) for i, (den, s) in scales]
         out_dir = Path(out_override or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_truth(out_dir, problem)
@@ -727,18 +717,14 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         for label, mode in cfg.modes:
             mode_dir = out_dir / label
             mode_dir.mkdir(exist_ok=True)
-            solver_cfg = _solver_config(cfg, mode)
             x0 = problem.x0_for(mode)
-            key = x0.data.tobytes()
-            if key not in certified:
-                certified[key] = resolve_gamma(problem.fidelity, x0, solver_cfg)
-            gamma, lip = certified[key]
-            solver_cfg = dataclasses.replace(solver_cfg, gamma=gamma)
+            gamma, lip = problem.certify(x0, cfg.solver)
+            solver_cfg = dataclasses.replace(cfg.solver, mode=mode, gamma=gamma)
 
             objective = constants = None
             if cfg.theory.enabled and mode == "bc-pnp":
                 try:
-                    objective = ImplicitObjective(problem.fidelity, denoisers, gamma)
+                    objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
                     constants = TheoryConstants.from_problem(
                         gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
                         objective.m_max(),
@@ -746,8 +732,8 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
                 except (UnsupportedPriorError, ValueError) as exc:
                     report["checks"]["objective"] = f"skipped: {exc}"
 
-            result = solve(problem.fidelity, denoisers, solver_cfg, x0, truth=problem.truth,
-                           objective=objective, lipschitz=lip)
+            result = solve(problem.fidelity, problem.denoisers, solver_cfg, x0,
+                           truth=problem.truth, objective=objective, lipschitz=lip)
             result.trace.to_csv(mode_dir / "trace.csv")
             row = _mode_metrics(label, problem, result)
             metrics_rows.append(row)
@@ -766,7 +752,7 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
 
             if objective is not None and constants is not None:
                 checks = _theory_checks(
-                    problem, denoisers, solver_cfg, x0, result, constants, cfg.theory, lip
+                    problem, solver_cfg, x0, result, objective, constants, cfg.theory
                 )
                 report["checks"][label] = checks
                 checks_failed = checks_failed or not all(
@@ -793,17 +779,18 @@ def _config_errors(diagnostics):
     return EXIT_CONFIG
 
 
-def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory, lip):
+def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory):
     """Descent always; the schedule decides which bound check applies.
 
-    Each check's report.json entry holds its report's dataclass fields.
+    `objective` is the one `result` was solved with.  Each check's
+    report.json entry holds its report's dataclass fields.
     """
     checks = {"descent": check_descent(result.trace, constants)}
 
+    denoisers, lip = problem.denoisers, result.lipschitz
     ref_cfg = dataclasses.replace(
         solver_cfg, max_iters=solver_cfg.max_iters * theory.reference_multiplier
     )
-    objective = ImplicitObjective(problem.fidelity, denoisers, solver_cfg.gamma)
     ref = solve(
         problem.fidelity, denoisers, ref_cfg, x0, objective=objective, lipschitz=lip
     )
@@ -824,9 +811,7 @@ def _theory_checks(problem, denoisers, solver_cfg, x0, result, constants, theory
             )
             trace = solve(problem.fidelity, denoisers, cfg_s, x0, lipschitz=lip).trace
             traces.append(dataclasses.replace(trace, f_initial=f_initial))
-        checks["theorem2"] = check_theorem2(
-            traces, constants, f_star, floor_ratio=1e-4, min_seeds=MIN_ENSEMBLE_SEEDS
-        )
+        checks["theorem2"] = check_theorem2(traces, constants, f_star)
     return {name: dataclasses.asdict(report) for name, report in checks.items()}
 
 

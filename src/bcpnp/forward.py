@@ -451,6 +451,10 @@ class LipschitzEstimate:
     l_full: float
     converged: bool
 
+    def exceeded_by(self, gamma):
+        """Whether step size `gamma` breaks the convergence rule gamma < 1/l_max."""
+        return self.l_max > 0 and gamma >= 1.0 / self.l_max
+
 
 def _power_iteration(apply_op, dim, rng, square=False):
     """Largest |eigenvalue| of a symmetric operator; (value, converged).

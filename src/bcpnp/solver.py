@@ -61,6 +61,8 @@ class SolverConfig:
             raise ValueError("stop_tol must be positive")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.ball_radius < 1.0:
+            raise ValueError("ball radius factor must be >= 1 (iterate inside ball)")
 
 
 @dataclass
@@ -206,9 +208,7 @@ def solve(
     flags = {
         "left_ball": False,
         "power_iter_warning": not lipschitz.converged,
-        "gamma_exceeds_rule": bool(
-            lipschitz.l_max > 0 and gamma >= 1.0 / lipschitz.l_max
-        ),
+        "gamma_exceeds_rule": lipschitz.exceeded_by(gamma),
     }
 
     # grad g at the current iterate: one evaluation per iteration, shared by

@@ -278,6 +278,12 @@ class TheoryConstants:
 # ---------------------------------------------------------------------------
 
 _REL_SLACK = 1e-9  # float headroom when comparing measured values to bounds
+DESCENT_SLACK = 1e-10  # per-step headroom of the descent check, relative to 1 + |f|
+# smallest seed ensemble the theorem-2 check accepts
+MIN_ENSEMBLE_SEEDS = 10
+# a seed has converged once its final ||G|| is below this fraction of ||G(x^0)||
+FLOOR_RATIO = 1e-4
+F_STAR_MARGIN = 0.01  # share of the reference run's descent span taken off f*
 
 
 def mean_squared_errors(eps, t):
@@ -295,11 +301,11 @@ class DescentReport:
     violations: list = field(default_factory=list)
 
 
-def check_descent(trace: IterateTrace, constants: TheoryConstants, slack=1e-10):
+def check_descent(trace: IterateTrace, constants: TheoryConstants):
     """Per-iteration decrease of f with the proven quadratic margin.
 
     Verifies f(x^k) <= f(x^{k-1}) - (alpha-1)(l_max/2)||step||^2
-    + lam eps_k^2 / 2, within slack*(1+|f(x^{k-1})|) headroom per step.
+    + lam eps_k^2 / 2, within DESCENT_SLACK*(1+|f(x^{k-1})|) headroom per step.
     """
     f_prev = trace.f_initial
     worst = -np.inf
@@ -313,7 +319,7 @@ def check_descent(trace: IterateTrace, constants: TheoryConstants, slack=1e-10):
         )
         excess = trace.f[j] - allowed
         worst = max(worst, excess)
-        if excess > slack * (1.0 + abs(f_prev)):
+        if excess > DESCENT_SLACK * (1.0 + abs(f_prev)):
             violations.append(int(trace.iters[j]))
         f_prev = trace.f[j]
     return DescentReport(
@@ -394,22 +400,19 @@ class Theorem2Report:
     plateau_bound: float
 
 
-def check_theorem2(
-    traces, constants: TheoryConstants, f_star, floor_ratio=None, min_seeds=10
-):
+def check_theorem2(traces, constants: TheoryConstants, f_star):
     """Random-schedule residual bound over an ensemble of seeded traces.
 
     Checks the seed-averaged (1/t) sum_k ||G(x^{k-1})||^2 against
     (d1/t)(f(x^0) - f*) + d2 * mean_{k<=t}(eps_k^2) at every t (traces are
-    truncated to the shortest length).  `floor_ratio`, when given, is the
-    almost-sure-convergence surrogate: the report records the fraction of
-    seeds whose final ||G|| falls below floor_ratio * ||G(x^0)||.  The
-    plateau statistic is the seed-and-tail average of ||G||^2 over the last
-    quarter of iterations, to compare against d2 * eps^2 for constant
-    inexactness.
+    truncated to the shortest length).  As the almost-sure-convergence
+    surrogate, the report records the fraction of seeds whose final ||G||
+    falls below FLOOR_RATIO * ||G(x^0)||.  The plateau statistic is the
+    seed-and-tail average of ||G||^2 over the last quarter of iterations,
+    to compare against d2 * eps^2 for constant inexactness.
     """
-    if len(traces) < min_seeds:
-        raise ValueError(f"ensemble too small: {len(traces)} < {min_seeds} seeds")
+    if len(traces) < MIN_ENSEMBLE_SEEDS:
+        raise ValueError(f"ensemble too small: {len(traces)} < {MIN_ENSEMBLE_SEEDS} seeds")
     t_len = min(len(tr) for tr in traces)
     if t_len < 1:
         raise ValueError("empty trace in ensemble")
@@ -423,11 +426,9 @@ def check_theorem2(
     headroom = _REL_SLACK * (1.0 + np.abs(bounds))
     violations = (np.nonzero(avg_running_mean > bounds + headroom)[0] + 1).tolist()
 
-    frac = float("nan")
-    if floor_ratio is not None:
-        finals = np.sqrt(g2[:, -1])
-        starts = np.sqrt(g2[:, 0])
-        frac = float(np.mean(finals <= floor_ratio * starts))
+    finals = np.sqrt(g2[:, -1])
+    starts = np.sqrt(g2[:, 0])
+    frac = float(np.mean(finals <= FLOOR_RATIO * starts))
 
     tail = max(1, t_len // 4)
     plateau_mean = float(np.mean(g2[:, -tail:]))
@@ -446,17 +447,17 @@ def check_theorem2(
     )
 
 
-def reference_f_star(trace: IterateTrace, margin=0.01):
+def reference_f_star(trace: IterateTrace):
     """Lower estimate of inf f from a long reference run.
 
     The running minimum of f along a trace upper-bounds the true infimum,
-    so a margin proportional to the observed descent span is subtracted;
+    so F_STAR_MARGIN times the observed descent span is subtracted;
     underestimating f* only loosens the checked bounds, never falsely
     fails them.
     """
     fmin = float(min(trace.f_initial, np.min(trace.f)))
     span = trace.f_initial - fmin
-    return fmin - margin * span - 1e-12 * (1.0 + abs(fmin))
+    return fmin - F_STAR_MARGIN * span - 1e-12 * (1.0 + abs(fmin))
 
 
 # ---------------------------------------------------------------------------

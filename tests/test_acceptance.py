@@ -274,7 +274,7 @@ def test_c05_descent_lemma():
         assert len(res.trace) == 300
         fs = np.concatenate([[res.trace.f_initial], res.trace.f])
         assert np.all(np.diff(fs) <= 1e-10 * (1.0 + np.abs(fs[:-1])))
-        report = check_descent(res.trace, desk.constants, slack=1e-10)
+        report = check_descent(res.trace, desk.constants)
         assert report.passed and report.num_checked == 300
 
 
@@ -324,7 +324,7 @@ def test_c07_theorem2_bound():
         assert rep_exact.passed, f"violations at t {rep_exact.violations[:5]}"
 
         summable = ensemble("square-summable", 0.05, 600, 7000)
-        rep_sum = check_theorem2(summable, prob.constants, f_star, floor_ratio=1e-4)
+        rep_sum = check_theorem2(summable, prob.constants, f_star)
         assert rep_sum.final_ratio_fractions >= 0.95
 
         constant = ensemble("constant", 0.05, 300, 9000)

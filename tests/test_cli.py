@@ -96,14 +96,9 @@ class TestValidate:
     def test_step_rule_diagnostic(self, tmp_path):
         """An explicit gamma at 2/L_max with checks enabled is flagged."""
         probe = write_config(tmp_path, name="probe.yaml")
-        import bcpnp
-
         cfg = cli.load_config(probe)
         problem = cli.build_problem(cfg)
-        solver_cfg = cli._solver_config(cfg, "bc-pnp")
-        _, lip = bcpnp.resolve_gamma(
-            problem.fidelity, problem.x0_for("bc-pnp"), solver_cfg
-        )
+        _, lip = problem.certify(problem.x0_for("bc-pnp"), cfg.solver)
         path = write_config(
             tmp_path,
             **{
@@ -113,6 +108,30 @@ class TestValidate:
         )
         diags = cli.validate(path)
         assert any("step" in d and "rule" in d for d in diags)
+
+    def test_step_rule_holds_at_every_mode_start(self, tmp_path, capsys):
+        """A gamma that the first mode's start allows but bc-pnp's start
+        forbids is a config error of solver.gamma that names bc-pnp."""
+        theory = ROOT / "configs" / "theory_checks.yaml"
+        parsed = cli.load_config(theory)
+        problem = cli.build_problem(parsed)
+        l_oracle = problem.certify(problem.x0_for("pnp-oracle-theta"), parsed.solver)[1].l_max
+        l_bc = problem.certify(problem.x0_for("bc-pnp"), parsed.solver)[1].l_max
+        gamma = 0.5 * (1.0 / l_bc + 1.0 / l_oracle)
+        assert 1.0 / l_bc < gamma < 1.0 / l_oracle
+        cfg = yaml.safe_load(theory.read_text())
+        assert cfg["theory_checks"]["strict"]
+        cfg["solver"].update(modes=["pnp-oracle-theta", "bc-pnp"], gamma=gamma)
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+
+        diags = cli.validate(path)
+        assert len(diags) == 1
+        assert diags[0].startswith("solver.gamma:") and "bc-pnp" in diags[0]
+        out = tmp_path / "out"
+        assert cli.run(path, out_override=out) == cli.EXIT_CONFIG
+        assert "config error: solver.gamma:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -289,8 +308,7 @@ class TestRun:
 
         cfg = cli.load_config(path)
         problem = cli.build_problem(cfg)
-        scales = enumerate(zip(cfg.denoisers, problem.block_scales), 1)
-        dens = [cli.build_denoiser(d, s, block_index=i) for i, (d, s) in scales]
+        dens = problem.denoisers
         x0 = problem.x0_for("bc-pnp")
         gamma, lip = solver.resolve_gamma(problem.fidelity, x0, cfg.solver)
         config = dataclasses.replace(cfg.solver, gamma=gamma)
@@ -304,7 +322,7 @@ class TestRun:
                          x0, objective=objective, lipschitz=lip).trace
             for s in range(10)
         ]
-        want = check_theorem2(traces, constants, reference_f_star(ref.trace), floor_ratio=1e-4)
+        want = check_theorem2(traces, constants, reference_f_star(ref.trace))
         got = report["checks"]["bc-pnp"]["theorem2"]
         assert got == json.loads(json.dumps(dataclasses.asdict(want), default=cli._json_default))
 

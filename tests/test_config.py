@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 from bcpnp import cli
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+# the benchmark's pinned copies must parse too, so a new parse rule that
+# rejects one fails here rather than in the benchmark
+BENCHMARK_CONFIGS = sorted((ROOT / "benchmarks" / "configs").glob("*.yaml"))
 THEORY = next(p for p in CONFIGS if p.stem == "theory_checks")
 
 
@@ -34,17 +38,32 @@ def _drop(cfg, dotted):
     del reduce(getitem, parents, cfg)[key]
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", CONFIGS + BENCHMARK_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_parses_and_builds(path):
-    """Every shipped config validates and builds its problem and denoisers
-    (without solving)."""
+    """Every shipped and benchmark config validates and builds its problem
+    and denoisers (without solving)."""
     assert cli.validate(path) == []
     cfg = cli.load_config(path)
     problem = cli.build_problem(cfg)
-    for i, (den, scale) in enumerate(zip(cfg.denoisers, problem.block_scales), 1):
-        cli.build_denoiser(den, scale, block_index=i)
+    assert len(problem.denoisers) == problem.fidelity.layout.num_blocks
     for _, mode in cfg.modes:
         assert problem.x0_for(mode).layout == problem.fidelity.layout
+
+
+def test_inexact_denoisers_carry_their_block_index(tmp_path):
+    """Each block's inexact denoiser draws its perturbation under its own
+    block index."""
+    from test_cli import write_config
+
+    def inexact(base):
+        return {"kind": "inexact", "schedule": {"kind": "constant", "base": 0.01}, "base": base}
+
+    path = write_config(tmp_path, **{
+        "denoisers.image": inexact({"kind": "tv-prox", "weight": 0.002}),
+        "denoisers.theta": inexact({"kind": "identity"}),
+    })
+    denoisers = cli.build_problem(cli.load_config(path)).denoisers
+    assert [d.block_index for d in denoisers] == [1, 2]
 
 
 PROBES = {
@@ -56,6 +75,9 @@ PROBES = {
     "solver.max_iters": lambda c: _set(c, "solver.max_iters", "many"),
     "solver.stop_tol": lambda c: _set(c, "solver.stop_tol", -1),
     "solver.ball_radius": lambda c: _set(c, "solver.ball_radius", 0.5),
+    "problem.noise_sigma: noise level must be nonnegative": lambda c: _set(
+        c, "problem.noise_sigma", -0.01
+    ),
     "problem.image": lambda c: _set(c, "problem.image", {"path": "/nonexistent.pgm"}),
     "theory_checks": lambda c: _set(c, "theory_checks", [1]),
     "denoisers": lambda c: _set(c, "denoisers", [1, 2]),
@@ -63,6 +85,12 @@ PROBES = {
     "theory_checks.ensemble_seeds": lambda c: (
         _set(c, "solver.schedule.kind", "random-iid"),
         _set(c, "theory_checks.ensemble_seeds", 5),
+    ),
+    "theory_checks.ensemble_seeds: the theorem-2 ensemble needs the random-iid schedule": (
+        lambda c: _set(c, "theory_checks.ensemble_seeds", 20)
+    ),
+    "theory_checks.reference_multiplier: must be an integer >= 1": lambda c: _set(
+        c, "theory_checks.reference_multiplier", 0
     ),
     # degenerate synthetic sources, which would make NaN blocks at run time
     "problem.kernel.width": lambda c: _set(

@@ -290,7 +290,7 @@ class TestTheorem2:
             for _ in range(10)
         ]
         fstar = reference_f_star(traces[0])
-        report = check_theorem2(traces, constants, fstar, floor_ratio=1e-4)
+        report = check_theorem2(traces, constants, fstar)
         assert report.passed
 
     def test_eps_ledger_average(self):
