@@ -416,6 +416,11 @@ def _parse_denoiser(node, size, shape, block_index):
     elif kind == "tv-prox":
         if shape is None:
             raise ConfigError(f"{node.at('kind')}: tv-prox needs a real 2-D image block")
+        if min(shape) < 2:
+            raise ConfigError(
+                f"{node.at('kind')}: tv-prox needs an image at least 2 pixels on each side,"
+                f" got {shape[0]}x{shape[1]}"
+            )
         weight, inner_iters = node.number("weight"), node.integer("inner_iters", 30)
         with _at(node.at("weight")):
             den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)

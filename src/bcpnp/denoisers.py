@@ -339,48 +339,78 @@ class TvProxDenoiser:
     theory diagnostics.
     """
 
-    def __init__(self, weight, shape, inner_iters=30, tau=0.25):
+    TAU = 0.25  # dual step size
+
+    def __init__(self, weight, shape, inner_iters=30):
         if weight <= 0:
             raise ValueError("TV weight must be positive")
         if len(shape) != 2:
             raise ValueError("TV prox needs a 2-D image shape")
+        if min(shape) < 2:
+            raise ValueError("TV prox needs an image at least 2 pixels on each side")
         self.weight = float(weight)
         self.shape = (int(shape[0]), int(shape[1]))
         self.inner_iters = int(inner_iters)
-        self.tau = float(tau)
 
     @staticmethod
-    def _div(px, py, out, dy):
-        """Divergence of (px, py) into `out`; `dy` is scratch space."""
-        out[0, :] = px[0, :]
-        np.subtract(px[1:-1, :], px[:-2, :], out=out[1:-1, :])
-        out[-1, :] = -px[-2, :]
-        dy[:, 0] = py[:, 0]
-        np.subtract(py[:, 1:-1], py[:, :-2], out=dy[:, 1:-1])
-        # plain assignment: np.negative(out=) into a strided column view gave
-        # wrong values on numpy 2.4 for 8-row images
-        dy[:, -1] = -py[:, -2]
-        return np.add(out, dy, out=out)
+    def _divergence(p, out, dy):
+        """A function that writes the divergence of the stacked dual variable
+        p = (px, py) into `out` and returns it; `dy` is scratch space.
+
+        px's last row and py's last column hold -0.0, so the plain backward
+        difference there is -0.0 - p, which is -p bit for bit.  The column
+        differences run over the flattened image; the entries that cross a
+        row boundary are then reset to py's first column.
+        """
+        px, py = p
+        pyf, dyf = py.reshape(-1), dy.reshape(-1)
+        rows, cols = (px[1:], px[:-1], out[1:]), (pyf[1:], pyf[:-1], dyf[1:])
+        first_row, first_col = (out[0], px[0]), (dy[:, 0], py[:, 0])
+
+        def divergence():
+            np.copyto(*first_row)
+            np.subtract(*rows)
+            np.subtract(*cols)
+            np.copyto(*first_col)
+            return np.add(out, dy, out)
+
+        return divergence
 
     def apply(self, z, k=1):
         z = np.asarray(z, dtype=np.float64).reshape(self.shape)
-        lam, tau = self.weight, self.tau
+        lam, tau = self.weight, self.TAU
         z_lam = z / lam
-        # dual variables, forward differences (last row / column stay zero)
-        # and scratch, allocated once per call and updated in place
-        px, py, gx, gy = (np.zeros(self.shape) for _ in range(4))
-        u, dy, denom, tmp = (np.empty(self.shape) for _ in range(4))
+        # stacked dual variables p = (px, py), forward differences g = (gx, gy)
+        # and scratch s, allocated once per call and updated in place.  The
+        # borders that no difference reaches (the last row of px and gx, the
+        # last column of py and gy) hold -0.0, and the update keeps them so:
+        # (-0.0 + tau * -0.0) / denom is -0.0.
+        p = np.zeros((2,) + self.shape)
+        p[0, -1], p[1, :, -1] = -0.0, -0.0
+        g, s, u = p.copy(), np.empty_like(p), np.empty(self.shape)
+        denom, denom_y = s
+        div = self._divergence(p, u, denom)
+        # every view the loop reads or writes is made here, once, and the
+        # ufuncs take their outputs positionally: at 64x64, making the views
+        # and passing out= in each iteration cost about an eighth of it
+        uf = u.reshape(-1)
+        grad_x = (u[1:], u[:-1], g[0, :-1])
+        grad_y, border_y = (uf[1:], uf[:-1], g[1].reshape(-1)[:-1]), g[1, :, -1]
         for _ in range(self.inner_iters):
-            np.subtract(self._div(px, py, u, dy), z_lam, out=u)
-            np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
-            np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
-            # denom = 1 + tau * sqrt(gx^2 + gy^2)
-            np.add(np.square(gx, out=denom), np.square(gy, out=tmp), out=denom)
-            np.add(1.0, np.multiply(tau, np.sqrt(denom, out=denom), out=denom), out=denom)
-            # p = (p + tau * g) / denom, for both components
-            np.divide(np.add(px, np.multiply(tau, gx, out=tmp), out=px), denom, out=px)
-            np.divide(np.add(py, np.multiply(tau, gy, out=tmp), out=py), denom, out=py)
-        return (z - lam * self._div(px, py, u, dy)).ravel()
+            np.subtract(div(), z_lam, u)
+            np.subtract(*grad_x)
+            # column differences over the flattened image, then the entries
+            # that cross a row boundary back to the border's -0.0
+            np.subtract(*grad_y)
+            border_y.fill(-0.0)
+            # denom = 1 + tau * sqrt(gx^2 + gy^2), in both halves of s
+            np.square(g, s)
+            np.add(denom, denom_y, denom)
+            np.add(1.0, np.multiply(tau, np.sqrt(denom, denom), denom), denom)
+            np.copyto(denom_y, denom)
+            # p = (p + tau * g) / denom; g is recomputed before it is read again
+            np.divide(np.add(p, np.multiply(tau, g, g), p), s, p)
+        return (z - lam * div()).ravel()
 
 
 class InexactDenoiser:

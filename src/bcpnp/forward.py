@@ -184,6 +184,15 @@ class LinearModel:
 # ---------------------------------------------------------------------------
 
 
+def _blockwise(layout: BlockLayout, parts):
+    """The BlockVector holding `parts` ({block index: array}) and zeros on
+    every other block."""
+    out = np.zeros(layout.total)
+    for i, a in parts.items():
+        out[layout.block_slice(i)] = a
+    return BlockVector._wrap(layout, out)
+
+
 class _LastSpectrum:
     """The transform of the last array given, kept while the next array
     given is bitwise equal to it.
@@ -257,21 +266,30 @@ class ConvolutionFidelity:
             return self.grad_theta(v, theta)
         raise IndexError(f"block index {i} out of range 1..2")
 
-    def _residual_and_grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector, blocks=None):
         # theta, v and the residual are each transformed at most once, and
         # both adjoints share one inverse transform
         v, theta, fv, ft = self._spectra(x)
         r = self.residual(v, theta, ft, fv)
         fr = self.model.spectrum(r)
-        grad = BlockVector.from_blocks(self.model.adjoints(ft, fv, fr), self.layout)
-        return r, grad
+        m = self.model
+        if blocks is None or {1, 2} <= set(blocks):
+            return r, BlockVector.from_blocks(m.adjoints(ft, fv, fr), self.layout)
+        parts = {}
+        if 1 in blocks:
+            parts[1] = m.adjoint_v(theta, r, ft, fr)
+        if 2 in blocks:
+            parts[2] = m.adjoint_theta(v, r, fv, fr)
+        return r, _blockwise(self.layout, parts)
 
-    def grad(self, x: BlockVector):
-        return self._residual_and_grad(x)[1]
+    def grad(self, x: BlockVector, blocks=None):
+        """grad g(x); with `blocks`, only those blocks are computed and the
+        others come back as zeros."""
+        return self._residual_and_grad(x, blocks)[1]
 
-    def value_and_grad(self, x: BlockVector):
-        """(g(x), grad g(x)) from one residual."""
-        r, grad = self._residual_and_grad(x)
+    def value_and_grad(self, x: BlockVector, blocks=None):
+        """(g(x), grad g(x)) from one residual; `blocks` as in `grad`."""
+        r, grad = self._residual_and_grad(x, blocks)
         return 0.5 * float(np.dot(r, r)), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -352,25 +370,26 @@ class MultiCoilFidelity:
             return self.grad_theta(x.block(1), x.block(2))
         raise IndexError(f"block index {i} out of range 1..2")
 
-    def _residual_and_grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector, blocks=None):
         # both adjoints share one masked inverse DFT of the residual
         m = self.model
         v, maps = self._unpack(x)
         r = self.residual(v, maps)
         back = m.inverse(r)
-        grad = BlockVector.from_blocks(
-            [complex_to_pairs(m.adjoint_v(maps, r, back)),
-             complex_to_pairs(m.adjoint_maps(v, r, back))],
-            self.layout,
-        )
-        return r, grad
+        parts = {}
+        if blocks is None or 1 in blocks:
+            parts[1] = complex_to_pairs(m.adjoint_v(maps, r, back))
+        if blocks is None or 2 in blocks:
+            parts[2] = complex_to_pairs(m.adjoint_maps(v, r, back))
+        return r, _blockwise(self.layout, parts)
 
-    def grad(self, x: BlockVector):
-        return self._residual_and_grad(x)[1]
+    def grad(self, x: BlockVector, blocks=None):
+        """grad g(x); `blocks` as in ConvolutionFidelity.grad."""
+        return self._residual_and_grad(x, blocks)[1]
 
-    def value_and_grad(self, x: BlockVector):
-        """(g(x), grad g(x)) from one residual."""
-        r, grad = self._residual_and_grad(x)
+    def value_and_grad(self, x: BlockVector, blocks=None):
+        """(g(x), grad g(x)) from one residual; `blocks` as in `grad`."""
+        r, grad = self._residual_and_grad(x, blocks)
         return 0.5 * float(np.sum(np.abs(r) ** 2)), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -414,11 +433,12 @@ class LinearFidelity:
         r = self.model.forward(x.data) - self.y
         return 0.5 * float(np.dot(r, r))
 
-    def grad(self, x: BlockVector):
+    def grad(self, x: BlockVector, blocks=None):
         return self.value_and_grad(x)[1]
 
-    def value_and_grad(self, x: BlockVector):
-        """(g(x), grad g(x)) from one residual."""
+    def value_and_grad(self, x: BlockVector, blocks=None):
+        """(g(x), grad g(x)) from one residual; every block is computed,
+        whatever `blocks` asks for."""
         r = self.model.forward(x.data) - self.y
         return 0.5 * float(np.dot(r, r)), BlockVector._wrap(self.layout, self.model.adjoint(r))
 

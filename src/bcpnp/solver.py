@@ -213,7 +213,7 @@ def solve(
 
     # grad g at the current iterate: one evaluation per iteration, shared by
     # the denoising pass, the objective and the final residual
-    grad, value = _fidelity_at(fidelity, x0, objective)
+    grad, value = _fidelity_at(fidelity, x0, objective, active)
     trace = TraceBuilder(num_blocks)
     if objective is not None:
         trace.set_initial(*_objective_at(objective, x0, grad, value, 0))
@@ -232,7 +232,7 @@ def solve(
         i_k = _pick_index(schedule, active, k)
         prev_norm = x.norm()
         x_new = x.inject(i_k, denoised[i_k])
-        grad, value = _fidelity_at(fidelity, x_new, objective)
+        grad, value = _fidelity_at(fidelity, x_new, objective, active)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
 
         if not flags["left_ball"]:
@@ -269,11 +269,13 @@ def solve(
     )
 
 
-def _fidelity_at(fidelity, x, objective):
+def _fidelity_at(fidelity, x, objective, active):
     """(grad g(x), g(x)); the value, which only an objective records, is
-    taken from the gradient's residual, else it is None."""
+    taken from the gradient's residual, else it is None.  Without an
+    objective only the `active` blocks of the gradient are computed; the
+    others are zero, and nothing reads them."""
     if objective is None:
-        return fidelity.grad(x), None
+        return fidelity.grad(x, active), None
     value, grad = fidelity.value_and_grad(x)
     return grad, value
 

@@ -109,6 +109,11 @@ PROBES = {
         _set(c, "problem.image_shape", [1, 1]),
         _set(c, "problem.kernel_shape", [1, 1]),
     ),
+    "denoisers.image.kind: tv-prox needs an image at least 2 pixels on each side": lambda c: (
+        _set(c, "problem.image_shape", [1, 64]),
+        _set(c, "problem.kernel_shape", [1, 9]),
+        _set(c, "denoisers.image", {"kind": "tv-prox", "weight": 0.002}),
+    ),
 }
 
 

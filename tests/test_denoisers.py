@@ -305,21 +305,52 @@ def _tv_prox_allocating(den, z):
     py = np.zeros(den.shape)
     for _ in range(den.inner_iters):
         gx, gy = grad(div(px, py) - z / lam)
-        denom = 1.0 + den.tau * np.sqrt(gx**2 + gy**2)
-        px = (px + den.tau * gx) / denom
-        py = (py + den.tau * gy) / denom
+        denom = 1.0 + TvProxDenoiser.TAU * np.sqrt(gx**2 + gy**2)
+        px = (px + TvProxDenoiser.TAU * gx) / denom
+        py = (py + TvProxDenoiser.TAU * gy) / denom
     return (z - lam * div(px, py)).ravel()
 
 
-@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (64, 64), (5, 9), (9, 2)])
+def _signed_zero_inputs(rng, size):
+    """Images in which signed zeros reach the dual borders: all -0.0, all
+    +0.0, and random ones with some entries set to +0.0 or -0.0."""
+    yield np.full(size, -0.0)
+    yield np.zeros(size)
+    for fill in (0.0, -0.0):
+        z = rng.standard_normal(size)
+        z[rng.random(size) < 0.4] = fill
+        yield z
+    yield rng.choice([0.0, -0.0, 1.0], size=size)
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 8), (16, 16), (64, 64), (5, 9), (9, 2), (2, 9), (2, 2), (3, 2)]
+)
 @pytest.mark.parametrize("inner_iters", [0, 1, 30])
 def test_tv_prox_buffers_bitwise_equal_allocating_version(shape, inner_iters):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    size = shape[0] * shape[1]
     for weight in (0.01, 0.3, 5.0):
         den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)
-        for scale in (1e-3, 1.0, 1e3):
-            z = scale * rng.standard_normal(shape[0] * shape[1])
+        inputs = [scale * rng.standard_normal(size) for scale in (1e-3, 1.0, 1e3)]
+        for z in inputs + list(_signed_zero_inputs(rng, size)):
             assert den.apply(z).tobytes() == _tv_prox_allocating(den, z).tobytes()
+
+
+def test_tv_prox_leaves_input_and_repeats_itself():
+    den = TvProxDenoiser(0.3, (7, 5))
+    z = np.random.default_rng(40).standard_normal(35)
+    z[::4] = -0.0
+    before = z.tobytes()
+    first = den.apply(z)
+    assert z.tobytes() == before
+    assert den.apply(z).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
+def test_tv_prox_rejects_a_side_shorter_than_two(shape):
+    with pytest.raises(ValueError, match="at least 2 pixels"):
+        TvProxDenoiser(0.3, shape)
 
 
 class TestInexactWrapper:

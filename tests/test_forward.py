@@ -303,6 +303,22 @@ class TestSharedEvaluations:
         assert value == fid.value(x)
         assert grad.data.tobytes() == fid.grad(x).data.tobytes()
 
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("blocks", [[1], [2], [1, 2]])
+    def test_grad_of_some_blocks_is_those_blocks_bitwise(self, case, blocks):
+        """Asked blocks equal the full gradient's; the others are zero, except
+        for the linear fidelity, which computes every block."""
+        fid, x = _all_problems()[case]
+        full = fid.grad(x)
+        value, grad = fid.value_and_grad(x, blocks)
+        assert value == fid.value(x)
+        assert grad.data.tobytes() == fid.grad(x, blocks).data.tobytes()
+        for i in (1, 2):
+            want = full.extract(i)
+            if i not in blocks and not isinstance(fid, LinearFidelity):
+                want = np.zeros_like(want)
+            assert grad.extract(i).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", range(2))
     def test_bad_block_index(self, case):
         fid, x = _bilinear_problems()[case]
@@ -367,6 +383,18 @@ class TestTransformBudgets:
         fft.clear()
         fid.value(x)
         assert fft.total() == 1
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_convolution_grad_of_one_block_takes_four(self, fft, block):
+        """The changed block's gradient alone, at a point that repeats the
+        other block, takes one adjoint plane, not two; a frozen-kernel solve
+        asks for just that at every point after its first."""
+        fid, x = _bilinear_problems()[0]
+        fid.grad(x)
+        x = _change_block(x, block)
+        fft.clear()
+        fid.grad(x, [block])
+        assert fft.planes == {"rfft2": 2, "irfft2": 2}
 
     @pytest.mark.parametrize("block, budget", [(None, 13), (1, 5), (2, 5)])
     def test_convolution_hessian_vec(self, fft, block, budget):

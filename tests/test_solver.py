@@ -335,13 +335,13 @@ class _CountingFidelity:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def grad(self, x):
+    def grad(self, x, blocks=None):
         self.grad_calls += 1
-        return self.inner.grad(x)
+        return self.inner.grad(x, blocks)
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, blocks=None):
         self.grad_calls += 1
-        return self.inner.value_and_grad(x)
+        return self.inner.value_and_grad(x, blocks)
 
 
 class _CountingDenoiser:
