@@ -74,15 +74,23 @@ def write_pgm(path, image, maxval=65535):
 
 
 def load_matrix_csv(path):
-    """Read a 2-D comma-separated float matrix."""
+    """Read a 2-D comma-separated matrix of finite floats."""
     arr = np.genfromtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if np.any(np.isnan(arr)):
-        raise ValueError(f"non-numeric entries in {path}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-numeric or non-finite entries in {path}")
     return arr
 
 
+_CSV_CHUNK = 1024  # values formatted at once, so a long row's strings are never all held
+
+
 def save_matrix_csv(path, array):
+    """Write each row as the shortest round-trip repr of its floats."""
     arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
     with open(path, "w", newline="") as fh:
         for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for start in range(0, row.size, _CSV_CHUNK):
+                if start:
+                    fh.write(",")
+                fh.write(",".join(map(repr, row[start : start + _CSV_CHUNK].tolist())))
+            fh.write("\n")

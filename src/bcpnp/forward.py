@@ -15,7 +15,9 @@ of g with respect to the pairs is exactly the pair packing of A^H(residual)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -464,12 +466,30 @@ class LinearFidelity:
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Block and full gradient-smoothness constants over the scaled ball."""
+    """Block and full gradient-smoothness constants over the scaled ball.
+
+    The block constants, `l_max` and `converged` (of the block power
+    iterations) are computed with the estimate.  The full-gradient constant
+    `l_full`, which only the theory bounds read, is computed by `_full` the
+    first time it is read, together with `l_full_converged`, and kept.
+    """
 
     block_constants: tuple
     l_max: float
-    l_full: float
     converged: bool
+    _full: Callable = field(repr=False, compare=False)  # () -> (l_full, converged)
+
+    @functools.cached_property
+    def _full_estimate(self):
+        return self._full()
+
+    @property
+    def l_full(self):
+        return self._full_estimate[0]
+
+    @property
+    def l_full_converged(self):
+        return self._full_estimate[1]
 
     def exceeded_by(self, gamma):
         """Whether step size `gamma` breaks the convergence rule gamma < 1/l_max."""
@@ -512,7 +532,8 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
     evaluating block Hessians at the iterate scaled blockwise to the ball
     boundary and running power iteration there, on the block-restricted
     products `hessian_vec(boundary, u, block=i)`.  The full-gradient constant
-    is estimated the same way on the joint Hessian and floored at l_max.
+    is estimated the same way on the joint Hessian and floored at l_max, on
+    its first read (see LipschitzEstimate).
     Requires radius >= 1 so the current iterate lies inside the ball.
     """
     if radius < 1.0:
@@ -532,15 +553,18 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
         converged = converged and ok
         block_constants.append(lam)
 
-    def full_op(u):
-        return fidelity.hessian_vec(boundary, BlockVector(layout, u)).data
-
-    l_full, ok = _power_iteration(full_op, layout.total, rng, square=True)
-    converged = converged and ok
     l_max = max(block_constants)
-    return LipschitzEstimate(
-        tuple(block_constants), l_max, max(l_full, l_max), converged
-    )
+
+    def full_constant():
+        # draws its start vector from `rng` right after the block start
+        # vectors, so the value does not depend on when it is first read
+        def full_op(u):
+            return fidelity.hessian_vec(boundary, BlockVector(layout, u)).data
+
+        l_full, ok = _power_iteration(full_op, layout.total, rng, square=True)
+        return max(l_full, l_max), ok
+
+    return LipschitzEstimate(tuple(block_constants), l_max, converged, full_constant)
 
 
 # ---------------------------------------------------------------------------

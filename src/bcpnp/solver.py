@@ -207,7 +207,11 @@ def solve(
 
     flags = {
         "left_ball": False,
-        "power_iter_warning": not lipschitz.converged,
+        # the full power iteration counts only in the solves that record an
+        # objective, whose checks read l_full; reading its flag in any other
+        # solve would run it
+        "power_iter_warning": not lipschitz.converged
+        or (objective is not None and not lipschitz.l_full_converged),
         "gamma_exceeds_rule": lipschitz.exceeded_by(gamma),
     }
 
@@ -222,6 +226,7 @@ def solve(
         trace.set_initial(nan, nan, nan, nan)
 
     x = x0
+    rmse_blocks = [float("nan")] * num_blocks
     reason = "max-iters"
     k = 0
     for k in range(1, config.max_iters + 1):
@@ -235,25 +240,26 @@ def solve(
         grad, value = _fidelity_at(fidelity, x_new, objective, active)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
 
+        # every block but i_k is bitwise what it was in the previous
+        # iteration, so its ball check and error carry over
+        changed = range(1, num_blocks + 1) if k == 1 else (i_k,)
         if not flags["left_ball"]:
-            # a block other than i_k was checked in the iteration that set it
-            checked = range(1, num_blocks + 1) if k == 1 else (i_k,)
             flags["left_ball"] = any(
-                float(np.linalg.norm(x_new.block(i))) > radii[i - 1] for i in checked
+                float(np.linalg.norm(x_new.block(i))) > radii[i - 1] for i in changed
             )
 
         if objective is not None:
             f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, grad, value, k)
         else:
             f_k = g_k = h_k = gradf2 = float("nan")
-        rmse_blocks = [float("nan")] * num_blocks
         if truth is not None:
-            rmse_blocks = [rmse(x_new.block(i), truth.block(i)) for i in range(1, num_blocks + 1)]
+            for i in changed:
+                rmse_blocks[i - 1] = rmse(x_new.block(i), truth.block(i))
 
         trace.append(
             iters=k, block=i_k, f=f_k, g=g_k, h=h_k, g_norm2=g_norm2, step_norm=step_norm,
             eps=max(error_magnitude(d, k) for d in active_denoisers),
-            grad_f_norm2=gradf2, rmse=rmse_blocks,
+            grad_f_norm2=gradf2, rmse=list(rmse_blocks),
         )
         x = x_new
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm

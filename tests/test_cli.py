@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bcpnp import cli, fileio, solver
+from bcpnp import cli, fileio, forward, solver
 from bcpnp.theory import (
     ImplicitObjective, IterateTrace, TheoryConstants, check_theorem2, reference_f_star,
 )
@@ -225,15 +225,8 @@ class TestRun:
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
 
-    def test_modes_with_one_start_share_one_certificate(self, tmp_path, monkeypatch):
-        calls = []
-        certify = solver.estimate_block_lipschitz
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return certify(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "estimate_block_lipschitz", counted)
+    def test_modes_with_one_start_share_one_certificate(self, tmp_path, count_calls):
+        calls = count_calls(solver, "estimate_block_lipschitz")
         path = write_config(tmp_path, **_MULTICOIL, **{"solver.modes": ["bc-pnp", "pnp"]})
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 1
@@ -248,36 +241,55 @@ class TestRun:
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 2
 
-    def test_run_builds_and_certifies_once(self, tmp_path, monkeypatch):
+    def test_run_builds_and_certifies_once(self, tmp_path, count_calls):
         """With theory checks at an explicit gamma, run builds the problem
         and certifies x0 once, at the seed it uses, for both the step-rule
         check and the solve."""
-        calls = {"build": 0, "certify": 0}
-        build, certify = cli.build_problem, solver.estimate_block_lipschitz
-
-        def counted_build(*args, **kwargs):
-            calls["build"] += 1
-            return build(*args, **kwargs)
-
-        def counted_certify(*args, **kwargs):
-            calls["certify"] += 1
-            return certify(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "build_problem", counted_build)
-        monkeypatch.setattr(solver, "estimate_block_lipschitz", counted_certify)
+        builds = count_calls(cli, "build_problem")
+        certificates = count_calls(solver, "estimate_block_lipschitz")
         cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
         cfg["solver"].update(gamma=0.001, modes=["bc-pnp"])
         path = tmp_path / "theory.yaml"
         path.write_text(yaml.safe_dump(cfg))
 
         assert cli.run(path, out_override=tmp_path / "own") == cli.EXIT_OK
-        assert calls == {"build": 1, "certify": 1}
-        calls.update(build=0, certify=0)
+        assert (len(builds), len(certificates)) == (1, 1)
+        builds.clear()
+        certificates.clear()
         seed = cfg["problem"]["seed"]
         assert cli.run(path, out_override=tmp_path / "same", seed_override=seed) == cli.EXIT_OK
-        assert calls == {"build": 1, "certify": 1}
+        assert (len(builds), len(certificates)) == (1, 1)
         for name in ("metrics.csv", "report.json", "bc-pnp/trace.csv", "bc-pnp/final_image.csv"):
             assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+
+    def test_theory_off_run_makes_no_full_hessian_product(self, tmp_path, count_calls):
+        """Only the theory bounds read l_full, so a run without them never
+        runs the full power iteration."""
+        products = count_calls(forward.MultiCoilFidelity, "hessian_vec")
+        path = write_config(tmp_path, **_MULTICOIL, **{"solver.modes": ["bc-pnp", "pnp"]})
+        assert cli.run(path) == cli.EXIT_OK
+        assert products
+        assert all(kwargs.get("block") is not None for _, kwargs in products)
+
+    @pytest.mark.parametrize("schedule, seeds", [("sequential", 0), ("random-iid", 10)])
+    def test_theory_run_makes_one_full_power_iteration(self, tmp_path, count_calls,
+                                                       schedule, seeds):
+        """The bc-pnp start's certificate computes l_full once, for the
+        theory constants, the objective solves and the ensemble; the oracle
+        start's certificate never does."""
+        certificates = count_calls(solver, "estimate_block_lipschitz")
+        sweeps = count_calls(forward, "_power_iteration")
+        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+        cfg["solver"].update(modes=["pnp-oracle-theta", "bc-pnp", "pnp"], max_iters=20,
+                             schedule={"kind": schedule, "seed": 0})
+        cfg["theory_checks"].update(ensemble_seeds=seeds, reference_multiplier=2, strict=False)
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.run(path, out_override=tmp_path / "out") == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert ("theorem2" if seeds else "theorem1") in report["checks"]["bc-pnp"]
+        full = [args for args, kwargs in sweeps if kwargs.get("square")]
+        assert (len(certificates), len(full)) == (2, 1)
 
     def test_run_step_rule_violation_is_a_config_error(self, tmp_path, capsys):
         """run applies validate's step-rule check before writing any output."""

@@ -7,12 +7,13 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bcpnp import cli
+from bcpnp import cli, fileio
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -117,16 +118,34 @@ PROBES = {
 }
 
 
-@pytest.mark.parametrize("field", PROBES)
-def test_config_error_names_field(field, tmp_path, capsys):
+def _assert_both_commands_name(field, cfg, tmp_path, capsys):
     """Both commands exit 1 and name the offending field; nothing raises."""
-    cfg = yaml.safe_load(THEORY.read_text())
-    PROBES[field](cfg)
     path = _write(tmp_path, cfg)
     assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
     assert f"config error: {field}" in capsys.readouterr().out
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", PROBES)
+def test_config_error_names_field(field, tmp_path, capsys):
+    cfg = yaml.safe_load(THEORY.read_text())
+    PROBES[field](cfg)
+    _assert_both_commands_name(field, cfg, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("source, shape", [("image", (8, 8)), ("kernel", (3, 3)),
+                                           ("theta_init", (3, 3))])
+def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):
+    """An `inf` in a matrix file is an error of the field naming the file,
+    not a non-finite iterate at run time."""
+    values = np.full(shape, 0.1)
+    values[1, 1] = np.inf
+    csv = tmp_path / f"{source}.csv"
+    fileio.save_matrix_csv(csv, values)
+    cfg = yaml.safe_load(THEORY.read_text())
+    cfg["problem"][source] = {"path": str(csv)}
+    _assert_both_commands_name(f"problem.{source}.path", cfg, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("seeds, accepted", [(0, True), (1, False), (9, False), (10, True)])

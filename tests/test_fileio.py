@@ -70,3 +70,23 @@ class TestCsv:
         path = tmp_path / "mask.csv"
         fileio.save_matrix_csv(path, mask)
         np.testing.assert_array_equal(fileio.load_matrix_csv(path), mask)
+
+    @pytest.mark.parametrize("length", [1, 1023, 1024, 1025, 32768])
+    def test_rows_are_written_as_float_reprs(self, tmp_path, length):
+        """Rows longer than one formatting chunk come out as one repr join."""
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, -2.5]
+        rng = np.random.default_rng(length)
+        mat = rng.standard_normal((len(special), length))
+        for j, v in enumerate(special):  # each special value in a row of its own
+            mat[j, [rng.integers(length), -1]] = v
+        path = tmp_path / "m.csv"
+        fileio.save_matrix_csv(path, mat)
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mat)
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "x"])
+    def test_rejects_non_finite_and_non_numeric_entries(self, tmp_path, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n3.0,{entry}\n")
+        with pytest.raises(ValueError, match="non-numeric or non-finite"):
+            fileio.load_matrix_csv(path)

@@ -8,6 +8,7 @@ sample statistics for the synthesized noise.
 import numpy as np
 import pytest
 
+from bcpnp import forward
 from bcpnp.blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex
 from bcpnp.forward import (
     BlindConvolutionModel,
@@ -19,6 +20,8 @@ from bcpnp.forward import (
     estimate_block_lipschitz,
     synthesize,
 )
+
+from desk_problems import two_coil_problem
 
 
 def naive_circular_convolution(kernel, image):
@@ -525,6 +528,27 @@ class TestSpectrumReuse:
                 assert got.tobytes() == want.tobytes()
 
 
+def _eager_estimate(fidelity, x, radius):
+    """Every constant at once, the full iteration right after the block
+    iterations on one generator: (block constants, l_max, l_full, blocks
+    converged, full converged)."""
+    layout = fidelity.layout
+    boundary = BlockVector(layout, radius * x.data)
+    rng = np.random.default_rng(forward._POWER_SEED)
+    constants, blocks_ok = [], True
+    for i in range(1, layout.num_blocks + 1):
+        lam, ok = forward._power_iteration(
+            lambda u, i=i: fidelity.hessian_vec(boundary, u, block=i), layout.sizes[i - 1], rng
+        )
+        constants.append(lam)
+        blocks_ok = blocks_ok and ok
+    l_full, full_ok = forward._power_iteration(
+        lambda u: fidelity.hessian_vec(boundary, BlockVector(layout, u)).data,
+        layout.total, rng, square=True,
+    )
+    return tuple(constants), max(constants), max(l_full, max(constants)), blocks_ok, full_ok
+
+
 class TestLipschitzEstimation:
     def test_generic_linear_matches_dense_svd(self):
         rng = np.random.default_rng(11)
@@ -547,6 +571,43 @@ class TestLipschitzEstimation:
         )
         assert est.l_max == max(est.block_constants)
         assert est.converged
+
+    @pytest.mark.parametrize("kind", ["convolution", "multi-coil", "linear"])
+    def test_on_demand_full_constant_equals_eager_bitwise(self, kind):
+        """l_full, read after other work on the fidelity, is bitwise what an
+        estimate computing everything at once gives, and so are the block
+        constants and both convergence flags."""
+        rng = np.random.default_rng(16)
+        if kind == "convolution":
+            _, fid, v, theta = make_conv_problem(rng)
+            x = BlockVector.from_blocks([v, theta])
+        elif kind == "multi-coil":
+            desk = two_coil_problem()
+            fid, x = desk.fidelity, desk.truth
+        else:
+            A = rng.standard_normal((9, 7))
+            layout = BlockLayout((3, 2, 2))
+            fid = LinearFidelity(LinearModel(A), layout, rng.standard_normal(9))
+            x = BlockVector(layout, rng.standard_normal(7))
+        est = estimate_block_lipschitz(fid, x, radius=2.0)
+        fid.grad(BlockVector(x.layout, rng.standard_normal(x.layout.total)))
+        got = (est.block_constants, est.l_max, est.l_full, est.converged, est.l_full_converged)
+        assert got == _eager_estimate(fid, x, 2.0)
+
+    def test_full_constant_runs_on_first_read_only(self, count_calls):
+        """Certifying runs the block iterations alone; the first read of
+        l_full runs the full one, and later reads and `==` do not."""
+        rng = np.random.default_rng(17)
+        _, fid, v, theta = make_conv_problem(rng)
+        x = BlockVector.from_blocks([v, theta])
+        sweeps = count_calls(forward, "_power_iteration")
+        est = estimate_block_lipschitz(fid, x)
+        assert [kwargs for _, kwargs in sweeps] == [{}, {}]
+        first = est.l_full
+        assert (est.l_full, est.l_full_converged) == (first, True)
+        assert [kwargs for _, kwargs in sweeps] == [{}, {}, {"square": True}]
+        assert est == estimate_block_lipschitz(fid, x)
+        assert len(sweeps) == 5
 
     def test_delta_kernel_unit_ball(self):
         rng = np.random.default_rng(12)

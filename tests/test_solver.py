@@ -24,6 +24,7 @@ from bcpnp import (
     solve,
     step,
 )
+from bcpnp import forward
 from bcpnp.denoisers import error_magnitude
 
 from desk_problems import (
@@ -236,6 +237,28 @@ class TestSolve:
         )
         assert res.flags["gamma_exceeds_rule"]
 
+    def test_power_iter_warning_reads_full_iteration_only_with_objective(self, monkeypatch):
+        """The full power iteration's flag counts only in a solve that
+        records an objective, the one path whose checks read l_full."""
+        power_iteration = forward._power_iteration
+
+        def full_never_converges(apply_op, dim, rng, square=False):
+            value, ok = power_iteration(apply_op, dim, rng, square)
+            return value, ok and not square
+
+        monkeypatch.setattr(forward, "_power_iteration", full_never_converges)
+        prob, denoisers, config, lip = make_quadratic_setup(max_iters=3)
+        objective = ImplicitObjective(prob.fidelity, denoisers, config.gamma)
+
+        def warned(**kwargs):
+            res = solve(prob.fidelity, denoisers, config, _origin(prob), lipschitz=lip, **kwargs)
+            return res.flags["power_iter_warning"]
+
+        assert lip.converged
+        assert not warned()
+        assert warned(objective=objective) and not lip.l_full_converged
+        assert not warned()
+
     def test_residual_ratio_decreases_on_theory_config(self):
         desk = blind_desk_problem()
         res = solve(
@@ -248,6 +271,27 @@ class TestSolve:
         )
         assert res.reason == "tolerance"
         assert res.g_norm_final / res.g_norm_initial < 1.0
+
+
+class TestTraceRmse:
+    @pytest.mark.parametrize("schedule", ["sequential", "random-iid"])
+    def test_each_row_equals_every_block_recomputed(self, schedule):
+        """Errors carried over for the blocks an iteration left alone are
+        bitwise the errors of the iterate it produced."""
+        prob = quadratic_problem(sizes=(4, 3, 3))
+        denoisers = [MmseDenoiser(p, s) for p, s in zip(prob.priors, prob.sigmas)]
+        config = SolverConfig(schedule=BlockSchedule(schedule, 3, seed=2), max_iters=30,
+                              stop_tol=1e-300, ball_radius=1.0)
+        gamma, lip = resolve_gamma(prob.fidelity, _origin(prob), config)
+        config = dataclasses.replace(config, gamma=gamma)
+        truth = BlockVector(prob.layout, np.random.default_rng(3).standard_normal(10))
+        res = solve(prob.fidelity, denoisers, config, _origin(prob), truth=truth, lipschitz=lip)
+        assert len(res.trace) == 30
+        x = _origin(prob)
+        for k in range(1, 31):
+            x, _ = step(prob.fidelity, denoisers, config, x, k)
+            want = [rmse(x.block(i), truth.block(i)) for i in (1, 2, 3)]
+            assert res.trace.rmse[k - 1].tobytes() == np.array(want).tobytes(), k
 
 
 class TestModes:
