@@ -210,25 +210,33 @@ class _Node:
     """A mapping of the YAML tree and its dotted path; reads typed fields.
 
     An absent or null field takes its default; one without a default is
-    missing.
+    missing.  Each node records the keys it was asked about, and the nodes
+    of one tree share the list `tree`, so that `reject_unread` can name a
+    key that nothing read.
     """
 
-    def __init__(self, data, path):
+    def __init__(self, data, path, tree=None):
         if not isinstance(data, (dict, type(None))):
             raise ConfigError(f"{path}: must be a mapping, got {data!r}")
         self.data, self.path = data or {}, path
+        self.read = set()
+        self.tree = [] if tree is None else tree
+        self.tree.append(self)
 
     def at(self, key):
         return f"{self.path}.{key}" if self.path else key
 
     def has(self, key):
+        self.read.add(key)
         return self.data.get(key) is not None
 
     def node(self, key, required=False):
-        return _Node(self.get(key) if required else self.data.get(key), self.at(key))
+        self.read.add(key)
+        return _Node(self.get(key) if required else self.data.get(key), self.at(key), self.tree)
 
     def get(self, key, default=_REQUIRED, want="", ok=None):
         """The field's value; `ok` vets a given value, which `want` describes."""
+        self.read.add(key)
         value = self.data.get(key)
         if value is None:
             if default is _REQUIRED:
@@ -272,13 +280,21 @@ class _Node:
         ok = (lambda v: isinstance(v, str)) if options is None else (lambda v: v in options)
         return self.get(key, default, want, ok)
 
+    def reject_unread(self):
+        """Raise ConfigError naming the first key of the tree that nothing read."""
+        for node in self.tree:
+            for key in node.data:
+                if key not in node.read:
+                    raise ConfigError(f"{node.at(key)}: unknown key")
+
 
 def load_config(path):
     """Parse an experiment YAML file, and every file it names, into a Config.
 
     Range rules stay with the objects and functions that enforce them; the
     parser builds those objects, so the first unusable field raises
-    ConfigError("<dotted.field>: <reason>").
+    ConfigError("<dotted.field>: <reason>").  A key that no rule read, a
+    misspelt or misplaced one, is then an unknown key.
     """
     try:
         with open(path) as fh:
@@ -294,8 +310,9 @@ def load_config(path):
     denoisers = _parse_denoisers(root.node("denoisers", required=True), problem)
     solver, modes = _parse_solver(root.node("solver"), problem.layout.num_blocks)
     theory = _parse_theory(root.node("theory_checks"), solver)
-    return Config(problem, denoisers, solver, modes, theory,
-                  root.node("output").string("directory", "out"))
+    out_dir = root.node("output").string("directory", "out")
+    root.reject_unread()
+    return Config(problem, denoisers, solver, modes, theory, out_dir)
 
 
 def _read_array(node, shape=None):
@@ -332,11 +349,12 @@ def _parse_problem(node):
         with _at(node.at("num_coils")):
             MultiCoilModel(shape, coils, np.ones(shape))
         mask = node.node("mask")
-        with _at(mask.path):
-            if mask.has("path"):
+        if mask.has("path"):
+            with _at(mask.at("path")):
                 model = MultiCoilModel(shape, coils, _read_array(mask))
-            else:
-                accel, center = mask.integer("accel", 2), mask.integer("center_rows", 4)
+        else:
+            accel, center = mask.integer("accel", 2), mask.integer("center_rows", 4)
+            with _at(mask.path):
                 model = MultiCoilModel(shape, coils, cartesian_rows_mask(shape, accel, center))
         return ProblemConfig(**common, layout=model.layout, model=model, image=image,
                              **_theta_init(theta_init, None))
@@ -350,9 +368,16 @@ def _parse_problem(node):
                          **_theta_init(theta_init, kshape))
 
 
+def _nonzero(node, arr, what):
+    """`arr`, read from `<node>.path`, unless it is all zero."""
+    if not np.any(arr):
+        raise ConfigError(f"{node.at('path')}: the {what} is all zero")
+    return arr
+
+
 def _image_source(node, shape):
     if node.has("path"):
-        return _read_array(node, shape)
+        return _nonzero(node, _read_array(node, shape), "ground-truth image")
     node.string("synthetic", "blobs", options=("blobs",))
     seed = node.integer("seed", 0)
     with _at(node.path):
@@ -362,7 +387,7 @@ def _image_source(node, shape):
 def _kernel_source(node, shape, width):
     """A kernel file, or a synthetic kernel (gaussian of `width` by default)."""
     if node.has("path"):
-        return _read_array(node, shape)
+        return _nonzero(node, _read_array(node, shape), "kernel")
     kind = node.string("synthetic", "gaussian", options=("gaussian", "uniform", "delta"))
     if kind == "uniform":
         return uniform_kernel(shape)
@@ -394,7 +419,7 @@ def _parse_denoisers(node, problem):
     if problem.kind == LINEAR:
         specs = node.get("blocks", want=f"a list of {len(sizes)} denoisers (one per block)",
                          ok=lambda v: isinstance(v, list) and len(v) == len(sizes))
-        nodes = [_Node(s, f"{node.at('blocks')}[{i}]") for i, s in enumerate(specs)]
+        nodes = [_Node(s, f"{node.at('blocks')}[{i}]", node.tree) for i, s in enumerate(specs)]
     else:
         nodes = [node.node("image", required=True), node.node("theta", required=True)]
     shapes = [None] * len(sizes)
@@ -679,10 +704,7 @@ def build_denoiser(den, unit_scale=1.0):
     if isinstance(den, TvProxDenoiser):
         return TvProxDenoiser(den.weight * s, den.shape, inner_iters=den.inner_iters)
     if isinstance(den, MmseDenoiser):
-        p = den.prior
-        if isinstance(p, GaussianPrior):
-            return MmseDenoiser(GaussianPrior(p.mean * s, p.var * s**2), den.sigma * s)
-        return MmseDenoiser(GmmPrior(p.weights, p.means * s, p.variances * s**2), den.sigma * s)
+        return MmseDenoiser(den.prior.scaled(s), den.sigma * s)
     if isinstance(den, InexactDenoiser):
         sch = den.schedule
         schedule = ErrorSchedule(sch.kind, sch.base * s, tuple(v * s for v in sch.values), sch.seed)

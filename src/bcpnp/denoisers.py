@@ -26,7 +26,9 @@ class UnsupportedPriorError(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# priors
+# priors: each owns its closed forms, which take a checked noise level
+# sigma > 0 (and step size gamma > 0) and a flat float64 z of its dimension;
+# the module functions below check them
 # ---------------------------------------------------------------------------
 
 
@@ -48,6 +50,31 @@ class GaussianPrior:
     @property
     def dim(self):
         return self.mean.size
+
+    def posterior_mean(self, sigma, z):
+        """mean + tau^2/(tau^2 + sigma^2) * (z - mean)."""
+        shrink = self.var / (self.var + sigma**2)
+        return self.mean + shrink * (z - self.mean)
+
+    def neg_log_marginal(self, sigma, z):
+        s2 = self.var + sigma**2
+        d2 = float(np.sum((z - self.mean) ** 2))
+        return 0.5 * z.size * (LOG_2PI + np.log(s2)) + 0.5 * d2 / s2
+
+    def neg_log_marginal_grad(self, sigma, z):
+        return (z - self.mean) / (self.var + sigma**2)
+
+    def scaled(self, s):
+        """The prior of s * x for x ~ self."""
+        return GaussianPrior(self.mean * s, self.var * s**2)
+
+    def posterior_mean_inverse(self, sigma, x):
+        """The affine inverse of the posterior-mean map."""
+        return self.mean + ((self.var + sigma**2) / self.var) * (x - self.mean)
+
+    def implicit_reg_lipschitz(self, sigma, gamma):
+        """Exact Lipschitz constant of the implicit regularizer's gradient."""
+        return sigma**2 / (gamma * self.var)
 
 
 @dataclass(frozen=True)
@@ -89,12 +116,56 @@ class GmmPrior:
     def num_components(self):
         return self.weights.size
 
+    def _log_weights(self, sigma, z):
+        """Unnormalized log posterior component weights under the noisy marginal."""
+        s2 = self.variances + sigma**2
+        d2 = np.sum((z[None, :] - self.means) ** 2, axis=1)
+        logp = np.log(self.weights) - 0.5 * z.size * (LOG_2PI + np.log(s2))
+        return logp - 0.5 * d2 / s2
+
+    def responsibilities(self, sigma, z):
+        logp = self._log_weights(sigma, z)
+        return np.exp(logp - _logsumexp(logp))
+
+    def posterior_mean(self, sigma, z):
+        """Responsibility-weighted combination of the per-component posterior means."""
+        w = self.responsibilities(sigma, z)
+        s2 = self.variances + sigma**2
+        shrink = self.variances / s2
+        comp = self.means + shrink[:, None] * (z[None, :] - self.means)
+        return w @ comp
+
+    def neg_log_marginal(self, sigma, z):
+        return float(-_logsumexp(self._log_weights(sigma, z)))
+
+    def neg_log_marginal_grad(self, sigma, z):
+        w = self.responsibilities(sigma, z)
+        s2 = self.variances + sigma**2
+        return w @ ((z[None, :] - self.means) / s2[:, None])
+
+    def scaled(self, s):
+        """The prior of s * x for x ~ self."""
+        return GmmPrior(self.weights, self.means * s, self.variances * s**2)
+
+    def posterior_mean_inverse(self, sigma, x):
+        raise UnsupportedPriorError("a mixture's posterior-mean map has no closed-form inverse")
+
+    def implicit_reg_lipschitz(self, sigma, gamma):
+        raise UnsupportedPriorError("a mixture's implicit regularizer has no closed form")
+
 
 def _check_sigma(sigma):
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError("noise level sigma must be positive")
     return sigma
+
+
+def _check_step(sigma, gamma):
+    sigma, gamma = _check_sigma(sigma), float(gamma)
+    if gamma <= 0:
+        raise ValueError("step size gamma must be positive")
+    return sigma, gamma
 
 
 def _check_dim(prior, z):
@@ -104,15 +175,6 @@ def _check_dim(prior, z):
     return z
 
 
-def _log_responsibilities(prior: GmmPrior, sigma, z):
-    """Log posterior component weights under the noisy marginal, stabilized."""
-    s2 = prior.variances + sigma**2
-    d2 = np.sum((z[None, :] - prior.means) ** 2, axis=1)
-    logp = np.log(prior.weights) - 0.5 * z.size * (LOG_2PI + np.log(s2))
-    logp = logp - 0.5 * d2 / s2
-    return logp - _logsumexp(logp)
-
-
 def _logsumexp(a):
     m = np.max(a)
     return m + np.log(np.sum(np.exp(a - m)))
@@ -120,9 +182,7 @@ def _logsumexp(a):
 
 def responsibilities(prior: GmmPrior, sigma, z):
     """Posterior probability of each mixture component given noisy z."""
-    sigma = _check_sigma(sigma)
-    z = _check_dim(prior, z)
-    return np.exp(_log_responsibilities(prior, sigma, z))
+    return prior.responsibilities(_check_sigma(sigma), _check_dim(prior, z))
 
 
 # ---------------------------------------------------------------------------
@@ -131,41 +191,13 @@ def responsibilities(prior: GmmPrior, sigma, z):
 
 
 def mmse_denoise(prior, sigma, z):
-    """Posterior mean E[x | z] for z = x + N(0, sigma^2 I), x ~ prior.
-
-    Gaussian prior: mean + tau^2/(tau^2 + sigma^2) * (z - mean).
-    Mixture prior: responsibility-weighted combination of the per-component
-    posterior means, with responsibilities computed in the log domain.
-    """
-    sigma = _check_sigma(sigma)
-    z = _check_dim(prior, z)
-    if isinstance(prior, GaussianPrior):
-        shrink = prior.var / (prior.var + sigma**2)
-        return prior.mean + shrink * (z - prior.mean)
-    if isinstance(prior, GmmPrior):
-        w = np.exp(_log_responsibilities(prior, sigma, z))
-        s2 = prior.variances + sigma**2
-        shrink = prior.variances / s2
-        comp = prior.means + shrink[:, None] * (z[None, :] - prior.means)
-        return w @ comp
-    raise UnsupportedPriorError(f"no MMSE closed form for {type(prior).__name__}")
+    """Posterior mean E[x | z] for z = x + N(0, sigma^2 I), x ~ prior."""
+    return prior.posterior_mean(_check_sigma(sigma), _check_dim(prior, z))
 
 
 def marginal_neg_log_density(prior, sigma, z):
     """-log p(z) where p(z) is the prior convolved with the noise Gaussian."""
-    sigma = _check_sigma(sigma)
-    z = _check_dim(prior, z)
-    if isinstance(prior, GaussianPrior):
-        s2 = prior.var + sigma**2
-        d2 = float(np.sum((z - prior.mean) ** 2))
-        return 0.5 * z.size * (LOG_2PI + np.log(s2)) + 0.5 * d2 / s2
-    if isinstance(prior, GmmPrior):
-        s2 = prior.variances + sigma**2
-        d2 = np.sum((z[None, :] - prior.means) ** 2, axis=1)
-        logp = np.log(prior.weights) - 0.5 * z.size * (LOG_2PI + np.log(s2))
-        logp = logp - 0.5 * d2 / s2
-        return float(-_logsumexp(logp))
-    raise UnsupportedPriorError(f"no noisy marginal for {type(prior).__name__}")
+    return prior.neg_log_marginal(_check_sigma(sigma), _check_dim(prior, z))
 
 
 def tweedie_gradient(prior, sigma, z):
@@ -173,68 +205,40 @@ def tweedie_gradient(prior, sigma, z):
 
     Satisfies mmse_denoise(prior, sigma, z) == z - sigma^2 * this(z).
     """
-    sigma = _check_sigma(sigma)
-    z = _check_dim(prior, z)
-    if isinstance(prior, GaussianPrior):
-        return (z - prior.mean) / (prior.var + sigma**2)
-    if isinstance(prior, GmmPrior):
-        w = np.exp(_log_responsibilities(prior, sigma, z))
-        s2 = prior.variances + sigma**2
-        return w @ ((z[None, :] - prior.means) / s2[:, None])
-    raise UnsupportedPriorError(f"no score closed form for {type(prior).__name__}")
+    return prior.neg_log_marginal_grad(_check_sigma(sigma), _check_dim(prior, z))
 
 
 # ---------------------------------------------------------------------------
-# implicit regularizer of the exact MMSE denoiser (Gaussian prior only)
+# implicit regularizer of the exact MMSE denoiser
 # ---------------------------------------------------------------------------
-
-
-def _denoiser_inverse(prior: GaussianPrior, sigma, x):
-    # affine inverse of the Gaussian posterior-mean map
-    return prior.mean + ((prior.var + sigma**2) / prior.var) * (x - prior.mean)
 
 
 def implicit_reg_value(prior, sigma, gamma, x):
     """Value of the regularizer whose gamma-prox is the exact MMSE denoiser.
 
-    Only the single-Gaussian prior is supported: its posterior-mean map is
-    affine and invertible, so the defining composition with the inverse map
-    is explicit.  Mixture priors have no closed-form inverse; for them the
-    gradient identity grad_h(D(z)) = (z - D(z)) / gamma is the usable route.
+    The defining composition with the inverse posterior-mean map is
+    explicit where the prior inverts that map (`posterior_mean_inverse`);
+    a mixture raises UnsupportedPriorError.  For mixtures the gradient
+    identity grad_h(D(z)) = (z - D(z)) / gamma is the usable route.
     """
-    sigma = _check_sigma(sigma)
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("step size gamma must be positive")
-    if not isinstance(prior, GaussianPrior):
-        raise UnsupportedPriorError(
-            "implicit regularizer value needs the invertible Gaussian case"
-        )
+    sigma, gamma = _check_step(sigma, gamma)
     x = _check_dim(prior, x)
-    inv = _denoiser_inverse(prior, sigma, x)
+    inv = prior.posterior_mean_inverse(sigma, x)
     quad = -0.5 / gamma * float(np.sum((x - inv) ** 2))
-    return quad + (sigma**2 / gamma) * marginal_neg_log_density(prior, sigma, inv)
+    return quad + (sigma**2 / gamma) * prior.neg_log_marginal(sigma, inv)
 
 
 def implicit_reg_gradient(prior, sigma, gamma, x):
     """Gradient of implicit_reg_value; equals sigma^2/(gamma tau^2) (x - mean)."""
-    sigma = _check_sigma(sigma)
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("step size gamma must be positive")
-    if not isinstance(prior, GaussianPrior):
-        raise UnsupportedPriorError(
-            "implicit regularizer gradient needs the invertible Gaussian case"
-        )
+    sigma, gamma = _check_step(sigma, gamma)
     x = _check_dim(prior, x)
-    return (_denoiser_inverse(prior, sigma, x) - x) / gamma
+    return (prior.posterior_mean_inverse(sigma, x) - x) / gamma
 
 
 def implicit_reg_lipschitz(prior, sigma, gamma):
-    """Exact Lipschitz constant of the Gaussian-prior regularizer gradient."""
-    if not isinstance(prior, GaussianPrior):
-        raise UnsupportedPriorError("exact constant only for Gaussian priors")
-    return float(sigma) ** 2 / (float(gamma) * prior.var)
+    """Exact Lipschitz constant of the regularizer gradient."""
+    sigma, gamma = _check_step(sigma, gamma)
+    return prior.implicit_reg_lipschitz(sigma, gamma)
 
 
 def jacobian_spectrum_check(prior, sigma, z, step=1e-6, max_dim=64):
@@ -309,7 +313,7 @@ class MmseDenoiser:
         self.sigma = _check_sigma(sigma)
 
     def apply(self, z, k=1):
-        return mmse_denoise(self.prior, self.sigma, z)
+        return self.prior.posterior_mean(self.sigma, _check_dim(self.prior, z))
 
 
 class IdentityDenoiser:

@@ -127,6 +127,8 @@ class MultiCoilModel:
             raise ValueError("mask shape must match the image shape")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask entries must be 0 or 1")
+        if not mask.any():
+            raise ValueError("mask samples no frequency")
         self.mask = mask
         n = self.image_shape[0] * self.image_shape[1]
         self.layout = BlockLayout((2 * n, 2 * self.num_coils * n))

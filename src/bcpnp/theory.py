@@ -15,7 +15,6 @@ import numpy as np
 
 from .blocks import BlockVector
 from .denoisers import (
-    GaussianPrior,
     InexactDenoiser,
     MmseDenoiser,
     UnsupportedPriorError,
@@ -145,24 +144,23 @@ class TraceBuilder:
 
 
 # ---------------------------------------------------------------------------
-# implicit objective f = g + h for Gaussian-prior MMSE denoisers
+# implicit objective f = g + h for MMSE denoisers
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_spec(denoiser):
+def _mmse_denoiser(denoiser):
     base = denoiser.base if isinstance(denoiser, InexactDenoiser) else denoiser
-    if isinstance(base, MmseDenoiser) and isinstance(base.prior, GaussianPrior):
-        return base.prior, base.sigma
-    raise UnsupportedPriorError(
-        "implicit objective needs a Gaussian-prior MMSE denoiser on every block"
-    )
+    if isinstance(base, MmseDenoiser):
+        return base
+    raise UnsupportedPriorError("implicit objective needs an MMSE denoiser on every block")
 
 
 class ImplicitObjective:
     """Evaluates f = g + sum_i h_i and its gradient along block vectors.
 
-    Each block must carry a (possibly inexactness-wrapped) Gaussian-prior
-    MMSE denoiser; the regularizer of the wrapped exact denoiser defines h.
+    Each block must carry a (possibly inexactness-wrapped) MMSE denoiser;
+    the regularizer of the wrapped exact denoiser defines h.  A prior without
+    it in closed form raises UnsupportedPriorError here.
     """
 
     def __init__(self, fidelity, denoisers, gamma):
@@ -170,9 +168,12 @@ class ImplicitObjective:
         self.gamma = float(gamma)
         if self.gamma <= 0:
             raise ValueError("step size gamma must be positive")
-        self.block_priors = [_gaussian_spec(d) for d in denoisers]
+        self.block_priors = [(d.prior, d.sigma) for d in map(_mmse_denoiser, denoisers)]
         if len(self.block_priors) != fidelity.layout.num_blocks:
             raise ValueError("one denoiser per block required")
+        self.block_lipschitz = [
+            implicit_reg_lipschitz(prior, sigma, self.gamma) for prior, sigma in self.block_priors
+        ]
 
     def value(self, x: BlockVector, g=None):
         """(f, g, h) at x.
@@ -202,10 +203,7 @@ class ImplicitObjective:
 
     def m_max(self):
         """Largest Lipschitz constant of the per-block regularizer gradients."""
-        return max(
-            implicit_reg_lipschitz(prior, sigma, self.gamma)
-            for prior, sigma in self.block_priors
-        )
+        return max(self.block_lipschitz)
 
 
 # ---------------------------------------------------------------------------

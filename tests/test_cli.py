@@ -16,12 +16,18 @@ from bcpnp.theory import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the whole problem section, so that no blind-deconvolution key is left over
 _MULTICOIL = {
-    "problem.kind": "multi-coil",
-    "problem.image_shape": [16, 16],
-    "problem.num_coils": 2,
-    "problem.mask": {"accel": 2, "center_rows": 4},
-    "problem.theta_init": {"perturb": 0.1, "seed": 3},
+    "problem": {
+        "kind": "multi-coil",
+        "image_shape": [16, 16],
+        "num_coils": 2,
+        "image": {"synthetic": "blobs", "seed": 2},
+        "mask": {"accel": 2, "center_rows": 4},
+        "theta_init": {"perturb": 0.1, "seed": 3},
+        "noise_sigma": 0.005,
+        "seed": 5,
+    },
     "denoisers.image": {"kind": "gaussian-mmse", "sigma": 0.1, "prior": {"mean": "zeros", "var": 1.0}},
     "denoisers.theta": {"kind": "gaussian-mmse", "sigma": 0.1, "prior": {"mean": "zeros", "var": 4.0}},
     "solver.max_iters": 30,

@@ -21,6 +21,7 @@ CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # rejects one fails here rather than in the benchmark
 BENCHMARK_CONFIGS = sorted((ROOT / "benchmarks" / "configs").glob("*.yaml"))
 THEORY = next(p for p in CONFIGS if p.stem == "theory_checks")
+MULTI_COIL = next(p for p in CONFIGS if p.stem == "multi_coil")
 
 
 def _write(tmp_path, cfg, name="config.yaml"):
@@ -37,6 +38,20 @@ def _set(cfg, dotted, value):
 def _drop(cfg, dotted):
     *parents, key = dotted.split(".")
     del reduce(getitem, parents, cfg)[key]
+
+
+def _replace(cfg, path):
+    """Make `cfg` a copy of the config at `path`."""
+    cfg.clear()
+    cfg.update(yaml.safe_load(path.read_text()))
+
+
+def _linear(cfg, extra):
+    """Make `cfg` a generic-linear problem whose second block's denoiser
+    carries the keys `extra` besides its own."""
+    prior = {"kind": "gaussian-mmse", "sigma": 0.3, "prior": {"mean": "zeros", "var": 1.0}}
+    cfg["problem"] = {"kind": "generic-linear", "rows": 10, "block_sizes": [4, 4]}
+    cfg["denoisers"] = {"blocks": [dict(prior), {**prior, **extra}]}
 
 
 @pytest.mark.parametrize("path", CONFIGS + BENCHMARK_CONFIGS, ids=lambda p: p.stem)
@@ -115,6 +130,14 @@ PROBES = {
         _set(c, "problem.kernel_shape", [1, 9]),
         _set(c, "denoisers.image", {"kind": "tv-prox", "weight": 0.002}),
     ),
+    # a key that nothing reads: misspelt, misplaced, or of another problem kind
+    "solver.max_iter: unknown key": lambda c: _set(c, "solver.max_iter", 20),
+    "theory_check: unknown key": lambda c: c.update(theory_check=c.pop("theory_checks")),
+    "problem.theta_init.path: unknown key": lambda c: (
+        _replace(c, MULTI_COIL),
+        _set(c, "problem.theta_init", {"path": "/nonexistent.csv"}),
+    ),
+    "denoisers.blocks[1].weight: unknown key": lambda c: _linear(c, {"weight": 1.0}),
 }
 
 
@@ -146,6 +169,24 @@ def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):
     cfg = yaml.safe_load(THEORY.read_text())
     cfg["problem"][source] = {"path": str(csv)}
     _assert_both_commands_name(f"problem.{source}.path", cfg, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("config, source, rule", [
+    (THEORY, "image", "the ground-truth image is all zero"),
+    (THEORY, "kernel", "the kernel is all zero"),
+    (MULTI_COIL, "mask", "mask samples no frequency"),
+], ids=["image", "kernel", "mask"])
+def test_all_zero_file_names_field(config, source, rule, tmp_path, capsys):
+    """An all-zero truth or sampling mask would fail at run time, after the
+    outputs are started; the parse rejects it and `run` writes nothing."""
+    cfg = yaml.safe_load(config.read_text())
+    problem = cfg["problem"]
+    shape = problem["kernel_shape"] if source == "kernel" else problem["image_shape"]
+    csv = tmp_path / f"{source}.csv"
+    fileio.save_matrix_csv(csv, np.zeros(shape))
+    problem[source] = {"path": str(csv)}
+    _assert_both_commands_name(f"problem.{source}.path: {rule}", cfg, tmp_path, capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("seeds, accepted", [(0, True), (1, False), (9, False), (10, True)])

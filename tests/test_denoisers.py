@@ -20,6 +20,7 @@ from bcpnp.denoisers import (
     UnsupportedPriorError,
     apply_denoiser,
     implicit_reg_gradient,
+    implicit_reg_lipschitz,
     implicit_reg_value,
     jacobian_spectrum_check,
     marginal_neg_log_density,
@@ -150,8 +151,56 @@ class TestTweedieGradient:
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(z))
 
 
+class TestPriorClosedForms:
+    def test_one_component_mixture_is_the_gaussian(self):
+        """A one-component mixture has the Gaussian prior's posterior mean,
+        -log p and score."""
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            dim = int(rng.integers(1, 9))
+            mean, var = rng.standard_normal(dim), float(rng.uniform(0.2, 2.0))
+            gaussian, mixture = GaussianPrior(mean, var), GmmPrior([1.0], [mean], [var])
+            sigma = float(rng.uniform(0.1, 2.0))
+            z = rng.standard_normal(dim) * 3
+            for closed_form in (mmse_denoise, marginal_neg_log_density, tweedie_gradient):
+                np.testing.assert_allclose(
+                    closed_form(mixture, sigma, z), closed_form(gaussian, sigma, z),
+                    rtol=1e-12, atol=1e-12,
+                )
+
+    def test_scaled_prior_is_the_prior_of_scaled_x(self):
+        """Scaling x, the noise and z by s scales the posterior mean by s."""
+        rng = np.random.default_rng(13)
+        for prior in (GaussianPrior(rng.standard_normal(3), 0.6), random_prior(rng, 3), GMM_1D):
+            z, sigma, s = rng.standard_normal(prior.dim), 0.7, 2.5
+            np.testing.assert_allclose(
+                mmse_denoise(prior.scaled(s), s * sigma, s * z),
+                s * mmse_denoise(prior, sigma, z),
+                rtol=1e-12,
+            )
+            assert type(prior.scaled(s)) is type(prior)
+
+
 class TestImplicitRegularizer:
     PRIOR = GaussianPrior(np.array([0.5, -0.25, 1.0]), 0.7)
+
+    @pytest.mark.parametrize("sigma, gamma", [(0.5, -1.0), (0.5, 0.0), (-0.5, 1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("name", ["value", "gradient", "lipschitz"])
+    def test_nonpositive_sigma_or_gamma_rejected(self, name, sigma, gamma):
+        """All three functions share the sigma > 0 and gamma > 0 checks."""
+        prior, x = GaussianPrior(np.zeros(1), 1.0), np.array([0.3])
+        call = {
+            "value": lambda: implicit_reg_value(prior, sigma, gamma, x),
+            "gradient": lambda: implicit_reg_gradient(prior, sigma, gamma, x),
+            "lipschitz": lambda: implicit_reg_lipschitz(prior, sigma, gamma),
+        }[name]
+        with pytest.raises(ValueError, match="must be positive"):
+            call()
+
+    def test_lipschitz_closed_form(self):
+        np.testing.assert_allclose(
+            implicit_reg_lipschitz(self.PRIOR, 0.3, 0.1), 0.09 / (0.1 * 0.7), rtol=1e-15
+        )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -201,6 +250,8 @@ class TestImplicitRegularizer:
             implicit_reg_value(GMM_1D, 0.5, 0.1, np.array([0.0]))
         with pytest.raises(UnsupportedPriorError):
             implicit_reg_gradient(GMM_1D, 0.5, 0.1, np.array([0.0]))
+        with pytest.raises(UnsupportedPriorError):
+            implicit_reg_lipschitz(GMM_1D, 0.5, 0.1)
 
     def test_mixture_gradient_via_prox_identity(self):
         """For mixtures, grad h at D(z) is reachable as (z - D(z))/gamma:
