@@ -27,7 +27,6 @@ from .denoisers import (
     apply_denoiser,
     implicit_reg_gradient,
     implicit_reg_value,
-    jacobian_spectrum_check,
     marginal_neg_log_density,
     mmse_denoise,
     tweedie_gradient,
@@ -50,10 +49,8 @@ from .solver import (
     SolverConfig,
     g_operator,
     initialize,
-    pnp_ista_reference,
     resolve_gamma,
     solve,
-    step,
 )
 from .theory import (
     ImplicitObjective,

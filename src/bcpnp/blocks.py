@@ -45,10 +45,6 @@ class BlockLayout:
             self, "slices", tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
         )
 
-    def offset(self, i):
-        """Start offset of 1-based block i in the flat vector."""
-        return self.block_slice(i).start
-
     def block_slice(self, i):
         if not 1 <= i <= self.num_blocks:
             raise IndexError(
@@ -122,20 +118,11 @@ class BlockVector:
         out[s] = values
         return BlockVector._wrap(self.layout, out)
 
-    def blocks(self):
-        return [self.extract(i) for i in range(1, self.layout.num_blocks + 1)]
-
     def norm(self):
         return float(np.linalg.norm(self.data))
 
     def block_norms(self):
         return [float(np.linalg.norm(self.data[s])) for s in self.layout.slices]
-
-    def __sub__(self, other):
-        return BlockVector._wrap(self.layout, self.data - other.data)
-
-    def __add__(self, other):
-        return BlockVector._wrap(self.layout, self.data + other.data)
 
 
 @dataclass

@@ -405,7 +405,8 @@ def _theta_init(node, kernel_shape):
     if kernel_shape is not None:
         if node.has("path"):
             with _at(node.at("path")):
-                return {"theta_init": _read_array(node).reshape(kernel_shape).ravel()}
+                theta0 = _read_array(node).reshape(kernel_shape)
+            return {"theta_init": _nonzero(node, theta0, "initial kernel").ravel()}
         if node.has("synthetic") or node.has("width"):
             return {"theta_init": _kernel_source(node, kernel_shape, 2.0).ravel()}
         if not node.has("perturb"):
@@ -717,7 +718,7 @@ def build_denoiser(den, unit_scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def run(config_path, out_override=None, seed_override=None, strict=False):
+def run(config_path, out_override=None, seed_override=None):
     """Execute the experiment; returns a process exit code."""
     try:
         if seed_override is not None and not (_is_int(seed_override) and seed_override >= 0):
@@ -725,7 +726,6 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
         cfg = load_config(config_path)
     except ConfigError as exc:
         return _config_errors([str(exc)])
-    strict = strict or cfg.theory.strict
 
     try:
         # the step rule is checked on the problem at the seed the run uses,
@@ -788,13 +788,13 @@ def run(config_path, out_override=None, seed_override=None, strict=False):
 
         _write_metrics(out_dir / "metrics.csv", metrics_rows)
         with open(out_dir / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(_json_value(report), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except (NonFiniteIterateError, OSError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    if strict and checks_failed:
+    if cfg.theory.strict and checks_failed:
         print("strict mode: a convergence check failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -878,12 +878,18 @@ def _write_metrics(path, rows):
         fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_value(obj):
+    """`obj` as plain JSON data: numpy values become Python ones, and every
+    non-finite float becomes None, since JSON has no NaN or infinity."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +897,8 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None):
+def build_parser():
+    """The `bcpnp` command line's argument parser."""
     parser = argparse.ArgumentParser(
         prog="bcpnp",
         description="Block-coordinate plug-and-play experiments for blind "
@@ -905,23 +912,16 @@ def main(argv=None):
     p_run.add_argument(
         "--seed-override", type=int, help="override the problem seed"
     )
-    p_run.add_argument(
-        "--strict-checks",
-        action="store_true",
-        help="exit 3 when an enabled convergence check fails",
-    )
 
     p_val = sub.add_parser("validate", help="check a config without solving")
     p_val.add_argument("config", help="YAML experiment configuration")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     if args.command == "run":
-        return run(
-            args.config,
-            out_override=args.out,
-            seed_override=args.seed_override,
-            strict=args.strict_checks,
-        )
+        return run(args.config, out_override=args.out, seed_override=args.seed_override)
     diagnostics = validate(args.config)
     for d in diagnostics:
         print(f"config error: {d}")

@@ -112,10 +112,6 @@ class GmmPrior:
     def dim(self):
         return self.means.shape[1]
 
-    @property
-    def num_components(self):
-        return self.weights.size
-
     def _log_weights(self, sigma, z):
         """Unnormalized log posterior component weights under the noisy marginal."""
         s2 = self.variances + sigma**2
@@ -239,29 +235,6 @@ def implicit_reg_lipschitz(prior, sigma, gamma):
     """Exact Lipschitz constant of the regularizer gradient."""
     sigma, gamma = _check_step(sigma, gamma)
     return prior.implicit_reg_lipschitz(sigma, gamma)
-
-
-def jacobian_spectrum_check(prior, sigma, z, step=1e-6, max_dim=64):
-    """Smallest eigenvalue of the symmetrized denoiser Jacobian at z.
-
-    The Jacobian of the posterior-mean map is positive definite for any
-    non-degenerate prior; this computes it densely by central differences,
-    so the dimension is capped.
-    """
-    sigma = _check_sigma(sigma)
-    z = _check_dim(prior, z)
-    n = z.size
-    if n > max_dim:
-        raise ValueError(f"dense Jacobian check limited to {max_dim} dims")
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        jac[:, j] = (
-            mmse_denoise(prior, sigma, z + e) - mmse_denoise(prior, sigma, z - e)
-        ) / (2 * step)
-    sym = 0.5 * (jac + jac.T)
-    return float(np.linalg.eigvalsh(sym)[0])
 
 
 # ---------------------------------------------------------------------------

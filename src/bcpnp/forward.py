@@ -446,9 +446,6 @@ class LinearFidelity:
         r = self.model.forward(x.data) - self.y
         return 0.5 * float(np.dot(r, r)), BlockVector._wrap(self.layout, self.model.adjoint(r))
 
-    def grad_block(self, x: BlockVector, i):
-        return self.grad(x).extract(i)
-
     def hessian_vec(self, x: BlockVector, u, block=None):
         """A^T A u; with `block=i`, `u` holds only block i and the result is
         A_i^T A_i u for the column slice A_i of block i."""

@@ -11,7 +11,6 @@ denoiser.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,18 +128,6 @@ def _residual(gamma, x: BlockVector, denoised):
     for i, di in denoised.items():
         out[x.layout.block_slice(i)] = (x.block(i) - di) / gamma
     return out
-
-
-def step(fidelity, denoisers, config: SolverConfig, x: BlockVector, k):
-    """One block update at iteration k; returns (new iterate, block index)."""
-    if config.gamma is None:
-        raise ValueError("step needs an explicit gamma; resolve it via solve")
-    num_blocks = fidelity.layout.num_blocks
-    active = _active_blocks(config, num_blocks)
-    effective = _effective_denoisers(config, denoisers, num_blocks)
-    i_k = _pick_index(_active_schedule(config, active), active, k)
-    denoised = _denoise_blocks(effective, config.gamma, x, fidelity.grad(x), k, [i_k])
-    return x.inject(i_k, denoised[i_k]), i_k
 
 
 def _active_schedule(config: SolverConfig, active):
@@ -316,20 +303,3 @@ def _step_size(config: SolverConfig, lip: LipschitzEstimate):
         raise ValueError("cannot auto-select gamma: certified l_max is zero")
     return DEFAULT_STEP_FRACTION / lip.l_max
 
-
-def pnp_ista_reference(fidelity, denoiser, gamma, x0_data, num_iters):
-    """Plain proximal-gradient plug-and-play loop on a one-block problem.
-
-    Independent of the block machinery; used to pin down the single-block
-    reduction of the block-coordinate method.
-    """
-    layout = fidelity.layout
-    if layout.num_blocks != 1:
-        raise ValueError("reference iteration expects a one-block fidelity")
-    x = np.asarray(x0_data, dtype=np.float64).copy()
-    iterates = []
-    for k in range(1, num_iters + 1):
-        z = x - gamma * fidelity.grad(BlockVector(layout, x)).data
-        x = apply_denoiser(denoiser, z, k)
-        iterates.append(x.copy())
-    return iterates

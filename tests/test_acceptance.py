@@ -25,11 +25,10 @@ from bcpnp import (
     cli,
     implicit_reg_gradient,
     mmse_denoise,
-    pnp_ista_reference,
     reference_f_star,
+    resolve_gamma,
     rmse,
     solve,
-    step,
     tweedie_gradient,
 )
 from conftest import record_criterion
@@ -248,7 +247,8 @@ def test_c04_gradient_checks():
                         e = np.zeros(layout.total)
                         e[j] = fd_step
                         fd[jj] = (g_of(x.data + e) - g_of(x.data - e)) / (2 * fd_step)
-                    got = fid.grad_block(x, i)
+                    # the restricted gradient is the one `solve` asks for
+                    got = fid.grad(x, [i]).block(i)
                     denom = max(np.linalg.norm(fd), 1e-12)
                     assert np.linalg.norm(got - fd) / denom <= 1e-5
 
@@ -333,6 +333,21 @@ def test_c07_theorem2_bound():
         assert rep_const.plateau_mean <= rep_const.plateau_bound
 
 
+def pnp_ista_reference(fidelity, denoiser, gamma, x0_data, num_iters):
+    """Plain proximal-gradient plug-and-play loop on a one-block problem:
+    the iterates x^k = D(x^{k-1} - gamma grad g(x^{k-1})), k = 1..num_iters.
+    Independent of the block machinery of `solve`."""
+    layout = fidelity.layout
+    assert layout.num_blocks == 1, "reference iteration expects a one-block fidelity"
+    x = np.array(x0_data, dtype=np.float64)
+    iterates = []
+    for k in range(1, num_iters + 1):
+        z = x - gamma * fidelity.grad(BlockVector(layout, x)).data
+        x = denoiser.apply(z, k)
+        iterates.append(x.copy())
+    return iterates
+
+
 def test_c08_single_block_reduction():
     with criterion(8, "one-block iteration reproduces plain PnP bitwise", 5.0):
         from desk_problems import fixed_operator_deconvolution
@@ -342,17 +357,21 @@ def test_c08_single_block_reduction():
         den = MmseDenoiser(GaussianPrior(np.full(64, 0.5), 0.5), 0.2)
         gamma, num = 0.4, 100
         ref = pnp_ista_reference(prob.fidelity, den, gamma, prob.y, num)
-        cfg = SolverConfig(
-            schedule=BlockSchedule("sequential", 1),
-            gamma=gamma,
-            max_iters=num,
-            stop_tol=1e-300,
-            ball_radius=1.0,
-        )
-        x = BlockVector(prob.fidelity.layout, prob.y)
-        for k in range(1, num + 1):
-            x, _ = step(prob.fidelity, [den], cfg, x, k)
-            assert np.array_equal(x.data, ref[k - 1]), f"iterate {k} differs"
+        x0 = BlockVector(prob.fidelity.layout, prob.y)
+        for mode in ("bc-pnp", "pnp-ista"):
+            cfg = SolverConfig(
+                schedule=BlockSchedule("sequential", 1),
+                gamma=gamma,
+                mode=mode,
+                stop_tol=1e-300,
+                ball_radius=1.0,
+            )
+            _, lip = resolve_gamma(prob.fidelity, x0, cfg)
+            for k in range(1, num + 1):
+                res = solve(prob.fidelity, [den], dataclasses.replace(cfg, max_iters=k), x0,
+                            lipschitz=lip)
+                assert len(res.trace) == k
+                assert np.array_equal(res.x.data, ref[k - 1]), f"{mode}: iterate {k} differs"
 
 
 def test_c09_quadratic_sanity():

@@ -29,7 +29,7 @@ class TestBlockVector:
     def test_extract_concatenation_identity(self):
         rng = np.random.default_rng(0)
         x = BlockVector(BlockLayout((4, 3, 5)), rng.standard_normal(12))
-        np.testing.assert_array_equal(np.concatenate(x.blocks()), x.data)
+        np.testing.assert_array_equal(np.concatenate([x.extract(i) for i in (1, 2, 3)]), x.data)
 
     def test_inject_round_trip(self):
         rng = np.random.default_rng(1)
@@ -81,12 +81,12 @@ class TestBlockVector:
             view[0] = 0.0
 
     def test_computed_vectors_are_immutable_and_unaliased(self):
-        """inject, from_blocks and arithmetic own their data and make it read-only."""
+        """inject and from_blocks own their data and make it read-only."""
         layout = BlockLayout((2, 1))
         x = BlockVector(layout, [1.0, 2.0, 3.0])
         parts = [np.array([5.0, 6.0]), np.array([7.0])]
         for y in (x.inject(1, [5.0, 6.0]), BlockVector.from_blocks(parts, layout),
-                  BlockVector.from_blocks(parts), x + x, x - x):
+                  BlockVector.from_blocks(parts)):
             assert y.layout == layout
             assert not y.data.flags.writeable
             assert not np.shares_memory(y.data, x.data)
@@ -97,7 +97,7 @@ class TestBlockVector:
     def test_layout_slices(self):
         layout = BlockLayout((4, 3, 5))
         assert (layout.num_blocks, layout.total) == (3, 12)
-        assert [layout.offset(i) for i in (1, 2, 3)] == [0, 4, 7]
+        assert [layout.block_slice(i).start for i in (1, 2, 3)] == [0, 4, 7]
         assert layout.block_slice(3) == slice(7, 12)
         assert layout == BlockLayout([4, 3, 5]) and hash(layout) == hash(BlockLayout((4, 3, 5)))
 

@@ -221,15 +221,38 @@ class TestRun:
                     "prior": {"mean": "zeros", "var": 0.25},
                 },
                 "theory_checks.enabled": True,
+                "theory_checks.strict": True,
                 "solver.max_iters": 40,
                 "solver.stop_tol": 1.0e-12,
             },
         )
-        assert cli.run(path, strict=True) == cli.EXIT_OK
+        assert cli.run(path) == cli.EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         checks = report["checks"]["bc-pnp"]
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
+
+    def test_report_is_strict_json(self, tmp_path):
+        """The shipped theory config's 8x8 image is below the SSIM size, so
+        its `ssim_x` is NaN; the report writes it as null, and a parser
+        that accepts no NaN or infinity reads the whole report."""
+        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+        cfg["output"]["directory"] = str(tmp_path / "out")
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.run(path) == cli.EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        text = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert report["modes"]["bc-pnp"]["metrics"]["ssim_x"] is None
+        assert report["checks"]["bc-pnp"]["theorem1"]["passed"]
+
+    def test_report_values_nested_in_arrays_become_null(self):
+        value = {"a": np.array([[1.0, np.nan], [np.inf, -np.inf]]), "b": (np.float64("nan"), 2)}
+        assert cli._json_value(value) == {"a": [[1.0, None], [None, None]], "b": [None, 2]}
 
     def test_modes_with_one_start_share_one_certificate(self, tmp_path, count_calls):
         calls = count_calls(solver, "estimate_block_lipschitz")
@@ -342,7 +365,7 @@ class TestRun:
         ]
         want = check_theorem2(traces, constants, reference_f_star(ref.trace))
         got = report["checks"]["bc-pnp"]["theorem2"]
-        assert got == json.loads(json.dumps(dataclasses.asdict(want), default=cli._json_default))
+        assert got == json.loads(json.dumps(cli._json_value(dataclasses.asdict(want))))
 
     def test_multicoil_smoke(self, tmp_path):
         path = write_config(tmp_path, **_MULTICOIL)

@@ -174,14 +174,17 @@ def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):
 @pytest.mark.parametrize("config, source, rule", [
     (THEORY, "image", "the ground-truth image is all zero"),
     (THEORY, "kernel", "the kernel is all zero"),
+    (THEORY, "theta_init", "the initial kernel is all zero"),
     (MULTI_COIL, "mask", "mask samples no frequency"),
-], ids=["image", "kernel", "mask"])
+], ids=["image", "kernel", "theta_init", "mask"])
 def test_all_zero_file_names_field(config, source, rule, tmp_path, capsys):
-    """An all-zero truth or sampling mask would fail at run time, after the
-    outputs are started; the parse rejects it and `run` writes nothing."""
+    """An all-zero truth, initial kernel or sampling mask would fail at run
+    time, after the outputs are started; the parse rejects it and `run`
+    writes nothing."""
     cfg = yaml.safe_load(config.read_text())
     problem = cfg["problem"]
-    shape = problem["kernel_shape"] if source == "kernel" else problem["image_shape"]
+    kernel = source in ("kernel", "theta_init")
+    shape = problem["kernel_shape"] if kernel else problem["image_shape"]
     csv = tmp_path / f"{source}.csv"
     fileio.save_matrix_csv(csv, np.zeros(shape))
     problem[source] = {"path": str(csv)}

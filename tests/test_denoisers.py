@@ -22,7 +22,6 @@ from bcpnp.denoisers import (
     implicit_reg_gradient,
     implicit_reg_lipschitz,
     implicit_reg_value,
-    jacobian_spectrum_check,
     marginal_neg_log_density,
     mmse_denoise,
     responsibilities,
@@ -263,6 +262,28 @@ class TestImplicitRegularizer:
         # independently: grad h_sigma at z maps through Tweedie scaling
         expected = sigma**2 / gamma * tweedie_gradient(GMM_1D, sigma, z)
         np.testing.assert_allclose(chain, expected, rtol=1e-12)
+
+
+def jacobian_spectrum_check(prior, sigma, z, step=1e-6, max_dim=64):
+    """Smallest eigenvalue of the symmetrized denoiser Jacobian at z.
+
+    The Jacobian of the posterior-mean map is positive definite for any
+    non-degenerate prior; this computes it densely by central differences,
+    so the dimension is capped.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    n = z.size
+    if n > max_dim:
+        raise ValueError(f"dense Jacobian check limited to {max_dim} dims")
+    jac = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        jac[:, j] = (
+            mmse_denoise(prior, sigma, z + e) - mmse_denoise(prior, sigma, z - e)
+        ) / (2 * step)
+    sym = 0.5 * (jac + jac.T)
+    return float(np.linalg.eigvalsh(sym)[0])
 
 
 class TestJacobianSpectrum:

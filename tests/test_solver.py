@@ -18,11 +18,9 @@ from bcpnp import (
     apply_denoiser,
     g_operator,
     initialize,
-    pnp_ista_reference,
     resolve_gamma,
     rmse,
     solve,
-    step,
 )
 from bcpnp import forward
 from bcpnp.denoisers import error_magnitude
@@ -54,6 +52,23 @@ def make_quadratic_setup(max_iters=4000, stop_tol=1e-14, mode="bc-pnp"):
 
 def _origin(prob):
     return BlockVector(prob.layout, np.zeros(prob.layout.total))
+
+
+def _solve_iterates(fidelity, denoisers, config, x0, num, **kwargs):
+    """(x^k, i_k) for k = 1..num, each the result of its own `solve` of k
+    iterations from x0."""
+    out = []
+    for k in range(1, num + 1):
+        res = solve(fidelity, denoisers, dataclasses.replace(config, max_iters=k), x0, **kwargs)
+        assert len(res.trace) == k
+        out.append((res.x, int(res.trace.block[-1])))
+    return out
+
+
+def _block_update(fidelity, denoisers, gamma, x, i, k):
+    """x with block i replaced by D_i(x_i - gamma grad_i g(x)) at iteration k."""
+    z = x.block(i) - gamma * fidelity.grad(x).block(i)
+    return x.inject(i, apply_denoiser(denoisers[i - 1], z, k))
 
 
 class TestGOperator:
@@ -99,11 +114,14 @@ class TestGOperator:
 
 
 class TestStep:
+    """One iteration of `solve`: a single block update."""
+
     def test_only_selected_block_changes(self):
         desk = blind_desk_problem()
         x = desk.x0
-        for k in (1, 2, 3, 4):
-            x_new, i_k = step(desk.fidelity, desk.denoisers(), desk.config, x, k)
+        iterates = _solve_iterates(desk.fidelity, desk.denoisers(), desk.config, desk.x0, 4,
+                                   lipschitz=desk.lipschitz)
+        for k, (x_new, i_k) in enumerate(iterates, start=1):
             assert i_k == 1 + (k - 1) % 2
             other = 2 if i_k == 1 else 1
             assert np.array_equal(x_new.extract(other), x.extract(other))
@@ -114,23 +132,23 @@ class TestStep:
         prob = fixed_operator_deconvolution()
         den = MmseDenoiser(GaussianPrior(np.full(64, 0.5), 0.5), 0.3)
         config = SolverConfig(
-            schedule=BlockSchedule("sequential", 1), gamma=0.05, ball_radius=1.0
+            schedule=BlockSchedule("sequential", 1), gamma=0.05, max_iters=1, ball_radius=1.0
         )
         x0 = BlockVector(prob.fidelity.layout, prob.y)
-        x1, i1 = step(prob.fidelity, [den], config, x0, 1)
-        assert i1 == 1
+        res = solve(prob.fidelity, [den], config, x0)
+        assert res.trace.block.tolist() == [1]
         z = x0.data - 0.05 * prob.fidelity.grad(x0).data
-        np.testing.assert_array_equal(x1.data, apply_denoiser(den, z, 1))
+        np.testing.assert_array_equal(res.x.data, apply_denoiser(den, z, 1))
 
     def test_zero_gradient_identity_denoiser_is_noop(self):
         prob = fixed_operator_deconvolution()
         exact = np.linalg.solve(prob.matrix, prob.y)
         x = BlockVector(prob.fidelity.layout, exact)
         config = SolverConfig(
-            schedule=BlockSchedule("sequential", 1), gamma=0.1, ball_radius=1.0
+            schedule=BlockSchedule("sequential", 1), gamma=0.1, max_iters=1, ball_radius=1.0
         )
-        x_new, _ = step(prob.fidelity, [IdentityDenoiser()], config, x, 1)
-        np.testing.assert_allclose(x_new.data, x.data, rtol=0, atol=1e-12)
+        res = solve(prob.fidelity, [IdentityDenoiser()], config, x)
+        np.testing.assert_allclose(res.x.data, x.data, rtol=0, atol=1e-12)
 
 
 class TestSolve:
@@ -157,11 +175,9 @@ class TestSolve:
 
     def test_block_isolation_along_run(self):
         desk = blind_desk_problem()
-        cfg = dataclasses.replace(desk.config, max_iters=12)
-        dens = desk.denoisers()
         x = desk.x0
-        for k in range(1, 13):
-            x_new, i_k = step(desk.fidelity, dens, cfg, x, k)
+        for x_new, i_k in _solve_iterates(desk.fidelity, desk.denoisers(), desk.config,
+                                          desk.x0, 12, lipschitz=desk.lipschitz):
             for j in (1, 2):
                 if j != i_k:
                     assert np.array_equal(x_new.extract(j), x.extract(j))
@@ -289,7 +305,7 @@ class TestTraceRmse:
         assert len(res.trace) == 30
         x = _origin(prob)
         for k in range(1, 31):
-            x, _ = step(prob.fidelity, denoisers, config, x, k)
+            x = _block_update(prob.fidelity, denoisers, gamma, x, config.schedule.next_index(k), k)
             want = [rmse(x.block(i), truth.block(i)) for i in (1, 2, 3)]
             assert res.trace.rmse[k - 1].tobytes() == np.array(want).tobytes(), k
 
@@ -314,58 +330,45 @@ class TestModes:
             dataclasses.replace(cfg, max_iters=1),
             desk.x0,
         ).x
-        expected_theta = x1.extract(2) - desk.gamma * desk.fidelity.grad_block(x1, 2)
+        expected_theta = x1.extract(2) - desk.gamma * desk.fidelity.grad(x1, [2]).block(2)
         np.testing.assert_array_equal(res.x.extract(2), expected_theta)
-
-    def test_b1_bcpnp_equals_pnp_ista_bitwise(self):
-        """Single-block reduction: iterate-for-iterate identical to the
-        plain proximal-gradient reference loop."""
-        prob = fixed_operator_deconvolution()
-        den = MmseDenoiser(GaussianPrior(np.full(64, 0.5), 0.5), 0.2)
-        gamma = 0.4
-        num = 100
-        ref = pnp_ista_reference(prob.fidelity, den, gamma, prob.y, num)
-        for mode in ("bc-pnp", "pnp-ista"):
-            cfg = SolverConfig(
-                schedule=BlockSchedule("sequential", 1),
-                gamma=gamma,
-                mode=mode,
-                max_iters=num,
-                stop_tol=1e-300,
-                ball_radius=1.0,
-            )
-            x = BlockVector(prob.fidelity.layout, prob.y)
-            dens = [den]
-            for k in range(1, num + 1):
-                x, _ = step(prob.fidelity, dens, cfg, x, k)
-                assert np.array_equal(x.data, ref[k - 1]), (mode, k)
 
 
 def _two_pass_reference(desk, dens, config, objective):
-    """The iteration as two passes of the public operators: the residual
-    G(x) from `g_operator`, then the update from `step`.  Returns the final
-    iterate, the trace rows, the initial (f, g, h, |grad f|^2) and the final
-    residual norm, for comparison with the fused `solve`."""
+    """The iteration written out from its definition, in two passes per
+    iteration: the residual G(x) over the active blocks, then the update
+    x_i <- D_i(x_i - gamma grad_i g(x)) of the scheduled block.  Returns the
+    final iterate, the trace rows, the initial (f, g, h, |grad f|^2) and
+    the final residual norm, for comparison with the fused `solve`."""
+    fid, gamma = desk.fidelity, config.gamma
     effective = list(dens)
     if config.mode == "pnp-gd-theta":
         effective[1] = IdentityDenoiser()
     active = [1] if config.mode in ("pnp-ista", "pnp-oracle-theta") else [1, 2]
+
+    def residual_norm(x, k):
+        grad, out = fid.grad(x), np.zeros(x.layout.total)
+        for i in active:
+            di = apply_denoiser(effective[i - 1], x.block(i) - gamma * grad.block(i), k)
+            out[x.layout.block_slice(i)] = (x.block(i) - di) / gamma
+        return float(np.linalg.norm(out))
+
     x = desk.x0
     rows = []
     for k in range(1, config.max_iters + 1):
-        g_norm2 = g_operator(desk.fidelity, effective, config.gamma, x, k, active).norm() ** 2
-        x_new, i_k = step(desk.fidelity, dens, config, x, k)
+        g_norm2 = residual_norm(x, k) ** 2
+        i_k = config.schedule.next_index(k) if len(active) == 2 else 1
+        x_new = _block_update(fid, effective, gamma, x, i_k, k)
         f, g, h = objective.value(x_new)
         rows.append([
             k, i_k, f, g, h, g_norm2, float(np.linalg.norm(x_new.data - x.data)),
             max(error_magnitude(effective[i - 1], k) for i in active),
             objective.grad(x_new).norm() ** 2,
-            *(rmse(a, b) for a, b in zip(x_new.blocks(), desk.truth.blocks())),
+            *(rmse(x_new.block(i), desk.truth.block(i)) for i in (1, 2)),
         ])
         x = x_new
     initial = (*objective.value(desk.x0), objective.grad(desk.x0).norm() ** 2)
-    g_final = g_operator(desk.fidelity, effective, config.gamma, x, len(rows) + 1, active)
-    return x, np.array(rows), initial, g_final.norm()
+    return x, np.array(rows), initial, residual_norm(x, len(rows) + 1)
 
 
 class _CountingFidelity:
@@ -511,7 +514,7 @@ class TestGradientChainIdentity:
         x = desk.x0
         for k in range(1, 61):
             i_k = 1 + (k - 1) % 2
-            z = x.extract(i_k) - desk.gamma * desk.fidelity.grad_block(x, i_k)
+            z = x.extract(i_k) - desk.gamma * desk.fidelity.grad(x, [i_k]).block(i_k)
             x = x.inject(i_k, apply_denoiser(dens[i_k - 1], z, k))
             lhs = implicit_reg_gradient(
                 desk.priors[i_k - 1], desk.sigmas[i_k - 1], desk.gamma, x.extract(i_k)
@@ -582,12 +585,6 @@ class TestInitialize:
 
 
 class TestValidation:
-    def test_step_requires_resolved_gamma(self):
-        desk = blind_desk_problem()
-        cfg = dataclasses.replace(desk.config, gamma=None)
-        with pytest.raises(ValueError):
-            step(desk.fidelity, desk.denoisers(), cfg, desk.x0, 1)
-
     def test_objective_gamma_mismatch(self):
         desk = blind_desk_problem()
         from bcpnp import ImplicitObjective
