@@ -336,6 +336,7 @@ def _parse_problem(node):
         layout = BlockLayout(node.integers("block_sizes", (4, 4)))
         matrix = _read_array(node.node("matrix")) if node.has("matrix") else None
         if matrix is not None:
+            _nonzero(node.node("matrix"), matrix, "forward matrix")
             with _at(node.at("matrix")):
                 LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
         rows = node.get("rows", layout.total, "a positive integer", lambda v: _is_int(v) and v > 0)
@@ -814,30 +815,26 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     """
     checks = {"descent": check_descent(result.trace, constants)}
 
-    denoisers, lip = problem.denoisers, result.lipschitz
-    ref_cfg = dataclasses.replace(
-        solver_cfg, max_iters=solver_cfg.max_iters * theory.reference_multiplier
-    )
-    ref = solve(
-        problem.fidelity, denoisers, ref_cfg, x0, objective=objective, lipschitz=lip
-    )
-    f_star = reference_f_star(ref.trace)
+    def rerun(objective=None, **changes):
+        cfg = dataclasses.replace(solver_cfg, **changes)
+        return solve(problem.fidelity, problem.denoisers, cfg, x0,
+                     objective=objective, lipschitz=result.lipschitz).trace
+
+    max_iters = solver_cfg.max_iters * theory.reference_multiplier
+    f_star = reference_f_star(rerun(objective, max_iters=max_iters))
 
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
             checks["theorem1"] = check_theorem1(result.trace, constants, f_star)
     elif solver_cfg.schedule.kind == "random-iid" and theory.ensemble_seeds:
-        # the check reads each trace's residuals, errors and f(x0) only, so
-        # the seeds run without the objective and share one f(x0)
+        # the check reads residuals, errors and f(x0) only: seed 0 is the run's
+        # own solve, the other seeds run without the objective, all share f(x0)
         f_initial = objective.value(x0)[0]
-        traces = []
-        for s in range(theory.ensemble_seeds):
-            cfg_s = dataclasses.replace(
-                solver_cfg,
-                schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s),
-            )
-            trace = solve(problem.fidelity, denoisers, cfg_s, x0, lipschitz=lip).trace
-            traces.append(dataclasses.replace(trace, f_initial=f_initial))
+        traces = [result.trace] + [
+            rerun(schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s))
+            for s in range(1, theory.ensemble_seeds)
+        ]
+        traces = [dataclasses.replace(tr, f_initial=f_initial) for tr in traces]
         checks["theorem2"] = check_theorem2(traces, constants, f_star)
     return {name: dataclasses.asdict(report) for name, report in checks.items()}
 

@@ -284,11 +284,15 @@ FLOOR_RATIO = 1e-4
 F_STAR_MARGIN = 0.01  # share of the reference run's descent span taken off f*
 
 
-def mean_squared_errors(eps, t):
-    """(1/t) sum_{k<=t} eps_k^2, the inexactness average entering the bounds."""
-    if t < 1 or t > eps.size:
-        raise ValueError("t out of range")
-    return float(np.mean(np.asarray(eps[:t]) ** 2))
+def _mean_eps2(eps, counts):
+    """mean_{k<=n} eps_k^2 for each n in `counts`, from one running sum."""
+    return np.cumsum(eps**2)[counts - 1] / counts
+
+
+def _violations(observed, bounds):
+    """1-based positions where `observed` exceeds `bounds` beyond float headroom."""
+    headroom = _REL_SLACK * (1.0 + np.abs(bounds))
+    return (np.nonzero(observed > bounds + headroom)[0] + 1).tolist()
 
 
 @dataclass
@@ -305,24 +309,14 @@ def check_descent(trace: IterateTrace, constants: TheoryConstants):
     Verifies f(x^k) <= f(x^{k-1}) - (alpha-1)(l_max/2)||step||^2
     + lam eps_k^2 / 2, within DESCENT_SLACK*(1+|f(x^{k-1})|) headroom per step.
     """
-    f_prev = trace.f_initial
-    worst = -np.inf
-    violations = []
+    f_prev = np.concatenate([[trace.f_initial], trace.f])[:-1]
     coeff = (constants.alpha - 1.0) * constants.l_max / 2.0
-    for j in range(len(trace)):
-        allowed = (
-            f_prev
-            - coeff * trace.step_norm[j] ** 2
-            + 0.5 * constants.lam * trace.eps[j] ** 2
-        )
-        excess = trace.f[j] - allowed
-        worst = max(worst, excess)
-        if excess > DESCENT_SLACK * (1.0 + abs(f_prev)):
-            violations.append(int(trace.iters[j]))
-        f_prev = trace.f[j]
+    allowed = f_prev - coeff * trace.step_norm**2 + 0.5 * constants.lam * trace.eps**2
+    excess = trace.f - allowed
+    violations = trace.iters[excess > DESCENT_SLACK * (1.0 + np.abs(f_prev))].tolist()
     return DescentReport(
         passed=not violations,
-        worst_slack=float(worst),
+        worst_slack=float(np.max(excess, initial=-np.inf)),
         num_checked=len(trace),
         violations=violations,
     )
@@ -346,31 +340,22 @@ def check_theorem1(trace: IterateTrace, constants: TheoryConstants, f_star):
     """Sequential-schedule gradient bound along one trace.
 
     For every number of complete epochs t, checks
-    min_{i<=t} ||grad f(x^{ib})||^2 <= mean_{i<=t} <= (c1/t)(f(x^0)-f*)
+    mean_{i<=t} ||grad f(x^{ib})||^2 <= (c1/t)(f(x^0)-f*)
     + c2 * mean_{k<=tb}(eps_k^2), using the gradient norms recorded at the
-    epoch-boundary iterates.
+    epoch-boundary iterates, and reports their running minimum beside it.
     """
     b = constants.num_blocks
     num_epochs = len(trace) // b
     if num_epochs < 1:
         raise ValueError("trace holds no complete epoch")
-    idx = np.arange(1, num_epochs + 1) * b - 1
-    gn2 = trace.grad_f_norm2[idx]
+    epochs = np.arange(1, num_epochs + 1)
+    gn2 = trace.grad_f_norm2[epochs * b - 1]
     if np.any(np.isnan(gn2)):
         raise ValueError("trace lacks gradient norms; solve with an objective")
-    tvals = np.arange(1, num_epochs + 1, dtype=float)
-    running_mean = np.cumsum(gn2) / tvals
-    running_min = np.minimum.accumulate(gn2)
+    running_mean = np.cumsum(gn2) / epochs
     gap = trace.f_initial - f_star
-    epsbar2 = np.array(
-        [mean_squared_errors(trace.eps, int(t) * b) for t in tvals]
-    )
-    bounds = constants.c1 / tvals * gap + constants.c2 * epsbar2
-    headroom = _REL_SLACK * (1.0 + np.abs(bounds))
-    bad = (running_mean > bounds + headroom) | (
-        running_min > running_mean + headroom
-    )
-    violations = (np.nonzero(bad)[0] + 1).tolist()
+    bounds = constants.c1 / epochs * gap + constants.c2 * _mean_eps2(trace.eps, epochs * b)
+    violations = _violations(running_mean, bounds)
     return Theorem1Report(
         passed=not violations,
         num_epochs=num_epochs,
@@ -378,7 +363,7 @@ def check_theorem1(trace: IterateTrace, constants: TheoryConstants, f_star):
         f_star=float(f_star),
         grad_norm2_epochs=gn2,
         running_mean=running_mean,
-        running_min=running_min,
+        running_min=np.minimum.accumulate(gn2),
         bounds=bounds,
         violations=violations,
     )
@@ -416,13 +401,11 @@ def check_theorem2(traces, constants: TheoryConstants, f_star):
         raise ValueError("empty trace in ensemble")
     g2 = np.stack([tr.g_norm2[:t_len] for tr in traces])
     eps = traces[0].eps[:t_len]
-    tvals = np.arange(1, t_len + 1, dtype=float)
+    tvals = np.arange(1, t_len + 1)
     avg_running_mean = np.mean(np.cumsum(g2, axis=1) / tvals[None, :], axis=0)
     gap = float(np.mean([tr.f_initial for tr in traces])) - f_star
-    epsbar2 = np.cumsum(eps**2) / tvals
-    bounds = constants.d1 / tvals * gap + constants.d2 * epsbar2
-    headroom = _REL_SLACK * (1.0 + np.abs(bounds))
-    violations = (np.nonzero(avg_running_mean > bounds + headroom)[0] + 1).tolist()
+    bounds = constants.d1 / tvals * gap + constants.d2 * _mean_eps2(eps, tvals)
+    violations = _violations(avg_running_mean, bounds)
 
     finals = np.sqrt(g2[:, -1])
     starts = np.sqrt(g2[:, 0])

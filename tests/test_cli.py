@@ -367,6 +367,31 @@ class TestRun:
         got = report["checks"]["bc-pnp"]["theorem2"]
         assert got == json.loads(json.dumps(cli._json_value(dataclasses.asdict(want))))
 
+    def test_theorem2_ensemble_reuses_the_mode_solve(self, tmp_path, monkeypatch):
+        """A random-iid run with n ensemble seeds solves n + 1 times: the
+        mode, the reference run and seeds 1..n-1; seed 0 is the mode's own
+        solve."""
+        gaussian = {"kind": "gaussian-mmse", "sigma": 0.25, "prior": {"mean": "zeros", "var": 0.25}}
+        path = write_config(tmp_path, **{
+            "problem.image_shape": [8, 8], "problem.balance_blocks": False,
+            "denoisers.image": gaussian, "solver.max_iters": 20,
+            "solver.schedule": {"kind": "random-iid", "seed": 3},
+            "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": 10},
+        })
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("objective") is not None)
+            return solver.solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        assert cli.run(path) == cli.EXIT_OK
+        assert len(calls) == 11
+        # the mode and the reference run record the objective; the seeds do not
+        assert calls == [True, True] + [False] * 9
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"]["bc-pnp"]["theorem2"]["num_seeds"] == 10
+
     def test_multicoil_smoke(self, tmp_path):
         path = write_config(tmp_path, **_MULTICOIL)
         assert cli.run(path) == cli.EXIT_OK

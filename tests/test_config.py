@@ -192,6 +192,19 @@ def test_all_zero_file_names_field(config, source, rule, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_all_zero_matrix_names_field(tmp_path, capsys):
+    """A generic-linear forward matrix of zeros measures nothing, whatever
+    the step size: the parse rejects it and `run` writes nothing."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    _linear(cfg, {})
+    csv = tmp_path / "matrix.csv"
+    fileio.save_matrix_csv(csv, np.zeros((10, 8)))
+    cfg["problem"]["matrix"] = {"path": str(csv)}
+    rule = "problem.matrix.path: the forward matrix is all zero"
+    _assert_both_commands_name(rule, cfg, tmp_path, capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seeds, accepted", [(0, True), (1, False), (9, False), (10, True)])
 def test_theorem2_ensemble_size(seeds, accepted, tmp_path):
     """A random-iid ensemble below the theorem-2 minimum would skip the check

@@ -23,7 +23,7 @@ from bcpnp import (
     solve,
     ssim,
 )
-from bcpnp.theory import mean_squared_errors
+from bcpnp.theory import DESCENT_SLACK, TraceBuilder
 
 from desk_problems import (
     blind_desk_problem,
@@ -210,6 +210,46 @@ class TestDescentCheck:
         assert not report.passed
         assert report.violations == [3]
 
+    @pytest.mark.parametrize("error_kind", ["zero", "square-summable"])
+    def test_matches_per_step_loop_bitwise(self, error_kind):
+        """The array form does the per-step arithmetic of a loop over the
+        trace rows, on a trace with raised f at every seventh row."""
+        desk = blind_desk_problem()
+        res = solve(
+            desk.fidelity,
+            desk.denoisers(error_kind, error_base=0.05),
+            dataclasses.replace(desk.config, max_iters=60),
+            desk.x0,
+            objective=desk.objective,
+            lipschitz=desk.lipschitz,
+        )
+        f = res.trace.f.copy()
+        f[::7] += 1e-3
+        trace, c = dataclasses.replace(res.trace, f=f), desk.constants
+
+        f_prev, worst, violations = trace.f_initial, -np.inf, []
+        coeff = (c.alpha - 1.0) * c.l_max / 2.0
+        for j in range(len(trace)):
+            allowed = f_prev - coeff * trace.step_norm[j] ** 2 + 0.5 * c.lam * trace.eps[j] ** 2
+            excess = trace.f[j] - allowed
+            worst = max(worst, excess)
+            if excess > DESCENT_SLACK * (1.0 + abs(f_prev)):
+                violations.append(int(trace.iters[j]))
+            f_prev = trace.f[j]
+
+        report = check_descent(trace, c)
+        assert report.worst_slack == worst
+        assert report.violations == violations
+        assert violations
+
+    def test_empty_trace_passes_with_nothing_checked(self):
+        trace = dataclasses.replace(TraceBuilder(2).freeze(), f_initial=1.0)
+        report = check_descent(trace, TheoryConstants.from_problem(0.1, 2, 5.0, 5.0, 1.0))
+        assert report.passed
+        assert report.num_checked == 0
+        assert report.worst_slack == -np.inf
+        assert report.violations == []
+
 
 class TestTheorem1:
     def test_single_epoch_trace(self):
@@ -246,6 +286,37 @@ class TestTheorem1:
         )
         with pytest.raises(ValueError):
             check_theorem1(res.trace, desk.constants, f_star=0.0)
+
+    def test_bounds_average_eps_over_complete_epochs(self):
+        """Two blocks, three complete epochs and one extra row: the bound at
+        epoch t averages eps^2 over the first 2t iterations."""
+        n = 7
+        eps = np.array([0.5, 0.25, 0.125, 0.0625, 0.3, 0.7, 0.9])
+        trace = IterateTrace(
+            iters=np.arange(1, n + 1),
+            block=np.array([1, 2, 1, 2, 1, 2, 1]),
+            f=np.zeros(n),
+            g=np.zeros(n),
+            h=np.zeros(n),
+            g_norm2=np.zeros(n),
+            step_norm=np.zeros(n),
+            eps=eps,
+            rmse=np.full((n, 2), np.nan),
+            grad_f_norm2=np.array([9.0, 4.0, 8.0, 6.0, 7.0, 1.0, 5.0]),
+            f_initial=2.0,
+        )
+        constants = TheoryConstants.from_problem(0.1, 2, 5.0, 5.0, 1.0)
+        report = check_theorem1(trace, constants, f_star=0.5)
+        want = [
+            constants.c1 / t * 1.5 + constants.c2 * np.mean(eps[: 2 * t] ** 2)
+            for t in (1, 2, 3)
+        ]
+        np.testing.assert_allclose(report.bounds, want, rtol=1e-12, atol=0)
+        assert report.num_epochs == 3
+        np.testing.assert_array_equal(report.grad_norm2_epochs, [4.0, 6.0, 1.0])
+        np.testing.assert_allclose(report.running_mean, [4.0, 5.0, 11.0 / 3.0], rtol=1e-15)
+        np.testing.assert_array_equal(report.running_min, [4.0, 4.0, 1.0])
+        assert report.passed
 
 
 class TestTheorem2:
@@ -293,10 +364,66 @@ class TestTheorem2:
         report = check_theorem2(traces, constants, fstar)
         assert report.passed
 
-    def test_eps_ledger_average(self):
-        eps = np.array([0.5, 0.25, 0.125, 0.0625])
-        assert mean_squared_errors(eps, 2) == pytest.approx((0.25 + 0.0625) / 2)
-        assert mean_squared_errors(eps, 4) == pytest.approx(np.mean(eps**2))
+
+DEFECT_ITERS = 100  # length of each trace the seeded-defect checks read
+
+
+@pytest.fixture(scope="module")
+def defect_desk():
+    """The blind desk problem with f* from a 300-iteration reference run."""
+    desk = blind_desk_problem()
+    ref = solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0,
+                objective=desk.objective, lipschitz=desk.lipschitz)
+    desk.f_star = reference_f_star(ref.trace)
+    return desk
+
+
+def _defect_trace(desk, objective=None, schedule=None):
+    config = dataclasses.replace(desk.config, max_iters=DEFECT_ITERS,
+                                 schedule=schedule or desk.config.schedule)
+    return solve(desk.fidelity, desk.denoisers(), config, desk.x0,
+                 objective=objective or desk.objective, lipschitz=desk.lipschitz).trace
+
+
+@pytest.mark.parametrize("defect", [False, True], ids=["exact", "seeded-defect"])
+class TestSeededDefects:
+    """Each check fails on a seeded defect in the inputs `solve` gives it,
+    and passes on the same inputs without the defect."""
+
+    def test_descent_mismatched_sigma(self, defect_desk, defect):
+        """The objective is built with the image block's sigma times 0.1;
+        the solver's denoisers are unchanged."""
+        desk = defect_desk
+        (prior_v, prior_t), (sig_v, sig_t) = desk.priors, desk.sigmas
+        scale = 0.1 if defect else 1.0
+        dens = [MmseDenoiser(prior_v, scale * sig_v), MmseDenoiser(prior_t, sig_t)]
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma)
+        report = check_descent(_defect_trace(desk, objective), desk.constants)
+        assert report.passed == (not defect)
+        assert report.num_checked == DEFECT_ITERS
+        assert bool(report.violations) == defect
+
+    def test_theorem1_raised_f_star(self, defect_desk, defect):
+        """f* raised to f(x0) makes the gap, and with exact denoisers the
+        bound, zero."""
+        trace = _defect_trace(defect_desk)
+        f_star = trace.f_initial if defect else defect_desk.f_star
+        report = check_theorem1(trace, defect_desk.constants, f_star)
+        assert report.passed == (not defect)
+        assert np.all(report.bounds == 0) == defect
+        assert report.num_epochs == DEFECT_ITERS // 2
+
+    def test_theorem2_raised_f_star(self, defect_desk, defect):
+        traces = [
+            _defect_trace(defect_desk, schedule=BlockSchedule("random-iid", 2, seed=s))
+            for s in range(10)
+        ]
+        f_star = traces[0].f_initial if defect else defect_desk.f_star
+        report = check_theorem2(traces, defect_desk.constants, f_star)
+        assert report.passed == (not defect)
+        # the seed-averaged f(x0) rounds, so the bound is near zero, not zero
+        assert np.all(report.bounds < report.avg_running_mean) == defect
+        assert report.num_iters == DEFECT_ITERS
 
 
 class TestReferenceFStar:
