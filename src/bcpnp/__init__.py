@@ -43,7 +43,6 @@ from .forward import (
     synthesize,
 )
 from .solver import (
-    MODES,
     NonFiniteIterateError,
     SolveResult,
     SolverConfig,

@@ -37,7 +37,7 @@ from .forward import (
     BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
     MultiCoilFidelity, MultiCoilModel, synthesize,
 )
-from .solver import PNP_ORACLE_THETA, NonFiniteIterateError, SolverConfig, resolve_gamma, solve
+from .solver import NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
     MIN_ENSEMBLE_SEEDS, ImplicitObjective, TheoryConstants, check_descent, check_theorem1,
     check_theorem2, reference_f_star, rmse, ssim,
@@ -51,7 +51,9 @@ EXIT_CHECK_FAILED = 3
 BLIND = "blind-deconvolution"
 MULTI_COIL = "multi-coil"
 LINEAR = "generic-linear"
-_MODE_ALIASES = {"pnp": "pnp-ista"}
+MODES = ("bc-pnp", "pnp-ista", "pnp-gd-theta", "pnp-oracle-theta")
+BC_PNP, PNP_ISTA, PNP_GD_THETA, PNP_ORACLE_THETA = MODES
+_MODE_ALIASES = {"pnp": PNP_ISTA}
 DENOISER_KINDS = ("identity", "soft-threshold", "tv-prox", "gaussian-mmse", "gmm-mmse", "inexact")
 # metrics.csv columns; a mode's row is also its report.json "metrics" entry
 METRICS_COLUMNS = ("mode", "rmse_x", "ssim_x", "rmse_theta")
@@ -174,7 +176,7 @@ class Config:
 
     problem: ProblemConfig
     denoisers: tuple  # one per block, natural units; see `build_denoiser`
-    solver: SolverConfig  # at the first mode; `run` replaces the mode for the others
+    solver: SolverConfig
     modes: tuple  # (label as written, canonical mode) per solver mode
     theory: TheoryChecks
     out_dir: str
@@ -308,8 +310,11 @@ def load_config(path):
     root = _Node(data, "")
     problem = _parse_problem(root.node("problem", required=True))
     denoisers = _parse_denoisers(root.node("denoisers", required=True), problem)
-    solver, modes = _parse_solver(root.node("solver"), problem.layout.num_blocks)
+    solver, modes = _parse_solver(root.node("solver"), problem)
     theory = _parse_theory(root.node("theory_checks"), solver)
+    if theory.enabled and (BC_PNP not in dict(modes).values()):
+        raise ConfigError("theory_checks.enabled: the convergence checks run on the bc-pnp "
+                          "mode, which solver.modes does not list")
     out_dir = root.node("output").string("directory", "out")
     root.reject_unread()
     return Config(problem, denoisers, solver, modes, theory, out_dir)
@@ -502,12 +507,13 @@ def _prior_mean(node, size, shape):
                       "real 2-D block, {gaussian-kernel: width} or {uniform-kernel: true}")
 
 
-def _parse_solver(node, num_blocks):
+def _parse_solver(node, problem):
     """The solver section as a SolverConfig and the (label, mode) pairs."""
     sched = node.node("schedule")
     seed = sched.integer("seed", 0)
     with _at(sched.at("kind")):
-        schedule = BlockSchedule(sched.string("kind", "sequential"), num_blocks, seed)
+        schedule = BlockSchedule(sched.string("kind", "sequential"), problem.layout.num_blocks,
+                                 seed)
     gamma = node.get("gamma", "auto")
     config = _with_fields(
         SolverConfig(schedule), node,
@@ -522,10 +528,14 @@ def _parse_solver(node, num_blocks):
     modes = tuple(_MODE_ALIASES.get(m, m) for m in labels)
     if len(set(modes)) != len(modes):
         raise ConfigError(f"{node.at('modes')}: duplicate modes after aliasing in {labels}")
-    for i, mode in enumerate(modes):
-        with _at(f"{node.at('modes')}[{i}]"):
-            dataclasses.replace(config, mode=mode)
-    return dataclasses.replace(config, mode=modes[0]), tuple(zip(labels, modes))
+    for i, (label, mode) in enumerate(zip(labels, modes)):
+        field = f"{node.at('modes')}[{i}]"
+        if mode not in MODES:
+            raise ConfigError(f"{field}: unknown mode {mode!r}")
+        if mode != BC_PNP and problem.kind == LINEAR:
+            raise ConfigError(f"{field}: mode {label!r} holds or steps an operator block, "
+                              "which a generic-linear problem does not have")
+    return config, tuple(zip(labels, modes))
 
 
 def _parse_theory(node, solver):
@@ -600,6 +610,14 @@ class Problem:
         if self.theta0 is None:
             return (1.0,) * self.fidelity.layout.num_blocks
         return (1.0 / self.scale, self.scale)
+
+    def denoisers_for(self, mode):
+        """The block denoisers of `mode`.  bc-pnp denoises both blocks; the
+        ablations hold the operator block at its start (None) or move it by
+        bare gradient steps (the identity, pnp-gd-theta)."""
+        if mode == BC_PNP:
+            return self.denoisers
+        return (self.denoisers[0], IdentityDenoiser() if mode == PNP_GD_THETA else None)
 
     def x0_for(self, mode):
         """Adjoint initialization; the oracle mode starts from the true theta."""
@@ -747,10 +765,10 @@ def run(config_path, out_override=None, seed_override=None):
             mode_dir.mkdir(exist_ok=True)
             x0 = problem.x0_for(mode)
             gamma, lip = problem.certify(x0, cfg.solver)
-            solver_cfg = dataclasses.replace(cfg.solver, mode=mode, gamma=gamma)
+            solver_cfg = dataclasses.replace(cfg.solver, gamma=gamma)
 
             objective = constants = None
-            if cfg.theory.enabled and mode == "bc-pnp":
+            if cfg.theory.enabled and mode == BC_PNP:
                 try:
                     objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
                     constants = TheoryConstants.from_problem(
@@ -760,7 +778,7 @@ def run(config_path, out_override=None, seed_override=None):
                 except (UnsupportedPriorError, ValueError) as exc:
                     report["checks"]["objective"] = f"skipped: {exc}"
 
-            result = solve(problem.fidelity, problem.denoisers, solver_cfg, x0,
+            result = solve(problem.fidelity, problem.denoisers_for(mode), solver_cfg, x0,
                            truth=problem.truth, objective=objective, lipschitz=lip)
             result.trace.to_csv(mode_dir / "trace.csv")
             row = _mode_metrics(label, problem, result)
@@ -842,8 +860,10 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
 def _mode_metrics(label, problem, result):
     row = dict.fromkeys(METRICS_COLUMNS, float("nan"))
     row["mode"] = label
-    row["rmse_x"] = rmse(result.x.extract(1), problem.truth.extract(1))
-    if problem.fidelity.layout.num_blocks >= 2:
+    if problem.kind == LINEAR:  # no operator block: the error of all of x
+        row["rmse_x"] = rmse(result.x.data, problem.truth.data)
+    else:
+        row["rmse_x"] = rmse(result.x.extract(1), problem.truth.extract(1))
         row["rmse_theta"] = rmse(result.x.extract(2), problem.truth.extract(2))
     if problem.image_shape is not None and min(problem.image_shape) >= 16:
         row["ssim_x"] = ssim(
@@ -861,9 +881,11 @@ def _write_truth(out_dir, problem):
 
 
 def _write_mode_outputs(mode_dir, problem, result):
+    if problem.kind == LINEAR:
+        fileio.save_matrix_csv(mode_dir / "final_x.csv", result.x.data[None, :])
+        return
     fileio.save_matrix_csv(mode_dir / "final_image.csv", result.x.extract(1)[None, :])
-    if problem.fidelity.layout.num_blocks >= 2:
-        fileio.save_matrix_csv(mode_dir / "final_theta.csv", result.x.extract(2)[None, :])
+    fileio.save_matrix_csv(mode_dir / "final_theta.csv", result.x.extract(2)[None, :])
     if problem.image_shape is not None:
         fileio.write_pgm(mode_dir / "image.pgm", problem.natural_image(result.x))
 

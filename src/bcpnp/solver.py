@@ -1,12 +1,10 @@
-"""Block-coordinate plug-and-play iteration and its ablated variants.
+"""Block-coordinate plug-and-play iteration.
 
 One iteration picks a block i_k from the schedule and replaces only that
 block by D_i(x_i - gamma * grad_i g(x)); all other blocks are carried over
 bitwise.  With a single block this is exactly the classic proximal-gradient
-plug-and-play iteration.  Variant modes: "pnp-ista" and "pnp-oracle-theta"
-freeze the parameter block at its initial value (pre-estimated vs ground
-truth), "pnp-gd-theta" updates it by a bare gradient step instead of a
-denoiser.
+plug-and-play iteration.  A block whose denoiser is None keeps its start:
+the schedule never picks it, and it contributes zero to G.
 """
 
 from __future__ import annotations
@@ -16,19 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockSchedule, BlockVector
-from .denoisers import IdentityDenoiser, apply_denoiser, error_magnitude
+from .denoisers import apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 from .theory import TraceBuilder, rmse
 
-BC_PNP = "bc-pnp"
-PNP_ISTA = "pnp-ista"
-PNP_GD_THETA = "pnp-gd-theta"
-PNP_ORACLE_THETA = "pnp-oracle-theta"
-MODES = (BC_PNP, PNP_ISTA, PNP_GD_THETA, PNP_ORACLE_THETA)
-_FROZEN_THETA_MODES = (PNP_ISTA, PNP_ORACLE_THETA)
-
 DEFAULT_STEP_FRACTION = 0.9  # gamma = 0.9 / l_max keeps gamma < 1/l_max strict
-_THETA_BLOCK = 2  # the operator-parameter block of a two-block model
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -46,14 +36,11 @@ class SolverConfig:
 
     schedule: BlockSchedule
     gamma: float | None = None
-    mode: str = BC_PNP
     max_iters: int = 500
     stop_tol: float = 1e-5
     ball_radius: float = 10.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.stop_tol <= 0:
@@ -76,46 +63,31 @@ class SolveResult:
     g_norm_final: float
 
 
-def _active_blocks(config: SolverConfig, num_blocks):
-    if num_blocks > 1 and config.mode in _FROZEN_THETA_MODES:
-        return [i for i in range(1, num_blocks + 1) if i != _THETA_BLOCK]
-    return list(range(1, num_blocks + 1))
-
-
-def _effective_denoisers(config: SolverConfig, denoisers, num_blocks):
-    if num_blocks > 1 and config.mode == PNP_GD_THETA:
-        out = list(denoisers)
-        out[_THETA_BLOCK - 1] = IdentityDenoiser()
-        return out
-    return list(denoisers)
-
-
-def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, active=None, grad=None):
+def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
     """Scaled fixed-point residual (x - D(x - gamma grad g(x))) / gamma.
 
-    The denoiser acts separably per block; blocks outside `active`
-    contribute zero (used by variants that freeze the parameter block).
-    `grad` is grad g(x) when the caller already has it.
+    The denoiser acts separably per block; a block whose denoiser is None
+    contributes zero.  `grad` is grad g(x) when the caller already has it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if active is None:
-        active = range(1, fidelity.layout.num_blocks + 1)
     if grad is None:
         grad = fidelity.grad(x)
-    denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
+    denoised = _denoise_blocks(denoisers, gamma, x, grad, k)
     return BlockVector._wrap(x.layout, _residual(gamma, x, denoised))
 
 
-def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, active):
-    """{i: D_i(x_i - gamma grad_i)} for each active block i at iteration k.
+def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k):
+    """{i: D_i(x_i - gamma grad_i)} at iteration k, for each block i with a denoiser.
 
     Raises NonFiniteIterateError naming the first block whose denoised
     values are NaN/inf.
     """
     denoised = {}
-    for i in active:
-        di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
+    for i, den in enumerate(denoisers, start=1):
+        if den is None:
+            continue
+        di = apply_denoiser(den, x.block(i) - gamma * grad.block(i), k)
         if not np.isfinite(di).all():
             raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
         denoised[i] = di
@@ -166,8 +138,10 @@ def solve(
     """Run the iteration from x0 until the relative-change tolerance or the
     iteration cap, recording a full per-iteration trace.
 
-    `objective` (see theory.ImplicitObjective) enables f/g/h and gradient
-    recording; it must be built with the same gamma the solver uses.
+    `denoisers` has one entry per block; a block whose entry is None keeps
+    its value in x0.  `objective` (see theory.ImplicitObjective) enables
+    f/g/h and gradient recording; it must be built with the same gamma the
+    solver uses.
     Each iteration evaluates grad g once and denoises each active block
     once; the chosen block's output is the update, and all of them give the
     logged residual.  Raises NonFiniteIterateError when any denoised block
@@ -178,6 +152,9 @@ def solve(
         raise ValueError("x0 layout does not match the fidelity layout")
     if len(denoisers) != layout.num_blocks:
         raise ValueError("need exactly one denoiser per block")
+    active = [i for i, d in enumerate(denoisers, start=1) if d is not None]
+    if not active:
+        raise ValueError("no block has a denoiser")
 
     if lipschitz is None:
         lipschitz = estimate_block_lipschitz(fidelity, x0, config.ball_radius)
@@ -186,10 +163,8 @@ def solve(
         raise ValueError("objective was built with a different gamma")
 
     num_blocks = layout.num_blocks
-    active = _active_blocks(config, num_blocks)
     schedule = _active_schedule(config, active)
-    effective = _effective_denoisers(config, denoisers, num_blocks)
-    active_denoisers = [effective[i - 1] for i in active]
+    active_denoisers = [denoisers[i - 1] for i in active]
     radii = [config.ball_radius * n for n in x0.block_norms()]
 
     flags = {
@@ -219,7 +194,7 @@ def solve(
     for k in range(1, config.max_iters + 1):
         # one denoising pass: the residual G(x) for the trace, and the
         # chosen block's update
-        denoised = _denoise_blocks(effective, gamma, x, grad, k, active)
+        denoised = _denoise_blocks(denoisers, gamma, x, grad, k)
         g_norm2 = float(np.linalg.norm(_residual(gamma, x, denoised))) ** 2
         i_k = _pick_index(schedule, active, k)
         prev_norm = x.norm()
@@ -255,7 +230,7 @@ def solve(
             break
 
     frozen = trace.freeze()
-    g_final = g_operator(fidelity, effective, gamma, x, k + 1, active, grad).norm()
+    g_final = g_operator(fidelity, denoisers, gamma, x, k + 1, grad).norm()
     return SolveResult(
         x=x, trace=frozen, reason=reason, flags=flags, gamma=gamma, lipschitz=lipschitz,
         g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,

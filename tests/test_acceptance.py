@@ -358,20 +358,15 @@ def test_c08_single_block_reduction():
         gamma, num = 0.4, 100
         ref = pnp_ista_reference(prob.fidelity, den, gamma, prob.y, num)
         x0 = BlockVector(prob.fidelity.layout, prob.y)
-        for mode in ("bc-pnp", "pnp-ista"):
-            cfg = SolverConfig(
-                schedule=BlockSchedule("sequential", 1),
-                gamma=gamma,
-                mode=mode,
-                stop_tol=1e-300,
-                ball_radius=1.0,
-            )
-            _, lip = resolve_gamma(prob.fidelity, x0, cfg)
-            for k in range(1, num + 1):
-                res = solve(prob.fidelity, [den], dataclasses.replace(cfg, max_iters=k), x0,
-                            lipschitz=lip)
-                assert len(res.trace) == k
-                assert np.array_equal(res.x.data, ref[k - 1]), f"{mode}: iterate {k} differs"
+        cfg = SolverConfig(
+            schedule=BlockSchedule("sequential", 1), gamma=gamma, stop_tol=1e-300, ball_radius=1.0
+        )
+        _, lip = resolve_gamma(prob.fidelity, x0, cfg)
+        for k in range(1, num + 1):
+            res = solve(prob.fidelity, [den], dataclasses.replace(cfg, max_iters=k), x0,
+                        lipschitz=lip)
+            assert len(res.trace) == k
+            assert np.array_equal(res.x.data, ref[k - 1]), f"iterate {k} differs"
 
 
 def test_c09_quadratic_sanity():

@@ -325,7 +325,7 @@ class TestRun:
         probe = write_config(tmp_path, name="probe.yaml")
         cfg = cli.load_config(probe)
         problem = cli.build_problem(cfg)
-        _, lip = solver.resolve_gamma(problem.fidelity, problem.x0_for(cfg.solver.mode), cfg.solver)
+        _, lip = solver.resolve_gamma(problem.fidelity, problem.x0_for(cfg.modes[0][1]), cfg.solver)
         path = write_config(
             tmp_path, **{"solver.gamma": float(2.0 / lip.l_max), "theory_checks.enabled": True}
         )
@@ -435,6 +435,79 @@ class TestRun:
         assert "config ok" in capsys.readouterr().out
         bad = write_config(tmp_path, name="bad.yaml", **{"solver.modes": []})
         assert cli.main(["validate", str(bad)]) == cli.EXIT_CONFIG
+
+
+def _linear_overrides(block_sizes, modes):
+    """A generic-linear problem with identity denoisers on every block."""
+    return {
+        "problem": {"kind": "generic-linear", "rows": 12, "block_sizes": block_sizes,
+                    "noise_sigma": 0.01, "seed": 2},
+        "denoisers": {"blocks": [{"kind": "identity"}] * len(block_sizes)},
+        "solver.modes": modes,
+        "solver.max_iters": 30,
+    }
+
+
+def _theory_without_bc_pnp(tmp_path):
+    cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+    assert cfg["theory_checks"]["strict"]
+    cfg["solver"]["modes"] = ["pnp"]
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "theory.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+class TestModes:
+    """The runner alone turns a mode into the solver's denoiser list and start."""
+
+    def test_denoisers_for_each_mode_on_the_deblurring_config(self):
+        problem = cli.build_problem(cli.load_config(ROOT / "configs" / "blind_deblurring.yaml"))
+        d_v, d_theta = problem.denoisers
+        assert problem.denoisers_for("bc-pnp") == (d_v, d_theta)
+        assert problem.denoisers_for("pnp-ista") == (d_v, None)
+        assert problem.denoisers_for("pnp-oracle-theta") == (d_v, None)
+        d_v_gd, d_theta_gd = problem.denoisers_for("pnp-gd-theta")
+        assert d_v_gd is d_v and type(d_theta_gd) is cli.IdentityDenoiser
+        # pnp-ista and pnp-oracle-theta differ only in the start of the held block
+        assert np.array_equal(problem.x0_for("pnp-ista").extract(2), problem.theta0)
+        assert np.array_equal(problem.x0_for("pnp-oracle-theta").extract(2), problem.theta_true)
+
+    @pytest.mark.parametrize("overrides, error", [
+        ({"solver.modes": ["bc-pnp", "admm"]}, "solver.modes[1]: unknown mode 'admm'"),
+        (_linear_overrides([4, 4, 4], ["bc-pnp", "pnp", "pnp-oracle-theta", "pnp-gd-theta"]),
+         "solver.modes[1]: mode 'pnp' holds or steps an operator block"),
+        (_linear_overrides([4, 4, 4], ["bc-pnp", "pnp-gd-theta"]),
+         "solver.modes[1]: mode 'pnp-gd-theta' holds or steps an operator block"),
+        (_linear_overrides([4], ["pnp"]), "solver.modes[0]: mode 'pnp' holds or steps"),
+        (None, "theory_checks.enabled: the convergence checks run on the bc-pnp mode"),
+    ], ids=["unknown", "linear-3-blocks", "linear-gd-theta", "linear-1-block", "theory-no-bc-pnp"])
+    def test_mode_errors_exit_1_in_both_commands(self, tmp_path, capsys, overrides, error):
+        if overrides is None:
+            path = _theory_without_bc_pnp(tmp_path)
+        else:
+            path = write_config(tmp_path, **overrides)
+        assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out.startswith(f"config error: {error}")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {error}")
+        assert not out.exists()
+
+    def test_generic_linear_writes_the_whole_final_x(self, tmp_path):
+        """Three blocks: final_x.csv mirrors truth_x.csv, rmse_x is the error
+        of all of x, and there is no operator block to score."""
+        path = write_config(tmp_path, **_linear_overrides([4, 4, 4], ["bc-pnp"]))
+        assert cli.run(path) == cli.EXIT_OK
+        out = tmp_path / "out"
+        final = fileio.load_matrix_csv(out / "bc-pnp" / "final_x.csv")
+        truth = fileio.load_matrix_csv(out / "truth_x.csv")
+        assert final.shape == truth.shape == (1, 12)
+        assert sorted(p.name for p in (out / "bc-pnp").iterdir()) == ["final_x.csv", "trace.csv"]
+        header, row = (out / "metrics.csv").read_text().splitlines()
+        metrics = dict(zip(header.split(","), row.split(",")))
+        assert float(metrics["rmse_x"]) == cli.rmse(final, truth)
+        assert metrics["rmse_theta"] == "nan"
 
 
 class TestSyntheticSources:

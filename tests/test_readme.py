@@ -39,3 +39,12 @@ def test_readme_command_line_parses(line):
     flag exits 2), and the config it names exists."""
     args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
     assert (ROOT / args.config).is_file()
+
+
+def test_readme_config_reference_names_every_mode():
+    """The config reference lists each mode that `solver.modes` accepts, so
+    the documented mode list cannot drift from `cli.MODES`."""
+    reference = README.read_text().split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    yaml_block = re.search(r"^```yaml\n(.*?)^```", reference, re.S | re.M).group(1)
+    for mode in cli.MODES:
+        assert re.search(rf"(?<![\w-]){re.escape(mode)}(?![\w-])", yaml_block), mode

@@ -1,4 +1,4 @@
-"""Solver iteration: block updates, modes, stopping, determinism."""
+"""Solver iteration: block updates, inactive blocks, stopping, determinism."""
 
 import dataclasses
 import re
@@ -33,7 +33,7 @@ from desk_problems import (
 )
 
 
-def make_quadratic_setup(max_iters=4000, stop_tol=1e-14, mode="bc-pnp"):
+def make_quadratic_setup(max_iters=4000, stop_tol=1e-14):
     prob = quadratic_problem()
     denoisers = [
         MmseDenoiser(p, s) for p, s in zip(prob.priors, prob.sigmas)
@@ -42,7 +42,6 @@ def make_quadratic_setup(max_iters=4000, stop_tol=1e-14, mode="bc-pnp"):
         schedule=BlockSchedule("sequential", 2),
         max_iters=max_iters,
         stop_tol=stop_tol,
-        mode=mode,
         ball_radius=1.0,
     )
     gamma, lip = resolve_gamma(prob.fidelity, _origin(prob), config)
@@ -310,64 +309,81 @@ class TestTraceRmse:
             assert res.trace.rmse[k - 1].tobytes() == np.array(want).tobytes(), k
 
 
+def _mode_solve_inputs(desk, mode, dens):
+    """(denoisers, x0) of each ablation mode on the two-block desk problem,
+    as `cli.Problem.denoisers_for` and `x0_for` build them: the operator
+    block is denoised (bc-pnp), held at theta0 (pnp-ista) or at the truth
+    (pnp-oracle-theta), or moved by bare gradient steps (pnp-gd-theta)."""
+    held = [dens[0], None]
+    return {
+        "bc-pnp": (dens, desk.x0),
+        "pnp-ista": (held, desk.x0),
+        "pnp-gd-theta": ([dens[0], IdentityDenoiser()], desk.x0),
+        "pnp-oracle-theta": (held, initialize(desk.fidelity, desk.truth.extract(2))),
+    }[mode]
+
+
 class TestModes:
+    """Each ablation is a denoiser list: a None entry holds its block."""
+
     def test_frozen_theta_modes_keep_theta(self):
         desk = blind_desk_problem()
+        cfg = dataclasses.replace(desk.config, max_iters=40)
         for mode in ("pnp-ista", "pnp-oracle-theta"):
-            cfg = dataclasses.replace(desk.config, mode=mode, max_iters=40)
-            res = solve(desk.fidelity, desk.denoisers(), cfg, desk.x0)
-            assert np.array_equal(res.x.extract(2), desk.x0.extract(2))
-            assert not np.array_equal(res.x.extract(1), desk.x0.extract(1))
+            dens, x0 = _mode_solve_inputs(desk, mode, desk.denoisers())
+            res = solve(desk.fidelity, dens, cfg, x0)
+            assert np.array_equal(res.x.extract(2), x0.extract(2))
+            assert not np.array_equal(res.x.extract(1), x0.extract(1))
+            assert res.trace.block.tolist() == [1] * 40
 
     def test_gd_theta_is_bare_gradient_step(self):
         desk = blind_desk_problem()
-        cfg = dataclasses.replace(desk.config, mode="pnp-gd-theta", max_iters=2)
-        res = solve(desk.fidelity, desk.denoisers(), cfg, desk.x0)
+        dens, x0 = _mode_solve_inputs(desk, "pnp-gd-theta", desk.denoisers())
+        cfg = dataclasses.replace(desk.config, max_iters=2)
+        res = solve(desk.fidelity, dens, cfg, x0)
         # k=1 updates the image block, k=2 the parameter block by gradient
-        x1 = solve(
-            desk.fidelity,
-            desk.denoisers(),
-            dataclasses.replace(cfg, max_iters=1),
-            desk.x0,
-        ).x
+        x1 = solve(desk.fidelity, dens, dataclasses.replace(cfg, max_iters=1), x0).x
         expected_theta = x1.extract(2) - desk.gamma * desk.fidelity.grad(x1, [2]).block(2)
         np.testing.assert_array_equal(res.x.extract(2), expected_theta)
 
+    def test_no_denoiser_at_all_is_rejected(self):
+        desk = blind_desk_problem()
+        with pytest.raises(ValueError, match="no block has a denoiser"):
+            solve(desk.fidelity, [None, None], desk.config, desk.x0)
 
-def _two_pass_reference(desk, dens, config, objective):
+
+def _two_pass_reference(desk, dens, config, objective, x0):
     """The iteration written out from its definition, in two passes per
-    iteration: the residual G(x) over the active blocks, then the update
-    x_i <- D_i(x_i - gamma grad_i g(x)) of the scheduled block.  Returns the
-    final iterate, the trace rows, the initial (f, g, h, |grad f|^2) and
-    the final residual norm, for comparison with the fused `solve`."""
+    iteration: the residual G(x) over the active blocks (those whose
+    denoiser is not None), then the update x_i <- D_i(x_i - gamma grad_i
+    g(x)) of the scheduled block.  Returns the final iterate, the trace
+    rows, the initial (f, g, h, |grad f|^2) and the final residual norm,
+    for comparison with the fused `solve`."""
     fid, gamma = desk.fidelity, config.gamma
-    effective = list(dens)
-    if config.mode == "pnp-gd-theta":
-        effective[1] = IdentityDenoiser()
-    active = [1] if config.mode in ("pnp-ista", "pnp-oracle-theta") else [1, 2]
+    active = [i for i in (1, 2) if dens[i - 1] is not None]
 
     def residual_norm(x, k):
         grad, out = fid.grad(x), np.zeros(x.layout.total)
         for i in active:
-            di = apply_denoiser(effective[i - 1], x.block(i) - gamma * grad.block(i), k)
+            di = apply_denoiser(dens[i - 1], x.block(i) - gamma * grad.block(i), k)
             out[x.layout.block_slice(i)] = (x.block(i) - di) / gamma
         return float(np.linalg.norm(out))
 
-    x = desk.x0
+    x = x0
     rows = []
     for k in range(1, config.max_iters + 1):
         g_norm2 = residual_norm(x, k) ** 2
-        i_k = config.schedule.next_index(k) if len(active) == 2 else 1
-        x_new = _block_update(fid, effective, gamma, x, i_k, k)
+        i_k = config.schedule.next_index(k) if len(active) == 2 else active[0]
+        x_new = _block_update(fid, dens, gamma, x, i_k, k)
         f, g, h = objective.value(x_new)
         rows.append([
             k, i_k, f, g, h, g_norm2, float(np.linalg.norm(x_new.data - x.data)),
-            max(error_magnitude(effective[i - 1], k) for i in active),
+            max(error_magnitude(dens[i - 1], k) for i in active),
             objective.grad(x_new).norm() ** 2,
             *(rmse(x_new.block(i), desk.truth.block(i)) for i in (1, 2)),
         ])
         x = x_new
-    initial = (*objective.value(desk.x0), objective.grad(desk.x0).norm() ** 2)
+    initial = (*objective.value(x0), objective.grad(x0).norm() ** 2)
     return x, np.array(rows), initial, residual_norm(x, len(rows) + 1)
 
 
@@ -415,14 +431,15 @@ class TestFusedIteration:
     @pytest.mark.parametrize("mode", ["bc-pnp", "pnp-ista", "pnp-gd-theta", "pnp-oracle-theta"])
     def test_matches_two_pass_reference_bitwise(self, mode, schedule):
         desk = blind_desk_problem()
-        dens = desk.denoisers("constant", 0.01, 3)
-        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma)
+        objective = ImplicitObjective(desk.fidelity, desk.denoisers("constant", 0.01, 3),
+                                      desk.gamma)
+        dens, x0 = _mode_solve_inputs(desk, mode, desk.denoisers("constant", 0.01, 3))
         cfg = dataclasses.replace(
-            desk.config, mode=mode, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
+            desk.config, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
         )
-        res = solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth,
+        res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth,
                     objective=objective, lipschitz=desk.lipschitz)
-        x, rows, initial, g_final = _two_pass_reference(desk, dens, cfg, objective)
+        x, rows, initial, g_final = _two_pass_reference(desk, dens, cfg, objective, x0)
         tr = res.trace
         columns = [tr.iters, tr.block, tr.f, tr.g, tr.h, tr.g_norm2, tr.step_norm, tr.eps,
                    tr.grad_f_norm2, tr.rmse[:, 0], tr.rmse[:, 1]]
@@ -440,14 +457,15 @@ class TestFusedIteration:
                                                            with_objective):
         desk = blind_desk_problem()
         fid = _CountingFidelity(desk.fidelity)
-        dens = [_CountingDenoiser(d) for d in desk.denoisers()]
+        dens, x0 = _mode_solve_inputs(desk, mode, desk.denoisers())
+        dens = [None if d is None else _CountingDenoiser(d) for d in dens]
         objective = ImplicitObjective(fid, desk.denoisers(), desk.gamma) if with_objective else None
         n = 25
-        cfg = dataclasses.replace(desk.config, mode=mode, max_iters=n)
-        res = solve(fid, dens, cfg, desk.x0, objective=objective, lipschitz=desk.lipschitz)
+        cfg = dataclasses.replace(desk.config, max_iters=n)
+        res = solve(fid, dens, cfg, x0, objective=objective, lipschitz=desk.lipschitz)
         assert len(res.trace) == n
         assert fid.grad_calls == n + 1
-        assert sum(d.calls for d in dens) == num_active * (n + 1)
+        assert sum(d.calls for d in dens if d is not None) == num_active * (n + 1)
 
     def test_nonfinite_in_unchosen_block_is_caught_at_once(self):
         """A NaN from block 2's denoiser at k=1, when block 1 is the one
@@ -599,5 +617,7 @@ class TestValidation:
             solve(desk.fidelity, [IdentityDenoiser()], desk.config, desk.x0)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        """The solver has no modes: SolverConfig takes no mode, and an
+        ablation is a list of denoisers."""
+        with pytest.raises(TypeError):
             SolverConfig(schedule=BlockSchedule("sequential", 2), mode="admm")
