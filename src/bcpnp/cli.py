@@ -31,7 +31,7 @@ from . import fileio
 from .blocks import BlockLayout, BlockSchedule, BlockVector, complex_to_pairs, pairs_to_complex
 from .denoisers import (
     ErrorSchedule, GaussianPrior, GmmPrior, IdentityDenoiser, InexactDenoiser,
-    MmseDenoiser, SoftThresholdDenoiser, TvProxDenoiser, UnsupportedPriorError,
+    MmseDenoiser, SoftThresholdDenoiser, TvProxDenoiser,
 )
 from .forward import (
     BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
@@ -309,12 +309,16 @@ def load_config(path):
         raise ConfigError("config root must be a mapping")
     root = _Node(data, "")
     problem = _parse_problem(root.node("problem", required=True))
-    denoisers = _parse_denoisers(root.node("denoisers", required=True), problem)
+    denoisers, kinds = _parse_denoisers(root.node("denoisers", required=True), problem)
     solver, modes = _parse_solver(root.node("solver"), problem)
     theory = _parse_theory(root.node("theory_checks"), solver)
     if theory.enabled and (BC_PNP not in dict(modes).values()):
         raise ConfigError("theory_checks.enabled: the convergence checks run on the bc-pnp "
                           "mode, which solver.modes does not list")
+    unsupported = [(field, kind) for field, kind in kinds if kind != "gaussian-mmse"]
+    if theory.enabled and unsupported:
+        raise ConfigError("theory_checks.enabled: the implicit objective needs a gaussian-mmse "
+                          "denoiser on every block, and {} is {}".format(*unsupported[0]))
     out_dir = root.node("output").string("directory", "out")
     root.reject_unread()
     return Config(problem, denoisers, solver, modes, theory, out_dir)
@@ -421,7 +425,8 @@ def _theta_init(node, kernel_shape):
 
 
 def _parse_denoisers(node, problem):
-    """image/theta denoisers, or `blocks: [...]` for generic-linear."""
+    """image/theta denoisers, or `blocks: [...]` for generic-linear, and the
+    (field, kind) of each block's denoiser under any inexact wrapper."""
     sizes = problem.layout.sizes
     if problem.kind == LINEAR:
         specs = node.get("blocks", want=f"a list of {len(sizes)} denoisers (one per block)",
@@ -433,7 +438,16 @@ def _parse_denoisers(node, problem):
     if problem.kind == BLIND:
         shapes = [problem.model.image_shape, problem.model.kernel_shape]
     indices = range(1, len(sizes) + 1)
-    return tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))
+    denoisers = tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))
+    return denoisers, tuple(map(_unwrapped_kind, nodes))
+
+
+def _unwrapped_kind(node):
+    """(field, kind) of the parsed denoiser at `node`, or of the one it wraps."""
+    field, spec = node.path, node.data
+    while spec["kind"] == "inexact":
+        field, spec = f"{field}.base", spec["base"]
+    return field, spec["kind"]
 
 
 def _parse_denoiser(node, size, shape, block_index):
@@ -769,14 +783,11 @@ def run(config_path, out_override=None, seed_override=None):
 
             objective = constants = None
             if cfg.theory.enabled and mode == BC_PNP:
-                try:
-                    objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
-                    constants = TheoryConstants.from_problem(
-                        gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
-                        objective.m_max(),
-                    )
-                except (UnsupportedPriorError, ValueError) as exc:
-                    report["checks"]["objective"] = f"skipped: {exc}"
+                objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
+                constants = TheoryConstants.from_problem(
+                    gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
+                    objective.m_max(),
+                )
 
             result = solve(problem.fidelity, problem.denoisers_for(mode), solver_cfg, x0,
                            truth=problem.truth, objective=objective, lipschitz=lip)
@@ -796,7 +807,7 @@ def run(config_path, out_override=None, seed_override=None):
                 "metrics": row,
             }
 
-            if objective is not None and constants is not None:
+            if objective is not None:
                 checks = _theory_checks(
                     problem, solver_cfg, x0, result, objective, constants, cfg.theory
                 )

@@ -35,6 +35,11 @@ _MULTICOIL = {
 }
 
 
+# an image denoiser with a closed-form implicit objective, so that the
+# theory checks can run on `write_config`'s problem
+_GAUSSIAN_IMAGE = {"kind": "gaussian-mmse", "sigma": 0.25, "prior": {"mean": "zeros", "var": 0.25}}
+
+
 def write_config(tmp_path, name="config.yaml", **overrides):
     cfg = {
         "problem": {
@@ -101,13 +106,14 @@ class TestValidate:
 
     def test_step_rule_diagnostic(self, tmp_path):
         """An explicit gamma at 2/L_max with checks enabled is flagged."""
-        probe = write_config(tmp_path, name="probe.yaml")
+        probe = write_config(tmp_path, name="probe.yaml", **{"denoisers.image": _GAUSSIAN_IMAGE})
         cfg = cli.load_config(probe)
         problem = cli.build_problem(cfg)
         _, lip = problem.certify(problem.x0_for("bc-pnp"), cfg.solver)
         path = write_config(
             tmp_path,
             **{
+                "denoisers.image": _GAUSSIAN_IMAGE,
                 "solver.gamma": float(2.0 / lip.l_max),
                 "theory_checks.enabled": True,
             },
@@ -215,11 +221,7 @@ class TestRun:
         path = write_config(
             tmp_path,
             **{
-                "denoisers.image": {
-                    "kind": "gaussian-mmse",
-                    "sigma": 0.25,
-                    "prior": {"mean": "zeros", "var": 0.25},
-                },
+                "denoisers.image": _GAUSSIAN_IMAGE,
                 "theory_checks.enabled": True,
                 "theory_checks.strict": True,
                 "solver.max_iters": 40,
@@ -322,13 +324,15 @@ class TestRun:
 
     def test_run_step_rule_violation_is_a_config_error(self, tmp_path, capsys):
         """run applies validate's step-rule check before writing any output."""
-        probe = write_config(tmp_path, name="probe.yaml")
+        probe = write_config(tmp_path, name="probe.yaml", **{"denoisers.image": _GAUSSIAN_IMAGE})
         cfg = cli.load_config(probe)
         problem = cli.build_problem(cfg)
         _, lip = solver.resolve_gamma(problem.fidelity, problem.x0_for(cfg.modes[0][1]), cfg.solver)
-        path = write_config(
-            tmp_path, **{"solver.gamma": float(2.0 / lip.l_max), "theory_checks.enabled": True}
-        )
+        path = write_config(tmp_path, **{
+            "denoisers.image": _GAUSSIAN_IMAGE,
+            "solver.gamma": float(2.0 / lip.l_max),
+            "theory_checks.enabled": True,
+        })
         out = tmp_path / "violating"
         assert cli.run(path, out_override=out) == cli.EXIT_CONFIG
         assert "step rule" in capsys.readouterr().err
@@ -337,10 +341,9 @@ class TestRun:
     def test_theorem2_report_equals_ensemble_with_objective(self, tmp_path):
         """The ensemble runs without the objective; its report equals one
         computed from solves that record the objective."""
-        gaussian = {"kind": "gaussian-mmse", "sigma": 0.25, "prior": {"mean": "zeros", "var": 0.25}}
         path = write_config(tmp_path, **{
             "problem.image_shape": [8, 8], "problem.balance_blocks": False,
-            "denoisers.image": gaussian, "solver.max_iters": 30, "solver.stop_tol": 1e-12,
+            "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 30, "solver.stop_tol": 1e-12,
             "solver.schedule": {"kind": "random-iid", "seed": 3},
             "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": 10},
         })
@@ -371,10 +374,9 @@ class TestRun:
         """A random-iid run with n ensemble seeds solves n + 1 times: the
         mode, the reference run and seeds 1..n-1; seed 0 is the mode's own
         solve."""
-        gaussian = {"kind": "gaussian-mmse", "sigma": 0.25, "prior": {"mean": "zeros", "var": 0.25}}
         path = write_config(tmp_path, **{
             "problem.image_shape": [8, 8], "problem.balance_blocks": False,
-            "denoisers.image": gaussian, "solver.max_iters": 20,
+            "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
             "solver.schedule": {"kind": "random-iid", "seed": 3},
             "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": 10},
         })
@@ -508,6 +510,70 @@ class TestModes:
         metrics = dict(zip(header.split(","), row.split(",")))
         assert float(metrics["rmse_x"]) == cli.rmse(final, truth)
         assert metrics["rmse_theta"] == "nan"
+
+
+def _gmm(dim):
+    """A two-component mixture denoiser on a block of `dim` entries."""
+    return {"kind": "gmm-mmse", "sigma": 0.1, "prior": {
+        "weights": [0.5, 0.5], "means": [[0.0] * dim, [0.1] * dim], "variances": [0.01, 0.02]}}
+
+
+def _inexact(base):
+    return {"kind": "inexact", "base": base, "schedule": {"kind": "square-summable", "base": 0.01}}
+
+
+def _theory_on_deblurring(tmp_path):
+    """The shipped deblurring config (TV-prox image denoiser) with strict
+    convergence checks on its bc-pnp mode."""
+    cfg = yaml.safe_load((ROOT / "configs" / "blind_deblurring.yaml").read_text())
+    cfg["theory_checks"] = {"enabled": True, "strict": True}
+    cfg["solver"]["modes"] = ["bc-pnp"]
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "deblurring.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+class TestTheoryDenoisers:
+    """Convergence checks need the implicit objective in closed form, which
+    only a gaussian-mmse denoiser on every block (bare or wrapped in
+    inexact) has; any other denoiser is a config error, not a skipped check."""
+
+    _ERROR = "theory_checks.enabled: the implicit objective needs a gaussian-mmse denoiser"
+
+    @pytest.mark.parametrize("overrides, names", [
+        (None, "denoisers.image is tv-prox"),
+        ({"denoisers.image": _GAUSSIAN_IMAGE, "denoisers.theta": _gmm(9)},
+         "denoisers.theta is gmm-mmse"),
+        ({"denoisers.image": _inexact(_GAUSSIAN_IMAGE), "denoisers.theta": _inexact(_gmm(9))},
+         "denoisers.theta.base is gmm-mmse"),
+    ], ids=["deblurring-tv-prox", "gmm-mmse", "inexact-gmm-mmse"])
+    def test_exit_1_in_both_commands(self, tmp_path, capsys, overrides, names):
+        if overrides is None:
+            path = _theory_on_deblurring(tmp_path)
+        else:
+            path = write_config(tmp_path, **overrides, **{"theory_checks.enabled": True})
+        error = f"config error: {self._ERROR} on every block, and {names}\n"
+        assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == error
+        out = tmp_path / "run"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+    def test_the_same_denoisers_parse_without_checks(self, tmp_path):
+        assert cli.validate(write_config(tmp_path, **{"denoisers.theta": _gmm(9)})) == []
+
+    def test_inexact_gaussian_mmse_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, **{
+            "denoisers.image": _inexact(_GAUSSIAN_IMAGE), "solver.max_iters": 20,
+            "theory_checks": {"enabled": True, "reference_multiplier": 2},
+        })
+        assert cli.validate(path) == []
+        assert cli.run(path) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report["checks"]) == {"bc-pnp"}
+        assert {"descent", "theorem1"} <= set(report["checks"]["bc-pnp"])
 
 
 class TestSyntheticSources:

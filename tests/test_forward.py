@@ -330,15 +330,17 @@ class TestSharedEvaluations:
 
 
 class _FftCount:
-    """Calls of the numpy FFT entry points the models use, and the planes
-    they transform (a call on a stack of planes transforms each of them)."""
+    """Calls of the numpy FFT entry points the models use, the planes they
+    transform (a call on a stack of planes transforms each of them), and
+    the shape `s` each call passes (None when it passes none)."""
 
     def __init__(self):
-        self.calls, self.planes = {}, {}
+        self.calls, self.planes, self.shapes = {}, {}, []
 
     def clear(self):
         self.calls.clear()
         self.planes.clear()
+        self.shapes.clear()
 
     def total(self):
         return sum(self.planes.values())
@@ -351,6 +353,7 @@ def fft(monkeypatch):
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             count.calls[_name] = count.calls.get(_name, 0) + 1
             count.planes[_name] = count.planes.get(_name, 0) + int(np.prod(np.shape(a)[:-2]))
+            count.shapes.append(kwargs.get("s", args[0] if args else None))
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -412,6 +415,22 @@ class TestTransformBudgets:
             fft.clear()
             fid.hessian_vec(x, u, block=block)
             assert fft.total() == budget
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["convolution", "multicoil"])
+    def test_every_transform_passes_the_image_shape(self, fft, case):
+        """Without `s`, numpy rebuilds the shape on every call; each
+        transform of a gradient or a Hessian-vector product passes it."""
+        fid, x = _bilinear_problems()[case]
+        rng = np.random.default_rng(24)
+        fft.clear()
+        fid.value_and_grad(x)
+        for i in (1, 2):
+            fid.grad(_change_block(x, i), [i])
+        fid.hessian_vec(x, BlockVector(fid.layout, rng.standard_normal(fid.layout.total)))
+        for i in (1, 2):
+            fid.hessian_vec(x, rng.standard_normal(fid.layout.sizes[i - 1]), block=i)
+        assert len(fft.shapes) >= 10
+        assert set(fft.shapes) == {fid.model.image_shape}
 
     @pytest.mark.parametrize("coils", [1, 3])
     def test_multicoil_grad_takes_two_per_coil(self, fft, coils):
@@ -523,6 +542,100 @@ class TestSpectrumReuse:
                 u = BlockVector(fid.layout, u) if block is None else u
                 got = fid.hessian_vec(y, u, block=block)
                 want = ConvolutionFidelity(fid.model, fid.y).hessian_vec(y, u, block=block)
+                if block is None:
+                    got, want = got.data, want.data
+                assert got.tobytes() == want.tobytes()
+
+
+class _FirstConvolution:
+    """The convolution fidelity's gradient and Hessian-vector products as
+    first written: each spectrum taken afresh by `rfft2` without its shape,
+    the two adjoint products joined by `np.stack`, and a two-block result
+    joined by `BlockVector.from_blocks`."""
+
+    def __init__(self, fid):
+        self.model, self.y, self.layout = fid.model, fid.y, fid.layout
+        self.shape = fid.model.image_shape
+
+    def spectrum(self, a):
+        return np.fft.rfft2(np.asarray(a, dtype=np.float64).reshape(self.shape))
+
+    def kernel_spectrum(self, theta):
+        return np.fft.rfft2(self.model._embed(theta))
+
+    def forward(self, ft, fv):
+        return np.fft.irfft2(ft * fv, s=self.shape).ravel()
+
+    def adjoint_v(self, ft, fw):
+        return np.fft.irfft2(np.conj(ft) * fw, s=self.shape).ravel()
+
+    def adjoint_theta(self, fv, fw):
+        return self.model._extract(np.fft.irfft2(np.conj(fv) * fw, s=self.shape))
+
+    def value_and_grad(self, x, blocks=None):
+        fv, ft = self.spectrum(x.block(1)), self.kernel_spectrum(x.block(2))
+        r = self.forward(ft, fv) - self.y
+        fr = self.spectrum(r)
+        if blocks is None or {1, 2} <= set(blocks):
+            products = np.stack([np.conj(ft) * fr, np.conj(fv) * fr])
+            back = np.fft.irfft2(products, s=self.shape)
+            parts = [back[0].ravel(), self.model._extract(back[1])]
+        else:
+            parts = [self.adjoint_v(ft, fr) if 1 in blocks else np.zeros(self.layout.sizes[0]),
+                     self.adjoint_theta(fv, fr) if 2 in blocks else np.zeros(self.layout.sizes[1])]
+        return 0.5 * float(np.dot(r, r)), BlockVector.from_blocks(parts, self.layout)
+
+    def hessian_vec(self, x, u, block=None):
+        v, theta = x.block(1), x.block(2)
+        if block == 1:
+            ft = self.kernel_spectrum(theta)
+            return self.adjoint_v(ft, self.spectrum(self.forward(ft, self.spectrum(u))))
+        if block == 2:
+            fv = self.spectrum(v)
+            return self.adjoint_theta(fv, self.spectrum(self.forward(self.kernel_spectrum(u), fv)))
+        fv, ft = self.spectrum(v), self.kernel_spectrum(theta)
+        fdt, fdv = self.kernel_spectrum(u.block(2)), self.spectrum(u.block(1))
+        r = self.forward(ft, fv) - self.y
+        s = self.forward(ft, fdv) + self.forward(fdt, fv)
+        fs, fr = self.spectrum(s), self.spectrum(r)
+        hv = self.adjoint_v(ft, fs) + self.adjoint_v(fdt, fr)
+        ht = self.adjoint_theta(fv, fs) + self.adjoint_theta(fdv, fr)
+        return BlockVector.from_blocks([hv, ht], self.layout)
+
+
+class TestFirstFormulation:
+    """Passing the transform shapes, writing the adjoint products into one
+    stack and the gradient into one buffer change no bit of any result,
+    along a walk on which the fidelity keeps and reuses spectra."""
+
+    @staticmethod
+    def _walk(case):
+        rng = np.random.default_rng(42 + case)
+        shapes = [((8, 8), (3, 3)), ((7, 9), (3, 5))][case]
+        fid = make_conv_problem(rng, *shapes, noise=0.05)[1]
+        x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
+        return fid, _FirstConvolution(fid), TestSpectrumReuse._points(x, rng), rng
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["8x8-3x3", "7x9-3x5"])
+    def test_gradients(self, case):
+        fid, first, points, _ = self._walk(case)
+        for y in points:
+            for blocks in (None, [1], [2], [2, 1]):
+                value, grad = first.value_and_grad(y, blocks)
+                assert fid.grad(y, blocks).data.tobytes() == grad.data.tobytes()
+                got_value, got = fid.value_and_grad(y, blocks)
+                assert got_value == value
+                assert got.data.tobytes() == grad.data.tobytes()
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["8x8-3x3", "7x9-3x5"])
+    def test_hessian_vec(self, case):
+        fid, first, points, rng = self._walk(case)
+        for y in points:
+            for block in (1, 2, None):
+                size = fid.layout.total if block is None else fid.layout.sizes[block - 1]
+                u = rng.standard_normal(size)
+                u = BlockVector(fid.layout, u) if block is None else u
+                got, want = fid.hessian_vec(y, u, block=block), first.hessian_vec(y, u, block)
                 if block is None:
                     got, want = got.data, want.data
                 assert got.tobytes() == want.tobytes()
