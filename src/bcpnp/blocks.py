@@ -18,6 +18,25 @@ EPOCH_SHUFFLE = "epoch-shuffle"
 RANDOM_IID = "random-iid"
 SCHEDULE_KINDS = (SEQUENTIAL, EPOCH_SHUFFLE, RANDOM_IID)
 
+# random-iid draws are computed this many iterations at a time
+_CHUNK = 256
+# numpy's SeedSequence hash constants and PCG64 multiplier
+# (numpy/random/_bit_generator.pyx, pcg64.h); 32-bit arithmetic is mod 2**32
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_M = 0x2360ED051FC65DA44385DF649FCCF645
+# seeding and one step leave PCG64 at s = X M^2 + (2Y + 1) C mod 2**128, with
+# C = M^2 + M + 1 and the state words X = w0:w1, Y = w2:w3; row r of the table
+# multiplies 32-bit limb r of (X, Y) into each limb of s
+_PCG_C = (_PCG_M * _PCG_M + _PCG_M + 1) % 2**128
+_PCG_TABLE = np.array(
+    [[f >> 32 * (c - i) & _M32 if c >= i else 0 for c in range(4)]
+     for f in (_PCG_M * _PCG_M, 2 * _PCG_C) for i in range(4)],
+    dtype=np.uint64)[..., None]
+_PCG_C_LIMBS = np.array([_PCG_C >> 32 * c & _M32 for c in range(4)], dtype=np.uint64)[:, None]
+
 
 @dataclass(frozen=True)
 class BlockLayout:
@@ -130,17 +149,19 @@ class BlockSchedule:
     """Block-selection rule: which block index to update at iteration k >= 1.
 
     The index stream is a pure function of (kind, seed, num_blocks, k):
-    random kinds derive a fresh generator per draw (random-iid) or per
-    epoch (epoch-shuffle) from a spawned seed sequence, so equal inputs
-    always reproduce equal streams and draws can be evaluated out of order.
-    Epoch-shuffle keeps the last epoch's permutation, keyed by everything
-    that determines it.
+    random kinds derive a fresh generator per draw (random-iid, `_iid_draw`)
+    or per epoch (epoch-shuffle) from a spawned seed sequence, so equal
+    inputs always reproduce equal streams and draws can be evaluated out of
+    order. Epoch-shuffle keeps the last epoch's permutation and random-iid
+    the last chunk of `_CHUNK` draws (`_iid_chunk`), each keyed by
+    everything that determines it.
     """
 
     kind: str
     num_blocks: int
     seed: int = 0
     _epoch: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _draws: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -164,13 +185,62 @@ class BlockSchedule:
                 )
                 self._epoch = (key, rng.permutation(b))
             return int(self._epoch[1][pos]) + 1
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(1, k))
-        )
-        return int(rng.integers(b)) + 1
+        start = k - (k - 1) % _CHUNK
+        if b >= 2**32 or start + _CHUNK > 2**32:
+            return _iid_draw(self.seed, b, k) + 1
+        key = (self.seed, b, start)
+        if self._draws[0] != key:
+            ks = np.arange(start, start + _CHUNK, dtype=np.uint64)
+            self._draws = (key, _iid_chunk(self.seed, b, ks).tolist())
+        return self._draws[1][k - start] + 1
 
     def with_seed(self, seed):
         return BlockSchedule(self.kind, self.num_blocks, seed)
+
+
+def _iid_draw(seed, b, k):
+    """The random-iid stream's definition: the 0-based draw for iteration k."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
+    return int(rng.integers(b))
+
+
+def _hashmix(v, h, h_next):
+    """SeedSequence's hashmix, given its running constant before and after."""
+    v = (v ^ h) * h_next & _M32
+    return v ^ v >> 16
+
+
+def _iid_chunk(seed, b, ks):
+    """`_iid_draw(seed, b, k)` for each k of the uint64 array `ks`, computed
+    with the arithmetic numpy runs inside those calls, for 1 <= b < 2**32 and
+    0 <= k < 2**32. A draw that may reach the rejection loop of Lemire's
+    method is taken from the definition."""
+    # numpy's pool after every entropy word before k's: the seed's words,
+    # padded to 4, and the spawn key's 1; 4 hashes per word went into it
+    pool = np.random.SeedSequence(seed, spawn_key=(1,)).pool.astype(np.uint64)[:, None]
+    n = 4 * (max(4, -(-int(seed).bit_length() // 32)) + 1)
+    h = np.array([_INIT_A * pow(_MULT_A, n + j, 2**32) & _M32 for j in range(5)],
+                 dtype=np.uint64)[:, None]
+    r = (_MIX_L * pool - _MIX_R * _hashmix(ks, h[:4], h[1:])) & _M32
+    pool = r ^ r >> 16
+    # the eight 32-bit state words, then PCG64's state as four limbs, low first
+    h = np.array([_INIT_B * pow(_MULT_B, j, 2**32) & _M32 for j in range(9)],
+                 dtype=np.uint64)[:, None]
+    st = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], h[:8], h[1:])
+    prod = st[[2, 3, 0, 1, 6, 7, 4, 5], None] * _PCG_TABLE
+    limbs = (prod & _M32).sum(0) + _PCG_C_LIMBS
+    limbs[1:] += (prod[:, :3] >> 32).sum(0)
+    for c in range(3):
+        limbs[c + 1] += limbs[c] >> 32
+    s = limbs & _M32
+    # the XSL-RR output's low 32 bits, then Lemire's bounded draw
+    x = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
+    rot = s[3] >> 26
+    m = ((x >> rot | x << (64 - rot & 63)) & _M32) * b
+    draws = m >> 32
+    for i in np.flatnonzero((m & _M32) < b):
+        draws[i] = _iid_draw(seed, b, int(ks[i]))
+    return draws
 
 
 def complex_to_pairs(z):

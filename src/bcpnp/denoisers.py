@@ -370,7 +370,7 @@ class TvProxDenoiser:
         # every view the loop reads or writes is made here, once, and the
         # ufuncs take their outputs positionally: at 64x64, making the views
         # and passing out= in each iteration cost about an eighth of it
-        uf = u.reshape(-1)
+        uf, (px, py) = u.reshape(-1), p
         grad_x = (u[1:], u[:-1], g[0, :-1])
         grad_y, border_y = (uf[1:], uf[:-1], g[1].reshape(-1)[:-1]), g[1, :, -1]
         for _ in range(self.inner_iters):
@@ -380,13 +380,15 @@ class TvProxDenoiser:
             # that cross a row boundary back to the border's -0.0
             np.subtract(*grad_y)
             border_y.fill(-0.0)
-            # denom = 1 + tau * sqrt(gx^2 + gy^2), in both halves of s
+            # denom = 1 + tau * sqrt(gx^2 + gy^2), in the first half of s
             np.square(g, s)
             np.add(denom, denom_y, denom)
             np.add(1.0, np.multiply(tau, np.sqrt(denom, denom), denom), denom)
-            np.copyto(denom_y, denom)
-            # p = (p + tau * g) / denom; g is recomputed before it is read again
-            np.divide(np.add(p, np.multiply(tau, g, g), p), s, p)
+            # p = (p + tau * g) / denom, a half at a time: dividing the stack
+            # by a broadcast denom is slower; g is recomputed before it is read
+            np.add(p, np.multiply(tau, g, g), p)
+            np.divide(px, denom, px)
+            np.divide(py, denom, py)
         return (z - lam * div()).ravel()
 
 

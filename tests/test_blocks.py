@@ -115,6 +115,12 @@ class TestBlockVector:
             BlockVector(BlockLayout((2, 2)), [1.0])
 
 
+def _iid_formula(seed, b, k):
+    """The random-iid stream's definition: one generator per draw."""
+    ss = np.random.SeedSequence(seed, spawn_key=(1, k))
+    return int(np.random.default_rng(ss).integers(b)) + 1
+
+
 class TestSchedules:
     def test_sequential_modulo(self):
         sched = BlockSchedule("sequential", 3)
@@ -160,8 +166,7 @@ class TestSchedules:
                 epoch, pos = divmod(k - 1, b)
                 ss = np.random.SeedSequence(9, spawn_key=(0, epoch))
                 return int(np.random.default_rng(ss).permutation(b)[pos]) + 1
-            ss = np.random.SeedSequence(9, spawn_key=(1, k))
-            return int(np.random.default_rng(ss).integers(b)) + 1
+            return _iid_formula(9, b, k)
 
         ks = list(range(1, 3 * b + 1))
         want = [formula(k) for k in ks]
@@ -175,6 +180,29 @@ class TestSchedules:
         assert [sched.next_index(k) for k in ks] == [
             BlockSchedule(kind, b, seed=10).next_index(k) for k in ks
         ]
+
+    @pytest.mark.parametrize("seed", [0, 3, 19, 2**32 - 1, 2**40 + 3, 2**130 + 9])
+    def test_chunked_stream_equals_definition(self, seed):
+        """Random-iid draws, computed a chunk at a time, equal one generator
+        per draw over several chunks, read in order, reversed and shuffled;
+        a seed of more than four 32-bit words included."""
+        ks = list(range(1, 601))
+        shuffled = [int(k) for k in np.random.default_rng(seed % 97).permutation(ks)]
+        for b in (1, 2, 3, 5, 16):
+            want = [_iid_formula(seed, b, k) for k in ks]
+            sched = BlockSchedule("random-iid", b, seed=seed)
+            for order in (ks, ks[::-1], shuffled):
+                got = {k: sched.next_index(k) for k in order}
+                assert [got[k] for k in ks] == want
+
+    @pytest.mark.parametrize("b, ks", [
+        (3 * 2**30, range(1, 301)),  # about 3 in 4 draws may reach Lemire's rejection loop
+        (2**32 + 1, range(1, 11)),  # numpy's 64-bit bounded draw
+        (3, range(2**32 - 3, 2**32 + 3)),  # k of two 32-bit words
+    ])
+    def test_draws_outside_the_chunk_arithmetic_follow_the_definition(self, b, ks):
+        sched = BlockSchedule("random-iid", b, seed=7)
+        assert [sched.next_index(k) for k in ks] == [_iid_formula(7, b, k) for k in ks]
 
     def test_seed_changes_stream(self):
         a = BlockSchedule("random-iid", 4, seed=1)

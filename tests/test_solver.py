@@ -172,6 +172,19 @@ class TestSolve:
         assert np.array_equal(a.trace.g_norm2, b.trace.g_norm2)
         assert np.array_equal(a.trace.step_norm, b.trace.step_norm)
 
+    def test_random_iid_picks_follow_the_definition_across_chunks(self):
+        """600 iterations, several chunks of draws; inexact denoisers keep
+        the iterate moving, so the tolerance never stops the run."""
+        desk = blind_desk_problem()
+        cfg = dataclasses.replace(desk.config, schedule=BlockSchedule("random-iid", 2, seed=11),
+                                  max_iters=600, stop_tol=1e-300)
+        res = solve(desk.fidelity, desk.denoisers("constant", 0.01, 3), cfg, desk.x0)
+        want = [
+            int(np.random.default_rng(np.random.SeedSequence(11, spawn_key=(1, k))).integers(2)) + 1
+            for k in range(1, 601)
+        ]
+        assert res.trace.block.tolist() == want
+
     def test_block_isolation_along_run(self):
         desk = blind_desk_problem()
         x = desk.x0
