@@ -789,8 +789,11 @@ def run(config_path, out_override=None, seed_override=None):
                     objective.m_max(),
                 )
 
+            # theorem 2 reads the mode's residual trace as its seed 0
             result = solve(problem.fidelity, problem.denoisers_for(mode), solver_cfg, x0,
-                           truth=problem.truth, objective=objective, lipschitz=lip)
+                           truth=problem.truth, objective=objective, lipschitz=lip,
+                           full_residual=objective is not None
+                           and _checks_theorem2(solver_cfg, cfg.theory))
             result.trace.to_csv(mode_dir / "trace.csv")
             row = _mode_metrics(label, problem, result)
             metrics_rows.append(row)
@@ -804,6 +807,8 @@ def run(config_path, out_override=None, seed_override=None):
                 "flags": result.flags,
                 "g_norm_initial": result.g_norm_initial,
                 "g_norm_final": result.g_norm_final,
+                "denoiser_calls": result.denoiser_calls,
+                "gradient_evals": result.gradient_evals,
                 "metrics": row,
             }
 
@@ -844,10 +849,10 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     """
     checks = {"descent": check_descent(result.trace, constants)}
 
-    def rerun(objective=None, **changes):
+    def rerun(objective=None, full_residual=False, **changes):
         cfg = dataclasses.replace(solver_cfg, **changes)
-        return solve(problem.fidelity, problem.denoisers, cfg, x0,
-                     objective=objective, lipschitz=result.lipschitz).trace
+        return solve(problem.fidelity, problem.denoisers, cfg, x0, objective=objective,
+                     lipschitz=result.lipschitz, full_residual=full_residual).trace
 
     max_iters = solver_cfg.max_iters * theory.reference_multiplier
     f_star = reference_f_star(rerun(objective, max_iters=max_iters))
@@ -855,17 +860,24 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
             checks["theorem1"] = check_theorem1(result.trace, constants, f_star)
-    elif solver_cfg.schedule.kind == "random-iid" and theory.ensemble_seeds:
+    elif _checks_theorem2(solver_cfg, theory):
         # the check reads residuals, errors and f(x0) only: seed 0 is the run's
         # own solve, the other seeds run without the objective, all share f(x0)
         f_initial = objective.value(x0)[0]
         traces = [result.trace] + [
-            rerun(schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s))
+            rerun(schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s),
+                  full_residual=True)
             for s in range(1, theory.ensemble_seeds)
         ]
         traces = [dataclasses.replace(tr, f_initial=f_initial) for tr in traces]
         checks["theorem2"] = check_theorem2(traces, constants, f_star)
     return {name: dataclasses.asdict(report) for name, report in checks.items()}
+
+
+def _checks_theorem2(solver_cfg, theory):
+    """Whether a theory run checks theorem 2, which reads every residual
+    norm of its ensemble's traces."""
+    return solver_cfg.schedule.kind == "random-iid" and bool(theory.ensemble_seeds)
 
 
 def _mode_metrics(label, problem, result):

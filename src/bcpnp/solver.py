@@ -5,6 +5,12 @@ block by D_i(x_i - gamma * grad_i g(x)); all other blocks are carried over
 bitwise.  With a single block this is exactly the classic proximal-gradient
 plug-and-play iteration.  A block whose denoiser is None keeps its start:
 the schedule never picks it, and it contributes zero to G.
+
+By default an iteration denoises block i_k only and, without an objective,
+takes only block i_k of the fidelity gradient.  The full residual G, which
+needs every active block denoised, is computed at the first iteration and
+at the end of every solve, and at every iteration only when a check reads
+it (`solve(..., full_residual=True)`).
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ class SolveResult:
     lipschitz: LipschitzEstimate
     g_norm_initial: float
     g_norm_final: float
+    denoiser_calls: list  # per block, the g_final residual included
+    gradient_evals: int  # fidelity gradients, each of all or some blocks
 
 
 def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
@@ -73,21 +81,20 @@ def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
         raise ValueError("gamma must be positive")
     if grad is None:
         grad = fidelity.grad(x)
-    denoised = _denoise_blocks(denoisers, gamma, x, grad, k)
+    active = [i for i, d in enumerate(denoisers, start=1) if d is not None]
+    denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
     return BlockVector._wrap(x.layout, _residual(gamma, x, denoised))
 
 
-def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k):
-    """{i: D_i(x_i - gamma grad_i)} at iteration k, for each block i with a denoiser.
+def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, blocks):
+    """{i: D_i(x_i - gamma grad_i)} at iteration k, for each block i in `blocks`.
 
     Raises NonFiniteIterateError naming the first block whose denoised
     values are NaN/inf.
     """
     denoised = {}
-    for i, den in enumerate(denoisers, start=1):
-        if den is None:
-            continue
-        di = apply_denoiser(den, x.block(i) - gamma * grad.block(i), k)
+    for i in blocks:
+        di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
         if not np.isfinite(di).all():
             raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
         denoised[i] = di
@@ -134,18 +141,25 @@ def solve(
     truth: BlockVector | None = None,
     objective=None,
     lipschitz: LipschitzEstimate | None = None,
+    full_residual: bool = False,
 ):
     """Run the iteration from x0 until the relative-change tolerance or the
-    iteration cap, recording a full per-iteration trace.
+    iteration cap, recording a per-iteration trace.
 
     `denoisers` has one entry per block; a block whose entry is None keeps
     its value in x0.  `objective` (see theory.ImplicitObjective) enables
     f/g/h and gradient recording; it must be built with the same gamma the
     solver uses.
-    Each iteration evaluates grad g once and denoises each active block
-    once; the chosen block's output is the update, and all of them give the
-    logged residual.  Raises NonFiniteIterateError when any denoised block
-    or any recorded objective quantity (f, g, h, ||grad f||^2) is NaN/inf.
+    Each iteration evaluates grad g once and denoises block i_k once; that
+    output is the update.  The first iteration and, with `full_residual`,
+    every iteration denoise every active block, and the trace logs
+    ||G(x^{k-1})||^2; other rows log NaN.  With one active block the
+    update is the whole residual, so every row logs it.  Without an
+    objective, grad g is computed only on the blocks the next denoising
+    reads.  The final residual covers every active block, so a solve of n
+    iterations makes n + 1 gradient evaluations.  Raises
+    NonFiniteIterateError when a denoised block or any recorded objective
+    quantity (f, g, h, ||grad f||^2) is NaN/inf.
     """
     layout = fidelity.layout
     if x0.layout.sizes != layout.sizes:
@@ -166,6 +180,7 @@ def solve(
     schedule = _active_schedule(config, active)
     active_denoisers = [denoisers[i - 1] for i in active]
     radii = [config.ball_radius * n for n in x0.block_norms()]
+    full_residual = full_residual or len(active) == 1
 
     flags = {
         "left_ball": False,
@@ -176,10 +191,12 @@ def solve(
         or (objective is not None and not lipschitz.l_full_converged),
         "gamma_exceeds_rule": lipschitz.exceeded_by(gamma),
     }
+    denoiser_calls = [0] * num_blocks
 
     # grad g at the current iterate: one evaluation per iteration, shared by
     # the denoising pass, the objective and the final residual
     grad, value = _fidelity_at(fidelity, x0, objective, active)
+    gradient_evals = 1
     trace = TraceBuilder(num_blocks)
     if objective is not None:
         trace.set_initial(*_objective_at(objective, x0, grad, value, 0))
@@ -190,17 +207,29 @@ def solve(
     x = x0
     rmse_blocks = [float("nan")] * num_blocks
     reason = "max-iters"
+    i_k = _pick_index(schedule, active, 1)
     k = 0
     for k in range(1, config.max_iters + 1):
-        # one denoising pass: the residual G(x) for the trace, and the
-        # chosen block's update
-        denoised = _denoise_blocks(denoisers, gamma, x, grad, k)
-        g_norm2 = float(np.linalg.norm(_residual(gamma, x, denoised))) ** 2
-        i_k = _pick_index(schedule, active, k)
+        # the chosen block's update; at k = 1 and with the full residual,
+        # every active block is denoised and gives G(x) for the trace
+        if full_residual or k == 1:
+            denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
+            g_norm2 = float(np.linalg.norm(_residual(gamma, x, denoised))) ** 2
+        else:
+            denoised = _denoise_blocks(denoisers, gamma, x, grad, k, [i_k])
+            g_norm2 = float("nan")
+        for i in denoised:
+            denoiser_calls[i - 1] += 1
         prev_norm = x.norm()
         x_new = x.inject(i_k, denoised[i_k])
-        grad, value = _fidelity_at(fidelity, x_new, objective, active)
         step_norm = float(np.linalg.norm(x_new.data - x.data))
+        rel = step_norm / prev_norm if prev_norm > 0 else step_norm
+        last = rel < config.stop_tol or k == config.max_iters
+        i_next = i_k if last else _pick_index(schedule, active, k + 1)
+        # the last gradient feeds the final residual over every active block
+        needed = active if full_residual or last else [i_next]
+        grad, value = _fidelity_at(fidelity, x_new, objective, needed)
+        gradient_evals += 1
 
         # every block but i_k is bitwise what it was in the previous
         # iteration, so its ball check and error carry over
@@ -224,26 +253,29 @@ def solve(
             grad_f_norm2=gradf2, rmse=list(rmse_blocks),
         )
         x = x_new
-        rel = step_norm / prev_norm if prev_norm > 0 else step_norm
+        i_k = i_next
         if rel < config.stop_tol:
             reason = "tolerance"
             break
 
     frozen = trace.freeze()
     g_final = g_operator(fidelity, denoisers, gamma, x, k + 1, grad).norm()
+    for i in active:
+        denoiser_calls[i - 1] += 1
     return SolveResult(
         x=x, trace=frozen, reason=reason, flags=flags, gamma=gamma, lipschitz=lipschitz,
         g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,
+        denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
 
 
-def _fidelity_at(fidelity, x, objective, active):
+def _fidelity_at(fidelity, x, objective, blocks):
     """(grad g(x), g(x)); the value, which only an objective records, is
     taken from the gradient's residual, else it is None.  Without an
-    objective only the `active` blocks of the gradient are computed; the
-    others are zero, and nothing reads them."""
+    objective only the `blocks` of the gradient are computed; the others
+    are zero, and nothing reads them."""
     if objective is None:
-        return fidelity.grad(x, active), None
+        return fidelity.grad(x, blocks), None
     value, grad = fidelity.value_and_grad(x)
     return grad, value
 

@@ -59,7 +59,9 @@ class IterateTrace:
     iterate x^k, the squared residual-operator norm at the previous iterate
     x^{k-1}, the step length, the scheduled denoiser error, and per-block
     relative errors against the ground truth when one is known.  Fields are
-    NaN when not computable (no Gaussian priors, no ground truth).
+    NaN when not computed: no objective, no ground truth, or, for g_norm2
+    in rows 2 and on, a solve with several active blocks and without
+    `full_residual`, which denoises only the chosen block.
     """
 
     iters: np.ndarray
@@ -289,6 +291,13 @@ def _mean_eps2(eps, counts):
     return np.cumsum(eps**2)[counts - 1] / counts
 
 
+def _require(values, message):
+    """Raise ValueError(message) when any of `values` is NaN: a check must
+    not pass on quantities the solve did not record."""
+    if np.any(np.isnan(values)):
+        raise ValueError(message)
+
+
 def _violations(observed, bounds):
     """1-based positions where `observed` exceeds `bounds` beyond float headroom."""
     headroom = _REL_SLACK * (1.0 + np.abs(bounds))
@@ -308,8 +317,12 @@ def check_descent(trace: IterateTrace, constants: TheoryConstants):
 
     Verifies f(x^k) <= f(x^{k-1}) - (alpha-1)(l_max/2)||step||^2
     + lam eps_k^2 / 2, within DESCENT_SLACK*(1+|f(x^{k-1})|) headroom per step.
+    Raises ValueError when a value it reads is NaN.
     """
     f_prev = np.concatenate([[trace.f_initial], trace.f])[:-1]
+    _require(np.concatenate([f_prev, trace.f]),
+             "trace lacks objective values; solve with an objective")
+    _require(np.concatenate([trace.step_norm, trace.eps]), "trace has NaN step norms or errors")
     coeff = (constants.alpha - 1.0) * constants.l_max / 2.0
     allowed = f_prev - coeff * trace.step_norm**2 + 0.5 * constants.lam * trace.eps**2
     excess = trace.f - allowed
@@ -350,8 +363,7 @@ def check_theorem1(trace: IterateTrace, constants: TheoryConstants, f_star):
         raise ValueError("trace holds no complete epoch")
     epochs = np.arange(1, num_epochs + 1)
     gn2 = trace.grad_f_norm2[epochs * b - 1]
-    if np.any(np.isnan(gn2)):
-        raise ValueError("trace lacks gradient norms; solve with an objective")
+    _require(gn2, "trace lacks gradient norms; solve with an objective")
     running_mean = np.cumsum(gn2) / epochs
     gap = trace.f_initial - f_star
     bounds = constants.c1 / epochs * gap + constants.c2 * _mean_eps2(trace.eps, epochs * b)
@@ -392,7 +404,9 @@ def check_theorem2(traces, constants: TheoryConstants, f_star):
     surrogate, the report records the fraction of seeds whose final ||G||
     falls below FLOOR_RATIO * ||G(x^0)||.  The plateau statistic is the
     seed-and-tail average of ||G||^2 over the last quarter of iterations,
-    to compare against d2 * eps^2 for constant inexactness.
+    to compare against d2 * eps^2 for constant inexactness.  Raises
+    ValueError when a value it reads is NaN: a lean solve logs NaN residual
+    norms after its first row.
     """
     if len(traces) < MIN_ENSEMBLE_SEEDS:
         raise ValueError(f"ensemble too small: {len(traces)} < {MIN_ENSEMBLE_SEEDS} seeds")
@@ -400,7 +414,10 @@ def check_theorem2(traces, constants: TheoryConstants, f_star):
     if t_len < 1:
         raise ValueError("empty trace in ensemble")
     g2 = np.stack([tr.g_norm2[:t_len] for tr in traces])
+    _require(g2, "trace lacks residual norms; solve with full_residual=True")
     eps = traces[0].eps[:t_len]
+    _require(eps, "trace has NaN errors")
+    _require([tr.f_initial for tr in traces], "trace lacks f(x0); solve with an objective")
     tvals = np.arange(1, t_len + 1)
     avg_running_mean = np.mean(np.cumsum(g2, axis=1) / tvals[None, :], axis=0)
     gap = float(np.mean([tr.f_initial for tr in traces])) - f_star

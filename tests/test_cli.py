@@ -234,6 +234,24 @@ class TestRun:
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
 
+    def test_report_counts_a_lean_sequential_run(self, tmp_path):
+        """n iterations of two blocks: every active block is denoised at
+        k = 1 and for the final residual, the chosen block alone in
+        between, and the fidelity gradient is taken n + 1 times."""
+        n = 20
+        path = write_config(tmp_path, **{"solver.max_iters": n, "solver.stop_tol": 1e-300,
+                                         "solver.modes": ["bc-pnp", "pnp"]})
+        assert cli.run(path) == cli.EXIT_OK
+        modes = json.loads((tmp_path / "out" / "report.json").read_text())["modes"]
+        # beside k = 1 and the final residual, block 1 is denoised at
+        # k = 3, 5, ..., n - 1 and block 2 at k = 2, 4, ..., n
+        assert modes["bc-pnp"]["iterations"] == n
+        assert modes["bc-pnp"]["denoiser_calls"] == [2 + (n // 2 - 1), 2 + n // 2]
+        assert sum(modes["bc-pnp"]["denoiser_calls"]) == 2 * 2 + n - 1
+        assert modes["bc-pnp"]["gradient_evals"] == n + 1
+        assert modes["pnp"]["denoiser_calls"] == [n + 1, 0]
+        assert modes["pnp"]["gradient_evals"] == n + 1
+
     def test_report_is_strict_json(self, tmp_path):
         """The shipped theory config's 8x8 image is below the SSIM size, so
         its `ssim_x` is NaN; the report writes it as null, and a parser
@@ -363,7 +381,7 @@ class TestRun:
         traces = [
             solver.solve(problem.fidelity, dens,
                          dataclasses.replace(config, schedule=config.schedule.with_seed(3 + s)),
-                         x0, objective=objective, lipschitz=lip).trace
+                         x0, objective=objective, lipschitz=lip, full_residual=True).trace
             for s in range(10)
         ]
         want = check_theorem2(traces, constants, reference_f_star(ref.trace))
@@ -383,14 +401,15 @@ class TestRun:
         calls = []
 
         def counting_solve(*args, **kwargs):
-            calls.append(kwargs.get("objective") is not None)
+            calls.append((kwargs.get("objective") is not None, kwargs["full_residual"]))
             return solver.solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve", counting_solve)
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 11
-        # the mode and the reference run record the objective; the seeds do not
-        assert calls == [True, True] + [False] * 9
+        # the mode and the reference run record the objective; the seeds do
+        # not.  Theorem 2 reads the residuals of the mode and the seeds only.
+        assert calls == [(True, True), (True, False)] + [(False, True)] * 9
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["checks"]["bc-pnp"]["theorem2"]["num_seeds"] == 10
 

@@ -169,7 +169,8 @@ class TestSolve:
         a = solve(desk.fidelity, desk.denoisers("constant", 0.01, 3), cfg, desk.x0)
         b = solve(desk.fidelity, desk.denoisers("constant", 0.01, 3), cfg, desk.x0)
         assert np.array_equal(a.x.data, b.x.data)
-        assert np.array_equal(a.trace.g_norm2, b.trace.g_norm2)
+        # bytes, so that the NaN rows of a lean solve compare equal
+        assert a.trace.g_norm2.tobytes() == b.trace.g_norm2.tobytes()
         assert np.array_equal(a.trace.step_norm, b.trace.step_norm)
 
     def test_random_iid_picks_follow_the_definition_across_chunks(self):
@@ -401,22 +402,26 @@ def _two_pass_reference(desk, dens, config, objective, x0):
 
 
 class _CountingFidelity:
-    """Delegates to a fidelity and counts its full-gradient evaluations,
-    with or without the value."""
+    """Delegates to a fidelity and records the blocks each gradient
+    evaluation asks for, with or without the value."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.grad_calls = 0
+        self.grad_blocks = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
+    @property
+    def grad_calls(self):
+        return len(self.grad_blocks)
+
     def grad(self, x, blocks=None):
-        self.grad_calls += 1
+        self.grad_blocks.append(blocks)
         return self.inner.grad(x, blocks)
 
     def value_and_grad(self, x, blocks=None):
-        self.grad_calls += 1
+        self.grad_blocks.append(blocks)
         return self.inner.value_and_grad(x, blocks)
 
 
@@ -430,19 +435,22 @@ class _CountingDenoiser:
         return self.inner.apply(z, k)
 
 
-class _NanAtIteration:
+class _NanFromIteration:
     def __init__(self, inner, k):
         self.inner, self.k = inner, k
 
     def apply(self, z, k=1):
         out = self.inner.apply(z, k)
-        return np.full_like(out, np.nan) if k == self.k else out
+        return np.full_like(out, np.nan) if k >= self.k else out
 
 
 class TestFusedIteration:
     @pytest.mark.parametrize("schedule", ["sequential", "random-iid"])
     @pytest.mark.parametrize("mode", ["bc-pnp", "pnp-ista", "pnp-gd-theta", "pnp-oracle-theta"])
     def test_matches_two_pass_reference_bitwise(self, mode, schedule):
+        """With the full residual every column is the reference's.  A lean
+        solve differs only in Gnorm2 rows 2 and on, which are NaN when two
+        blocks are active."""
         desk = blind_desk_problem()
         objective = ImplicitObjective(desk.fidelity, desk.denoisers("constant", 0.01, 3),
                                       desk.gamma)
@@ -450,45 +458,88 @@ class TestFusedIteration:
         cfg = dataclasses.replace(
             desk.config, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
         )
-        res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth,
-                    objective=objective, lipschitz=desk.lipschitz)
         x, rows, initial, g_final = _two_pass_reference(desk, dens, cfg, objective, x0)
-        tr = res.trace
-        columns = [tr.iters, tr.block, tr.f, tr.g, tr.h, tr.g_norm2, tr.step_norm, tr.eps,
-                   tr.grad_f_norm2, tr.rmse[:, 0], tr.rmse[:, 1]]
-        assert len(tr) == len(rows) == 40
-        for j, col in enumerate(columns):
-            assert np.asarray(col, dtype=float).tobytes() == rows[:, j].tobytes(), j
-        got_initial = (tr.f_initial, tr.g_initial, tr.h_initial, tr.grad_f_norm2_initial)
-        assert got_initial == initial
-        assert res.x.data.tobytes() == x.data.tobytes()
-        assert res.g_norm_final == g_final
+        num_active = sum(d is not None for d in dens)
+        for full_residual in (True, False):
+            res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth, objective=objective,
+                        lipschitz=desk.lipschitz, full_residual=full_residual)
+            tr = res.trace
+            want = rows.copy()
+            if not full_residual and num_active == 2:
+                want[1:, 5] = np.nan
+            columns = [tr.iters, tr.block, tr.f, tr.g, tr.h, tr.g_norm2, tr.step_norm, tr.eps,
+                       tr.grad_f_norm2, tr.rmse[:, 0], tr.rmse[:, 1]]
+            assert len(tr) == len(rows) == 40
+            for j, col in enumerate(columns):
+                assert np.asarray(col, dtype=float).tobytes() == want[:, j].tobytes(), j
+            got_initial = (tr.f_initial, tr.g_initial, tr.h_initial, tr.grad_f_norm2_initial)
+            assert got_initial == initial
+            assert res.x.data.tobytes() == x.data.tobytes()
+            assert res.g_norm_final == g_final
+            assert res.g_norm_initial == np.sqrt(rows[0, 5])
 
     @pytest.mark.parametrize("mode, num_active", [("bc-pnp", 2), ("pnp-ista", 1)])
     @pytest.mark.parametrize("with_objective", [False, True])
     def test_one_gradient_and_one_denoise_per_active_block(self, mode, num_active,
                                                            with_objective):
+        """n + 1 gradients either way.  A lean solve denoises every active
+        block at k = 1 and for the final residual, and block i_k alone in
+        between; the full residual denoises every active block each time.
+        Without an objective, a lean gradient after x0 asks for the next
+        chosen block only."""
         desk = blind_desk_problem()
-        fid = _CountingFidelity(desk.fidelity)
-        dens, x0 = _mode_solve_inputs(desk, mode, desk.denoisers())
-        dens = [None if d is None else _CountingDenoiser(d) for d in dens]
-        objective = ImplicitObjective(fid, desk.denoisers(), desk.gamma) if with_objective else None
         n = 25
         cfg = dataclasses.replace(desk.config, max_iters=n)
-        res = solve(fid, dens, cfg, x0, objective=objective, lipschitz=desk.lipschitz)
-        assert len(res.trace) == n
-        assert fid.grad_calls == n + 1
-        assert sum(d.calls for d in dens if d is not None) == num_active * (n + 1)
+        for full_residual in (False, True):
+            fid = _CountingFidelity(desk.fidelity)
+            dens, x0 = _mode_solve_inputs(desk, mode, desk.denoisers())
+            dens = [None if d is None else _CountingDenoiser(d) for d in dens]
+            objective = (ImplicitObjective(fid, desk.denoisers(), desk.gamma)
+                         if with_objective else None)
+            res = solve(fid, dens, cfg, x0, objective=objective, lipschitz=desk.lipschitz,
+                        full_residual=full_residual)
+            assert len(res.trace) == n
+            assert fid.grad_calls == res.gradient_evals == n + 1
+            calls = [0 if d is None else d.calls for d in dens]
+            assert res.denoiser_calls == calls
+            lean = not full_residual and num_active > 1
+            want = 2 * num_active + n - 1 if lean else num_active * (n + 1)
+            assert sum(calls) == want
+            if with_objective:
+                assert fid.grad_blocks == [None] * (n + 1)
+            elif lean:
+                picks = [[int(i)] for i in res.trace.block[1:]]
+                assert fid.grad_blocks == [[1, 2]] + picks + [[1, 2]]
+            else:
+                active = [i for i in (1, 2) if dens[i - 1] is not None]
+                assert fid.grad_blocks == [active] * (n + 1)
 
     def test_nonfinite_in_unchosen_block_is_caught_at_once(self):
         """A NaN from block 2's denoiser at k=1, when block 1 is the one
         updated, is reported at that iteration, not when block 2 is chosen."""
         desk = blind_desk_problem()
         dens = desk.denoisers()
-        dens[1] = _NanAtIteration(dens[1], 1)
+        dens[1] = _NanFromIteration(dens[1], 1)
         cfg = dataclasses.replace(desk.config, max_iters=5)
         with pytest.raises(NonFiniteIterateError, match="block 2 at iteration 1$"):
             solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz)
+
+    @pytest.mark.parametrize("max_iters, full_residual, caught_at", [
+        (5, True, 3),  # block 2 is denoised at every iteration
+        (5, False, 4),  # block 2 is next chosen at k = 4
+        (3, False, 4),  # the final residual, at k = n + 1
+    ])
+    def test_nonfinite_in_unchosen_block_is_caught_when_denoised(self, max_iters,
+                                                                 full_residual, caught_at):
+        """Block 2's denoiser returns NaN from k = 3 on, where the
+        sequential schedule picks block 1."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers()
+        dens[1] = _NanFromIteration(dens[1], 3)
+        cfg = dataclasses.replace(desk.config, max_iters=max_iters)
+        with pytest.raises(NonFiniteIterateError, match=f"block 2 at iteration {caught_at}$"):
+            solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz,
+                  full_residual=full_residual)
 
 
 class _NanObjectiveAt:

@@ -242,6 +242,22 @@ class TestDescentCheck:
         assert report.violations == violations
         assert violations
 
+    def test_nan_inputs_raise(self):
+        """A check must not pass on values the solve did not record: an
+        all-NaN f would compare false against every bound."""
+        desk = blind_desk_problem()
+        lean = solve(desk.fidelity, desk.denoisers(), dataclasses.replace(desk.config, max_iters=5),
+                     desk.x0, lipschitz=desk.lipschitz).trace
+        with pytest.raises(ValueError, match="lacks objective values; solve with an objective"):
+            check_descent(dataclasses.replace(lean, f_initial=1.0), desk.constants)
+        recorded = _defect_trace(desk)
+        with pytest.raises(ValueError, match="lacks objective values"):
+            check_descent(dataclasses.replace(recorded, f_initial=np.nan), desk.constants)
+        eps = recorded.eps.copy()
+        eps[3] = np.nan
+        with pytest.raises(ValueError, match="NaN step norms or errors"):
+            check_descent(dataclasses.replace(recorded, eps=eps), desk.constants)
+
     def test_empty_trace_passes_with_nothing_checked(self):
         trace = dataclasses.replace(TraceBuilder(2).freeze(), f_initial=1.0)
         report = check_descent(trace, TheoryConstants.from_problem(0.1, 2, 5.0, 5.0, 1.0))
@@ -333,6 +349,27 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             check_theorem2([res.trace] * 5, desk.constants, 0.0)
 
+    def test_nan_inputs_raise(self):
+        """A lean two-block solve logs NaN residual norms after row 1; the
+        check names the cause instead of passing on them."""
+        desk = blind_desk_problem()
+
+        def ensemble(full_residual, **changes):
+            return [
+                dataclasses.replace(_defect_trace(
+                    desk, schedule=BlockSchedule("random-iid", 2, seed=s),
+                    full_residual=full_residual), **changes)
+                for s in range(10)
+            ]
+
+        with pytest.raises(ValueError, match="residual norms; solve with full_residual=True"):
+            check_theorem2(ensemble(False), desk.constants, 0.0)
+        with pytest.raises(ValueError, match=r"lacks f\(x0\)"):
+            check_theorem2(ensemble(True, f_initial=np.nan), desk.constants, 0.0)
+        with pytest.raises(ValueError, match="NaN errors"):
+            check_theorem2(ensemble(True, eps=np.full(DEFECT_ITERS, np.nan)), desk.constants, 0.0)
+        assert check_theorem2(ensemble(True), desk.constants, -1e9).passed
+
     def test_degenerate_single_block_schedule(self):
         """With one block the i.i.d. schedule is deterministic; the bound
         still holds along the resulting trace."""
@@ -357,7 +394,8 @@ class TestTheorem2:
         obj = ImplicitObjective(prob.fidelity, dens, gamma)
         constants = TheoryConstants.from_problem(gamma, 1, lip.l_max, lip.l_full, obj.m_max())
         traces = [
-            solve(prob.fidelity, dens, config, x0, objective=obj, lipschitz=lip).trace
+            solve(prob.fidelity, dens, config, x0, objective=obj, lipschitz=lip,
+                  full_residual=True).trace
             for _ in range(10)
         ]
         fstar = reference_f_star(traces[0])
@@ -378,11 +416,12 @@ def defect_desk():
     return desk
 
 
-def _defect_trace(desk, objective=None, schedule=None):
+def _defect_trace(desk, objective=None, schedule=None, full_residual=False):
     config = dataclasses.replace(desk.config, max_iters=DEFECT_ITERS,
                                  schedule=schedule or desk.config.schedule)
     return solve(desk.fidelity, desk.denoisers(), config, desk.x0,
-                 objective=objective or desk.objective, lipschitz=desk.lipschitz).trace
+                 objective=objective or desk.objective, lipschitz=desk.lipschitz,
+                 full_residual=full_residual).trace
 
 
 @pytest.mark.parametrize("defect", [False, True], ids=["exact", "seeded-defect"])
@@ -415,7 +454,8 @@ class TestSeededDefects:
 
     def test_theorem2_raised_f_star(self, defect_desk, defect):
         traces = [
-            _defect_trace(defect_desk, schedule=BlockSchedule("random-iid", 2, seed=s))
+            _defect_trace(defect_desk, schedule=BlockSchedule("random-iid", 2, seed=s),
+                          full_residual=True)
             for s in range(10)
         ]
         f_star = traces[0].f_initial if defect else defect_desk.f_star
