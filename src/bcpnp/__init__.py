@@ -41,6 +41,7 @@ from .forward import (
     MultiCoilModel,
     estimate_block_lipschitz,
     synthesize,
+    with_full_constant,
 )
 from .solver import (
     NonFiniteIterateError,

@@ -35,7 +35,7 @@ from .denoisers import (
 )
 from .forward import (
     BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
-    MultiCoilFidelity, MultiCoilModel, synthesize,
+    MultiCoilFidelity, MultiCoilModel, synthesize, with_full_constant,
 )
 from .solver import NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
@@ -421,7 +421,10 @@ def _theta_init(node, kernel_shape):
             return {"theta_init": _kernel_source(node, kernel_shape, 2.0).ravel()}
         if not node.has("perturb"):
             return {}
-    return {"perturb": node.number("perturb", 0.0), "perturb_seed": node.integer("seed", None)}
+    perturb = node.number("perturb", 0.0)
+    if perturb < 0:
+        raise ConfigError(f"{node.at('perturb')}: perturbation must be nonnegative, got {perturb}")
+    return {"perturb": perturb, "perturb_seed": node.integer("seed", None)}
 
 
 def _parse_denoisers(node, problem):
@@ -783,6 +786,10 @@ def run(config_path, out_override=None, seed_override=None):
 
             objective = constants = None
             if cfg.theory.enabled and mode == BC_PNP:
+                # only the bounds read l_full: the bc-pnp solves flag its
+                # power iteration, and the certificate cached for the other
+                # modes stays block-only
+                lip = with_full_constant(problem.fidelity, x0, lip, solver_cfg.ball_radius)
                 objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
                 constants = TheoryConstants.from_problem(
                     gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,

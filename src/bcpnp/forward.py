@@ -15,9 +15,8 @@ of g with respect to the pairs is exactly the pair packing of A^H(residual)
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,12 +197,15 @@ class LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def _blockwise(layout: BlockLayout, parts):
-    """The BlockVector holding `parts` ({block index: array}) and zeros on
-    every other block."""
+def _one_block(layout: BlockLayout, i, a):
+    """The BlockVector holding `a` in block i and zeros on every other block.
+
+    Each `grad_block` builds it before it returns, while its temporaries
+    are still allocated: freed first, they would let glibc trim the heap
+    and map it again on every iteration.
+    """
     out = np.zeros(layout.total)
-    for i, a in parts.items():
-        out[layout.block_slice(i)] = a
+    out[layout.block_slice(i)] = a
     return BlockVector._wrap(layout, out)
 
 
@@ -267,46 +269,40 @@ class ConvolutionFidelity:
         return 0.5 * float(np.dot(r, r))
 
     def grad_v(self, v, theta):
-        return self.model.adjoint_v(theta, self.residual(v, theta))
+        return self.grad_block(BlockVector.from_blocks([v, theta]), 1).block(1)
 
     def grad_theta(self, v, theta):
-        return self.model.adjoint_theta(v, self.residual(v, theta))
+        return self.grad_block(BlockVector.from_blocks([v, theta]), 2).block(2)
 
     def grad_block(self, x: BlockVector, i):
-        v, theta = x.block(1), x.block(2)
-        if i == 1:
-            return self.grad_v(v, theta)
-        if i == 2:
-            return self.grad_theta(v, theta)
-        raise IndexError(f"block index {i} out of range 1..2")
-
-    def _residual_and_grad(self, x: BlockVector, blocks=None):
-        # theta, v and the residual are each transformed at most once, and
-        # both adjoints share one inverse transform and one gradient buffer
+        """Block i of grad g(x), with zeros on the other block: one adjoint
+        plane, from the spectra of the residual and of the other block."""
+        if i not in (1, 2):
+            raise IndexError(f"block index {i} out of range 1..2")
         v, theta, fv, ft = self._spectra(x)
         r = self.residual(v, theta, ft, fv)
         fr = self.model.spectrum(r)
         m = self.model
-        if blocks is None or {1, 2} <= set(blocks):
-            grad = np.empty(self.layout.total)
-            image_slice, kernel_slice = self.layout.slices
-            grad[image_slice], grad[kernel_slice] = m.adjoints(ft, fv, fr)
-            return r, BlockVector._wrap(self.layout, grad)
-        parts = {}
-        if 1 in blocks:
-            parts[1] = m.adjoint_v(theta, r, ft, fr)
-        if 2 in blocks:
-            parts[2] = m.adjoint_theta(v, r, fv, fr)
-        return r, _blockwise(self.layout, parts)
+        part = m.adjoint_v(theta, r, ft, fr) if i == 1 else m.adjoint_theta(v, r, fv, fr)
+        return _one_block(self.layout, i, part)
 
-    def grad(self, x: BlockVector, blocks=None):
-        """grad g(x); with `blocks`, only those blocks are computed and the
-        others come back as zeros."""
-        return self._residual_and_grad(x, blocks)[1]
+    def _residual_and_grad(self, x: BlockVector):
+        # theta, v and the residual are each transformed once, and both
+        # adjoints share one inverse transform and one gradient buffer
+        v, theta, fv, ft = self._spectra(x)
+        r = self.residual(v, theta, ft, fv)
+        fr = self.model.spectrum(r)
+        grad = np.empty(self.layout.total)
+        image_slice, kernel_slice = self.layout.slices
+        grad[image_slice], grad[kernel_slice] = self.model.adjoints(ft, fv, fr)
+        return r, BlockVector._wrap(self.layout, grad)
 
-    def value_and_grad(self, x: BlockVector, blocks=None):
-        """(g(x), grad g(x)) from one residual; `blocks` as in `grad`."""
-        r, grad = self._residual_and_grad(x, blocks)
+    def grad(self, x: BlockVector):
+        return self._residual_and_grad(x)[1]
+
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
+        r, grad = self._residual_and_grad(x)
         return 0.5 * float(np.dot(r, r)), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -371,42 +367,40 @@ class MultiCoilFidelity:
         return 0.5 * float(np.sum(np.abs(r) ** 2))
 
     def grad_v(self, v_pairs, theta_pairs):
-        maps = self._maps(theta_pairs)
-        r = self.residual(self._image(v_pairs), maps)
-        return complex_to_pairs(self.model.adjoint_v(maps, r))
+        return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 1).block(1)
 
     def grad_theta(self, v_pairs, theta_pairs):
-        v = self._image(v_pairs)
-        r = self.residual(v, self._maps(theta_pairs))
-        return complex_to_pairs(self.model.adjoint_maps(v, r))
+        return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 2).block(2)
 
     def grad_block(self, x: BlockVector, i):
+        """Block i of grad g(x), with zeros on the other block."""
+        if i not in (1, 2):
+            raise IndexError(f"block index {i} out of range 1..2")
+        m = self.model
+        v, maps = self._unpack(x)
+        r = self.residual(v, maps)
+        back = m.inverse(r)
         if i == 1:
-            return self.grad_v(x.block(1), x.block(2))
-        if i == 2:
-            return self.grad_theta(x.block(1), x.block(2))
-        raise IndexError(f"block index {i} out of range 1..2")
+            pairs = complex_to_pairs(m.adjoint_v(maps, r, back))
+        else:
+            pairs = complex_to_pairs(m.adjoint_maps(v, r, back))
+        return _one_block(self.layout, i, pairs)
 
-    def _residual_and_grad(self, x: BlockVector, blocks=None):
+    def _residual_and_grad(self, x: BlockVector):
         # both adjoints share one masked inverse DFT of the residual
         m = self.model
         v, maps = self._unpack(x)
         r = self.residual(v, maps)
         back = m.inverse(r)
-        parts = {}
-        if blocks is None or 1 in blocks:
-            parts[1] = complex_to_pairs(m.adjoint_v(maps, r, back))
-        if blocks is None or 2 in blocks:
-            parts[2] = complex_to_pairs(m.adjoint_maps(v, r, back))
-        return r, _blockwise(self.layout, parts)
+        parts = [m.adjoint_v(maps, r, back), m.adjoint_maps(v, r, back)]
+        return r, BlockVector.from_blocks([complex_to_pairs(p) for p in parts], self.layout)
 
-    def grad(self, x: BlockVector, blocks=None):
-        """grad g(x); `blocks` as in ConvolutionFidelity.grad."""
-        return self._residual_and_grad(x, blocks)[1]
+    def grad(self, x: BlockVector):
+        return self._residual_and_grad(x)[1]
 
-    def value_and_grad(self, x: BlockVector, blocks=None):
-        """(g(x), grad g(x)) from one residual; `blocks` as in `grad`."""
-        r, grad = self._residual_and_grad(x, blocks)
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
+        r, grad = self._residual_and_grad(x)
         return 0.5 * float(np.sum(np.abs(r) ** 2)), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -450,12 +444,16 @@ class LinearFidelity:
         r = self.model.forward(x.data) - self.y
         return 0.5 * float(np.dot(r, r))
 
-    def grad(self, x: BlockVector, blocks=None):
+    def grad(self, x: BlockVector):
         return self.value_and_grad(x)[1]
 
-    def value_and_grad(self, x: BlockVector, blocks=None):
-        """(g(x), grad g(x)) from one residual; every block is computed,
-        whatever `blocks` asks for."""
+    def grad_block(self, x: BlockVector, i):
+        """Block i of grad g(x), with zeros on the other blocks; the residual
+        reads every block, so it costs the whole gradient."""
+        return _one_block(self.layout, i, self.grad(x).block(i))
+
+    def value_and_grad(self, x: BlockVector):
+        """(g(x), grad g(x)) from one residual."""
         r = self.model.forward(x.data) - self.y
         return 0.5 * float(np.dot(r, r)), BlockVector._wrap(self.layout, self.model.adjoint(r))
 
@@ -480,28 +478,15 @@ class LinearFidelity:
 class LipschitzEstimate:
     """Block and full gradient-smoothness constants over the scaled ball.
 
-    The block constants, `l_max` and `converged` (of the block power
-    iterations) are computed with the estimate.  The full-gradient constant
-    `l_full`, which only the theory bounds read, is computed by `_full` the
-    first time it is read, together with `l_full_converged`, and kept.
+    `converged` holds for every power iteration the estimate ran.  The
+    full-gradient constant `l_full`, which only the theory bounds read, is
+    None until `with_full_constant` adds it.
     """
 
     block_constants: tuple
     l_max: float
     converged: bool
-    _full: Callable = field(repr=False, compare=False)  # () -> (l_full, converged)
-
-    @functools.cached_property
-    def _full_estimate(self):
-        return self._full()
-
-    @property
-    def l_full(self):
-        return self._full_estimate[0]
-
-    @property
-    def l_full_converged(self):
-        return self._full_estimate[1]
+    l_full: float | None = None
 
     def exceeded_by(self, gamma):
         """Whether step size `gamma` breaks the convergence rule gamma < 1/l_max."""
@@ -543,20 +528,14 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
     are certified over the ball {||x_i|| <= radius * ||current x_i||} by
     evaluating block Hessians at the iterate scaled blockwise to the ball
     boundary and running power iteration there, on the block-restricted
-    products `hessian_vec(boundary, u, block=i)`.  The full-gradient constant
-    is estimated the same way on the joint Hessian and floored at l_max, on
-    its first read (see LipschitzEstimate).
+    products `hessian_vec(boundary, u, block=i)`.  `with_full_constant`
+    adds the full-gradient constant.
     Requires radius >= 1 so the current iterate lies inside the ball.
     """
-    if radius < 1.0:
-        raise ValueError("ball radius factor must be >= 1 (iterate inside ball)")
-    layout = fidelity.layout
-    boundary = BlockVector._wrap(layout, radius * x.data)
-    rng = np.random.default_rng(_POWER_SEED)
+    boundary, rng = _ball_boundary(x, radius)
     converged = True
     block_constants = []
-    for i in range(1, layout.num_blocks + 1):
-        size = layout.sizes[i - 1]
+    for i, size in enumerate(fidelity.layout.sizes, start=1):
 
         def block_op(u, i=i):
             return fidelity.hessian_vec(boundary, u, block=i)
@@ -565,18 +544,36 @@ def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
         converged = converged and ok
         block_constants.append(lam)
 
-    l_max = max(block_constants)
+    return LipschitzEstimate(tuple(block_constants), max(block_constants), converged)
 
-    def full_constant():
-        # draws its start vector from `rng` right after the block start
-        # vectors, so the value does not depend on when it is first read
-        def full_op(u):
-            return fidelity.hessian_vec(boundary, BlockVector(layout, u)).data
 
-        l_full, ok = _power_iteration(full_op, layout.total, rng, square=True)
-        return max(l_full, l_max), ok
+def with_full_constant(fidelity, x: BlockVector, estimate: LipschitzEstimate, radius=10.0):
+    """`estimate`, the one `estimate_block_lipschitz(fidelity, x, radius)`
+    gives, with the full-gradient constant of the joint Hessian, floored at
+    l_max, and its power iteration's convergence folded into `converged`.
 
-    return LipschitzEstimate(tuple(block_constants), l_max, converged, full_constant)
+    The start vector is drawn after the block start vectors from the same
+    generator, as one pass computing every constant would draw it.
+    """
+    layout = fidelity.layout
+    boundary, rng = _ball_boundary(x, radius)
+    for size in layout.sizes:
+        rng.standard_normal(size)
+
+    def full_op(u):
+        return fidelity.hessian_vec(boundary, BlockVector(layout, u)).data
+
+    l_full, ok = _power_iteration(full_op, layout.total, rng, square=True)
+    return dataclasses.replace(
+        estimate, l_full=max(l_full, estimate.l_max), converged=estimate.converged and ok
+    )
+
+
+def _ball_boundary(x: BlockVector, radius):
+    """(x scaled to the ball boundary, the power iterations' start generator)."""
+    if radius < 1.0:
+        raise ValueError("ball radius factor must be >= 1 (iterate inside ball)")
+    return BlockVector._wrap(x.layout, radius * x.data), np.random.default_rng(_POWER_SEED)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ plug-and-play iteration.  A block whose denoiser is None keeps its start:
 the schedule never picks it, and it contributes zero to G.
 
 By default an iteration denoises block i_k only and, without an objective,
-takes only block i_k of the fidelity gradient.  The full residual G, which
-needs every active block denoised, is computed at the first iteration and
-at the end of every solve, and at every iteration only when a check reads
-it (`solve(..., full_residual=True)`).
+takes only block i_k of the fidelity gradient (`grad_block`).  The full
+residual G, which needs every active block denoised, is computed at the
+first iteration and at the end of every solve, and at every iteration
+only when a check reads it (`solve(..., full_residual=True)`).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class SolveResult:
     g_norm_initial: float
     g_norm_final: float
     denoiser_calls: list  # per block, the g_final residual included
-    gradient_evals: int  # fidelity gradients, each of all or some blocks
+    gradient_evals: int  # fidelity gradients, each of one block or of all
 
 
 def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
@@ -155,9 +155,9 @@ def solve(
     every iteration denoise every active block, and the trace logs
     ||G(x^{k-1})||^2; other rows log NaN.  With one active block the
     update is the whole residual, so every row logs it.  Without an
-    objective, grad g is computed only on the blocks the next denoising
-    reads.  The final residual covers every active block, so a solve of n
-    iterations makes n + 1 gradient evaluations.  Raises
+    objective, when the next denoising reads one block, grad g is computed
+    on that block alone.  The final residual covers every active block, so
+    a solve of n iterations makes n + 1 gradient evaluations.  Raises
     NonFiniteIterateError when a denoised block or any recorded objective
     quantity (f, g, h, ||grad f||^2) is NaN/inf.
     """
@@ -184,11 +184,7 @@ def solve(
 
     flags = {
         "left_ball": False,
-        # the full power iteration counts only in the solves that record an
-        # objective, whose checks read l_full; reading its flag in any other
-        # solve would run it
-        "power_iter_warning": not lipschitz.converged
-        or (objective is not None and not lipschitz.l_full_converged),
+        "power_iter_warning": not lipschitz.converged,
         "gamma_exceeds_rule": lipschitz.exceeded_by(gamma),
     }
     denoiser_calls = [0] * num_blocks
@@ -199,10 +195,9 @@ def solve(
     gradient_evals = 1
     trace = TraceBuilder(num_blocks)
     if objective is not None:
-        trace.set_initial(*_objective_at(objective, x0, grad, value, 0))
+        trace.set_initial(_objective_at(objective, x0, grad, value, 0)[0])
     else:
-        nan = float("nan")
-        trace.set_initial(nan, nan, nan, nan)
+        trace.set_initial(float("nan"))
 
     x = x0
     rmse_blocks = [float("nan")] * num_blocks
@@ -272,12 +267,14 @@ def solve(
 def _fidelity_at(fidelity, x, objective, blocks):
     """(grad g(x), g(x)); the value, which only an objective records, is
     taken from the gradient's residual, else it is None.  Without an
-    objective only the `blocks` of the gradient are computed; the others
-    are zero, and nothing reads them."""
-    if objective is None:
-        return fidelity.grad(x, blocks), None
-    value, grad = fidelity.value_and_grad(x)
-    return grad, value
+    objective, `blocks` lists the blocks the next step reads; one such
+    block is differentiated alone, with zeros elsewhere that nothing reads."""
+    if objective is not None:
+        value, grad = fidelity.value_and_grad(x)
+        return grad, value
+    if len(blocks) == 1:
+        return fidelity.grad_block(x, blocks[0]), None
+    return fidelity.grad(x), None
 
 
 def _objective_at(objective, x, grad, value, k):

@@ -74,10 +74,7 @@ class IterateTrace:
     eps: np.ndarray
     rmse: np.ndarray  # shape (n, num_blocks)
     grad_f_norm2: np.ndarray
-    f_initial: float = float("nan")
-    g_initial: float = float("nan")
-    h_initial: float = float("nan")
-    grad_f_norm2_initial: float = float("nan")
+    f_initial: float = float("nan")  # f(x0), which the descent and bound checks read
 
     def __len__(self):
         return self.iters.size
@@ -124,13 +121,8 @@ class TraceBuilder:
         self.rows = {f.name: [] for f in fields(IterateTrace) if f.default is MISSING}
         self.initial = {}
 
-    def set_initial(self, f, g, h, grad_f_norm2):
-        self.initial = {
-            "f_initial": f,
-            "g_initial": g,
-            "h_initial": h,
-            "grad_f_norm2_initial": grad_f_norm2,
-        }
+    def set_initial(self, f):
+        self.initial = {"f_initial": f}
 
     def append(self, **row):
         """One iteration: a value for every per-iteration field, with `rmse`
@@ -242,6 +234,8 @@ class TheoryConstants:
         gamma = float(gamma)
         if gamma <= 0 or l_max <= 0:
             raise ValueError("gamma and l_max must be positive")
+        if l_full is None:
+            raise ValueError("l_full is missing: add it to the certificate by with_full_constant")
         alpha = 1.0 / (gamma * l_max)
         if alpha <= 1.0:
             raise ValueError(

@@ -30,6 +30,7 @@ from bcpnp import (
     initialize,
     resolve_gamma,
     synthesize,
+    with_full_constant,
 )
 from bcpnp.blocks import BlockLayout
 
@@ -77,6 +78,7 @@ def blind_desk_problem(shrink=0.8, image_scale=1.0, noise_sigma=0.01, seed=100):
         stop_tol=1e-300,
     )
     gamma, lip = resolve_gamma(fid, x0, config)
+    lip = with_full_constant(fid, x0, lip, config.ball_radius)
     config = dataclasses.replace(config, gamma=gamma)
     objective = ImplicitObjective(fid, denoisers(), gamma)
     constants = TheoryConstants.from_problem(

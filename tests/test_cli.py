@@ -340,6 +340,28 @@ class TestRun:
         full = [args for args, kwargs in sweeps if kwargs.get("square")]
         assert (len(certificates), len(full)) == (2, 1)
 
+    def test_power_iter_warning_reads_full_power_iteration(self, tmp_path, monkeypatch):
+        """When only the full power iteration fails to converge, the bc-pnp
+        mode, whose bounds read l_full, reports the warning; the pnp mode,
+        which starts from the same certificate, does not."""
+        power_iteration = forward._power_iteration
+
+        def full_never_converges(apply_op, dim, rng, square=False):
+            value, ok = power_iteration(apply_op, dim, rng, square)
+            return value, ok and not square
+
+        monkeypatch.setattr(forward, "_power_iteration", full_never_converges)
+        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+        cfg["solver"].update(modes=["bc-pnp", "pnp"], max_iters=20)
+        cfg["theory_checks"].update(reference_multiplier=2, strict=False)
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.run(path, out_override=tmp_path / "out") == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        flags = {label: mode["flags"]["power_iter_warning"]
+                 for label, mode in report["modes"].items()}
+        assert flags == {"bc-pnp": True, "pnp": False}
+
     def test_run_step_rule_violation_is_a_config_error(self, tmp_path, capsys):
         """run applies validate's step-rule check before writing any output."""
         probe = write_config(tmp_path, name="probe.yaml", **{"denoisers.image": _GAUSSIAN_IMAGE})
@@ -373,6 +395,7 @@ class TestRun:
         dens = problem.denoisers
         x0 = problem.x0_for("bc-pnp")
         gamma, lip = solver.resolve_gamma(problem.fidelity, x0, cfg.solver)
+        lip = forward.with_full_constant(problem.fidelity, x0, lip, cfg.solver.ball_radius)
         config = dataclasses.replace(cfg.solver, gamma=gamma)
         objective = ImplicitObjective(problem.fidelity, dens, gamma)
         constants = TheoryConstants.from_problem(gamma, 2, lip.l_max, lip.l_full, objective.m_max())

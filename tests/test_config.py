@@ -95,6 +95,13 @@ PROBES = {
         c, "problem.noise_sigma", -0.01
     ),
     "problem.image": lambda c: _set(c, "problem.image", {"path": "/nonexistent.pgm"}),
+    "problem.theta_init.perturb: perturbation must be nonnegative": lambda c: _set(
+        c, "problem.theta_init.perturb", -0.2
+    ),
+    "problem.theta_init.perturb": lambda c: (
+        _replace(c, MULTI_COIL),
+        _set(c, "problem.theta_init.perturb", -0.15),
+    ),
     "theory_checks": lambda c: _set(c, "theory_checks", [1]),
     "denoisers": lambda c: _set(c, "denoisers", [1, 2]),
     "denoisers.theta": lambda c: _drop(c, "denoisers.theta"),

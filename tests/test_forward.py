@@ -19,6 +19,7 @@ from bcpnp.forward import (
     MultiCoilModel,
     estimate_block_lipschitz,
     synthesize,
+    with_full_constant,
 )
 
 from desk_problems import two_coil_problem
@@ -309,24 +310,26 @@ class TestSharedEvaluations:
     @pytest.mark.parametrize("case", range(3))
     @pytest.mark.parametrize("blocks", [[1], [2], [1, 2]])
     def test_grad_of_some_blocks_is_those_blocks_bitwise(self, case, blocks):
-        """Asked blocks equal the full gradient's; the others are zero, except
-        for the linear fidelity, which computes every block."""
+        """`grad_block(x, i)`, for each asked block i in turn, is block i of
+        grad g(x) with zeros elsewhere, at a fresh point and at points that
+        change block i and repeat the others."""
         fid, x = _all_problems()[case]
-        full = fid.grad(x)
-        value, grad = fid.value_and_grad(x, blocks)
-        assert value == fid.value(x)
-        assert grad.data.tobytes() == fid.grad(x, blocks).data.tobytes()
-        for i in (1, 2):
-            want = full.extract(i)
-            if i not in blocks and not isinstance(fid, LinearFidelity):
-                want = np.zeros_like(want)
-            assert grad.extract(i).tobytes() == want.tobytes()
+        for step in range(3):
+            for i in blocks:
+                x = _change_block(x, i) if step else x
+                got = fid.grad_block(x, i)
+                want = np.zeros(fid.layout.total)
+                want[fid.layout.block_slice(i)] = fid.grad(x).block(i)
+                assert got.data.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("case", range(2))
+    @pytest.mark.parametrize("case", range(3))
     def test_bad_block_index(self, case):
-        fid, x = _bilinear_problems()[case]
-        with pytest.raises(IndexError):
-            fid.hessian_vec(x, np.zeros(4), block=3)
+        fid, x = _all_problems()[case]
+        for block in (0, fid.layout.num_blocks + 1):
+            with pytest.raises(IndexError):
+                fid.hessian_vec(x, np.zeros(4), block=block)
+            with pytest.raises(IndexError):
+                fid.grad_block(x, block)
 
 
 class _FftCount:
@@ -399,7 +402,7 @@ class TestTransformBudgets:
         fid.grad(x)
         x = _change_block(x, block)
         fft.clear()
-        fid.grad(x, [block])
+        fid.grad_block(x, block)
         assert fft.planes == {"rfft2": 2, "irfft2": 2}
 
     @pytest.mark.parametrize("block, budget", [(None, 13), (1, 5), (2, 5)])
@@ -425,7 +428,7 @@ class TestTransformBudgets:
         fft.clear()
         fid.value_and_grad(x)
         for i in (1, 2):
-            fid.grad(_change_block(x, i), [i])
+            fid.grad_block(_change_block(x, i), i)
         fid.hessian_vec(x, BlockVector(fid.layout, rng.standard_normal(fid.layout.total)))
         for i in (1, 2):
             fid.hessian_vec(x, rng.standard_normal(fid.layout.sizes[i - 1]), block=i)
@@ -620,12 +623,14 @@ class TestFirstFormulation:
     def test_gradients(self, case):
         fid, first, points, _ = self._walk(case)
         for y in points:
-            for blocks in (None, [1], [2], [2, 1]):
-                value, grad = first.value_and_grad(y, blocks)
-                assert fid.grad(y, blocks).data.tobytes() == grad.data.tobytes()
-                got_value, got = fid.value_and_grad(y, blocks)
-                assert got_value == value
-                assert got.data.tobytes() == grad.data.tobytes()
+            value, grad = first.value_and_grad(y)
+            assert fid.grad(y).data.tobytes() == grad.data.tobytes()
+            got_value, got = fid.value_and_grad(y)
+            assert got_value == value
+            assert got.data.tobytes() == grad.data.tobytes()
+            for i in (1, 2):
+                want = first.value_and_grad(y, [i])[1]
+                assert fid.grad_block(y, i).data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("case", [0, 1], ids=["8x8-3x3", "7x9-3x5"])
     def test_hessian_vec(self, case):
@@ -669,7 +674,7 @@ class TestLipschitzEstimation:
         layout = BlockLayout((5, 3))
         fid = LinearFidelity(LinearModel(A), layout, rng.standard_normal(8))
         x = BlockVector(layout, rng.standard_normal(8))
-        est = estimate_block_lipschitz(fid, x, radius=1.0)
+        est = with_full_constant(fid, x, estimate_block_lipschitz(fid, x, radius=1.0), radius=1.0)
         svals = np.linalg.svd(A, compute_uv=False)
         np.testing.assert_allclose(est.l_full, svals[0] ** 2, rtol=1e-3)
         np.testing.assert_allclose(
@@ -687,9 +692,9 @@ class TestLipschitzEstimation:
 
     @pytest.mark.parametrize("kind", ["convolution", "multi-coil", "linear"])
     def test_on_demand_full_constant_equals_eager_bitwise(self, kind):
-        """l_full, read after other work on the fidelity, is bitwise what an
-        estimate computing everything at once gives, and so are the block
-        constants and both convergence flags."""
+        """l_full, added after other work on the fidelity, is bitwise what
+        an estimate computing everything at once gives, and so are the block
+        constants; `converged` holds both convergence flags."""
         rng = np.random.default_rng(16)
         if kind == "convolution":
             _, fid, v, theta = make_conv_problem(rng)
@@ -704,22 +709,26 @@ class TestLipschitzEstimation:
             x = BlockVector(layout, rng.standard_normal(7))
         est = estimate_block_lipschitz(fid, x, radius=2.0)
         fid.grad(BlockVector(x.layout, rng.standard_normal(x.layout.total)))
-        got = (est.block_constants, est.l_max, est.l_full, est.converged, est.l_full_converged)
-        assert got == _eager_estimate(fid, x, 2.0)
+        full = with_full_constant(fid, x, est, radius=2.0)
+        constants, l_max, l_full, blocks_ok, full_ok = _eager_estimate(fid, x, 2.0)
+        assert (est.block_constants, est.l_max, est.l_full, est.converged) == (
+            constants, l_max, None, blocks_ok)
+        assert (full.block_constants, full.l_max, full.l_full, full.converged) == (
+            constants, l_max, l_full, blocks_ok and full_ok)
 
-    def test_full_constant_runs_on_first_read_only(self, count_calls):
-        """Certifying runs the block iterations alone; the first read of
-        l_full runs the full one, and later reads and `==` do not."""
+    def test_full_constant_runs_only_when_added(self, count_calls):
+        """Certifying runs the block iterations alone; `with_full_constant`
+        runs the full one, and reading or comparing estimates runs none."""
         rng = np.random.default_rng(17)
         _, fid, v, theta = make_conv_problem(rng)
         x = BlockVector.from_blocks([v, theta])
         sweeps = count_calls(forward, "_power_iteration")
         est = estimate_block_lipschitz(fid, x)
         assert [kwargs for _, kwargs in sweeps] == [{}, {}]
-        first = est.l_full
-        assert (est.l_full, est.l_full_converged) == (first, True)
+        full = with_full_constant(fid, x, est)
         assert [kwargs for _, kwargs in sweeps] == [{}, {}, {"square": True}]
-        assert est == estimate_block_lipschitz(fid, x)
+        assert full.l_full >= full.l_max and full.converged
+        assert full != est and est == estimate_block_lipschitz(fid, x)
         assert len(sweeps) == 5
 
     def test_delta_kernel_unit_ball(self):

@@ -22,7 +22,6 @@ from bcpnp import (
     rmse,
     solve,
 )
-from bcpnp import forward
 from bcpnp.denoisers import error_magnitude
 
 from desk_problems import (
@@ -266,28 +265,6 @@ class TestSolve:
         )
         assert res.flags["gamma_exceeds_rule"]
 
-    def test_power_iter_warning_reads_full_iteration_only_with_objective(self, monkeypatch):
-        """The full power iteration's flag counts only in a solve that
-        records an objective, the one path whose checks read l_full."""
-        power_iteration = forward._power_iteration
-
-        def full_never_converges(apply_op, dim, rng, square=False):
-            value, ok = power_iteration(apply_op, dim, rng, square)
-            return value, ok and not square
-
-        monkeypatch.setattr(forward, "_power_iteration", full_never_converges)
-        prob, denoisers, config, lip = make_quadratic_setup(max_iters=3)
-        objective = ImplicitObjective(prob.fidelity, denoisers, config.gamma)
-
-        def warned(**kwargs):
-            res = solve(prob.fidelity, denoisers, config, _origin(prob), lipschitz=lip, **kwargs)
-            return res.flags["power_iter_warning"]
-
-        assert lip.converged
-        assert not warned()
-        assert warned(objective=objective) and not lip.l_full_converged
-        assert not warned()
-
     def test_residual_ratio_decreases_on_theory_config(self):
         desk = blind_desk_problem()
         res = solve(
@@ -357,7 +334,7 @@ class TestModes:
         res = solve(desk.fidelity, dens, cfg, x0)
         # k=1 updates the image block, k=2 the parameter block by gradient
         x1 = solve(desk.fidelity, dens, dataclasses.replace(cfg, max_iters=1), x0).x
-        expected_theta = x1.extract(2) - desk.gamma * desk.fidelity.grad(x1, [2]).block(2)
+        expected_theta = x1.extract(2) - desk.gamma * desk.fidelity.grad_block(x1, 2).block(2)
         np.testing.assert_array_equal(res.x.extract(2), expected_theta)
 
     def test_no_denoiser_at_all_is_rejected(self):
@@ -371,8 +348,8 @@ def _two_pass_reference(desk, dens, config, objective, x0):
     iteration: the residual G(x) over the active blocks (those whose
     denoiser is not None), then the update x_i <- D_i(x_i - gamma grad_i
     g(x)) of the scheduled block.  Returns the final iterate, the trace
-    rows, the initial (f, g, h, |grad f|^2) and the final residual norm,
-    for comparison with the fused `solve`."""
+    rows, f(x0) and the final residual norm, for comparison with the fused
+    `solve`."""
     fid, gamma = desk.fidelity, config.gamma
     active = [i for i in (1, 2) if dens[i - 1] is not None]
 
@@ -397,13 +374,12 @@ def _two_pass_reference(desk, dens, config, objective, x0):
             *(rmse(x_new.block(i), desk.truth.block(i)) for i in (1, 2)),
         ])
         x = x_new
-    initial = (*objective.value(x0), objective.grad(x0).norm() ** 2)
-    return x, np.array(rows), initial, residual_norm(x, len(rows) + 1)
+    return x, np.array(rows), objective.value(x0)[0], residual_norm(x, len(rows) + 1)
 
 
 class _CountingFidelity:
-    """Delegates to a fidelity and records the blocks each gradient
-    evaluation asks for, with or without the value."""
+    """Delegates to a fidelity and records the block each gradient
+    evaluation computes, None for all of them (with or without the value)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -416,13 +392,17 @@ class _CountingFidelity:
     def grad_calls(self):
         return len(self.grad_blocks)
 
-    def grad(self, x, blocks=None):
-        self.grad_blocks.append(blocks)
-        return self.inner.grad(x, blocks)
+    def grad(self, x):
+        self.grad_blocks.append(None)
+        return self.inner.grad(x)
 
-    def value_and_grad(self, x, blocks=None):
-        self.grad_blocks.append(blocks)
-        return self.inner.value_and_grad(x, blocks)
+    def grad_block(self, x, i):
+        self.grad_blocks.append(i)
+        return self.inner.grad_block(x, i)
+
+    def value_and_grad(self, x):
+        self.grad_blocks.append(None)
+        return self.inner.value_and_grad(x)
 
 
 class _CountingDenoiser:
@@ -458,7 +438,7 @@ class TestFusedIteration:
         cfg = dataclasses.replace(
             desk.config, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
         )
-        x, rows, initial, g_final = _two_pass_reference(desk, dens, cfg, objective, x0)
+        x, rows, f_initial, g_final = _two_pass_reference(desk, dens, cfg, objective, x0)
         num_active = sum(d is not None for d in dens)
         for full_residual in (True, False):
             res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth, objective=objective,
@@ -472,8 +452,7 @@ class TestFusedIteration:
             assert len(tr) == len(rows) == 40
             for j, col in enumerate(columns):
                 assert np.asarray(col, dtype=float).tobytes() == want[:, j].tobytes(), j
-            got_initial = (tr.f_initial, tr.g_initial, tr.h_initial, tr.grad_f_norm2_initial)
-            assert got_initial == initial
+            assert tr.f_initial == f_initial
             assert res.x.data.tobytes() == x.data.tobytes()
             assert res.g_norm_final == g_final
             assert res.g_norm_initial == np.sqrt(rows[0, 5])
@@ -485,8 +464,8 @@ class TestFusedIteration:
         """n + 1 gradients either way.  A lean solve denoises every active
         block at k = 1 and for the final residual, and block i_k alone in
         between; the full residual denoises every active block each time.
-        Without an objective, a lean gradient after x0 asks for the next
-        chosen block only."""
+        Without an objective, a lean gradient after x0 is `grad_block` of
+        the next chosen block, and so is every gradient of one active block."""
         desk = blind_desk_problem()
         n = 25
         cfg = dataclasses.replace(desk.config, max_iters=n)
@@ -508,11 +487,12 @@ class TestFusedIteration:
             if with_objective:
                 assert fid.grad_blocks == [None] * (n + 1)
             elif lean:
-                picks = [[int(i)] for i in res.trace.block[1:]]
-                assert fid.grad_blocks == [[1, 2]] + picks + [[1, 2]]
+                picks = [int(i) for i in res.trace.block[1:]]
+                assert fid.grad_blocks == [None] + picks + [None]
             else:
                 active = [i for i in (1, 2) if dens[i - 1] is not None]
-                assert fid.grad_blocks == [active] * (n + 1)
+                want = None if len(active) == 2 else active[0]
+                assert fid.grad_blocks == [want] * (n + 1)
 
     def test_nonfinite_in_unchosen_block_is_caught_at_once(self):
         """A NaN from block 2's denoiser at k=1, when block 1 is the one
@@ -596,7 +576,7 @@ class TestGradientChainIdentity:
         x = desk.x0
         for k in range(1, 61):
             i_k = 1 + (k - 1) % 2
-            z = x.extract(i_k) - desk.gamma * desk.fidelity.grad(x, [i_k]).block(i_k)
+            z = x.extract(i_k) - desk.gamma * desk.fidelity.grad_block(x, i_k).block(i_k)
             x = x.inject(i_k, apply_denoiser(dens[i_k - 1], z, k))
             lhs = implicit_reg_gradient(
                 desk.priors[i_k - 1], desk.sigmas[i_k - 1], desk.gamma, x.extract(i_k)

@@ -18,6 +18,7 @@ from bcpnp import (
     check_descent,
     check_theorem1,
     check_theorem2,
+    estimate_block_lipschitz,
     reference_f_star,
     rmse,
     solve,
@@ -79,6 +80,14 @@ class TestTheoryConstants:
     def test_step_rule_violation_rejected(self):
         with pytest.raises(ValueError):
             TheoryConstants.from_problem(0.5, 2, 4.0, 5.0, 1.0)
+
+    def test_certificate_without_full_constant_rejected(self):
+        """A block-only certificate has l_full None; the bounds need it."""
+        desk = blind_desk_problem()
+        lip = estimate_block_lipschitz(desk.fidelity, desk.x0, desk.config.ball_radius)
+        assert lip.l_full is None
+        with pytest.raises(ValueError, match="l_full"):
+            TheoryConstants.from_problem(desk.gamma, 2, lip.l_max, lip.l_full, 1.0)
 
 
 class TestImplicitObjectiveEvaluation:
@@ -386,10 +395,11 @@ class TestTheorem2:
             stop_tol=1e-300,
             ball_radius=1.0,
         )
-        from bcpnp import resolve_gamma
+        from bcpnp import resolve_gamma, with_full_constant
 
         x0 = BlockVector(prob.fidelity.layout, prob.y)
         gamma, lip = resolve_gamma(prob.fidelity, x0, config)
+        lip = with_full_constant(prob.fidelity, x0, lip, config.ball_radius)
         config = dataclasses.replace(config, gamma=gamma)
         obj = ImplicitObjective(prob.fidelity, dens, gamma)
         constants = TheoryConstants.from_problem(gamma, 1, lip.l_max, lip.l_full, obj.m_max())
