@@ -363,7 +363,8 @@ def _parse_problem(node):
             with _at(mask.at("path")):
                 model = MultiCoilModel(shape, coils, _read_array(mask))
         else:
-            accel, center = mask.integer("accel", 2), mask.integer("center_rows", 4)
+            accel = mask.get("accel", 2, "an integer >= 1", lambda v: _is_int(v) and v >= 1)
+            center = mask.integer("center_rows", 4)
             with _at(mask.path):
                 model = MultiCoilModel(shape, coils, cartesian_rows_mask(shape, accel, center))
         return ProblemConfig(**common, layout=model.layout, model=model, image=image,

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex
+# the benchmark's tracer wraps the two pair converters where this module
+# would look them up, so they stay importable from it
+from .blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex  # noqa: F401
 
 POWER_ITER_TOL = 1e-4
 POWER_ITER_MAX = 100
@@ -137,6 +139,10 @@ class MultiCoilModel:
         if not mask.any():
             raise ValueError("mask samples no frequency")
         self.mask = mask
+        # numpy casts the mask to complex128 for every product with a coil
+        # stack; cast once, the products are the same bitwise
+        self._complex_mask = mask.astype(np.complex128)
+        self.stack_shape = (self.num_coils,) + self.image_shape
         n = self.image_shape[0] * self.image_shape[1]
         self.layout = BlockLayout((2 * n, 2 * self.num_coils * n))
 
@@ -144,37 +150,52 @@ class MultiCoilModel:
         return np.asarray(v, dtype=np.complex128).reshape(self.image_shape)
 
     def _as_maps(self, maps):
-        return np.asarray(maps, dtype=np.complex128).reshape(
-            (self.num_coils,) + self.image_shape
-        )
+        return np.asarray(maps, dtype=np.complex128).reshape(self.stack_shape)
+
+    def _stack(self, out):
+        return np.empty(self.stack_shape, dtype=np.complex128) if out is None else out
 
     # The per-coil transforms below run as one call over the stacked coil
     # axis; numpy transforms each plane of a stack exactly as it would
     # transform that plane alone.  They pass their shape, as the
     # convolution's transforms do.
+    #
+    # Each operator writes its result into `out` when given, a C-ordered
+    # complex128 array of the result's shape; without it, it allocates one
+    # and runs the same ufuncs in the same order, so both give the same
+    # bits.  `inverse`'s `out` may be `w` itself and `adjoint_maps`'s may
+    # be `back`; no other argument may share memory with `out`.
 
-    def forward(self, maps, v):
+    def forward(self, maps, v, out=None):
         """Stack of masked unitary DFTs of (map_i * image)."""
-        weighted = self._as_maps(maps) * self._as_image(v)
-        return self.mask * np.fft.fft2(weighted, s=self.image_shape, norm="ortho")
+        out = np.multiply(self._as_maps(maps), self._as_image(v), out=self._stack(out))
+        np.fft.fft2(out, s=self.image_shape, norm="ortho", out=out)
+        return np.multiply(self._complex_mask, out, out=out)
 
-    def inverse(self, w):
-        """Masked inverse unitary DFT of each coil of w, shared by both adjoints."""
-        return np.fft.ifft2(self.mask * w, s=self.image_shape, norm="ortho")
+    def inverse(self, w, out=None):
+        """Masked inverse unitary DFT of each coil of w, shared by both adjoints.
 
-    def adjoint_v(self, maps, w, back=None):
+        Read the result from the returned array: numpy's `ifft2` (as of
+        2.4) drops its `out` and returns a fresh array, so `out` may hold
+        only the masked product.
+        """
+        out = np.multiply(self._complex_mask, w, out=self._stack(out))
+        return np.fft.ifft2(out, s=self.image_shape, norm="ortho", out=out)
+
+    def adjoint_v(self, maps, w, back=None, out=None):
         """A(maps)^H w; `back` is `inverse(w)` when the caller has it."""
         back = self.inverse(w) if back is None else back
-        terms = np.conj(self._as_maps(maps)) * back
-        img = np.zeros(self.image_shape, dtype=np.complex128)
-        for term in terms:  # summed in coil order
-            img += term
+        img = np.empty(self.image_shape, dtype=np.complex128) if out is None else out
+        img.fill(0)
+        term = np.empty(self.image_shape, dtype=np.complex128)
+        for map_c, back_c in zip(self._as_maps(maps), back):  # summed in coil order
+            img += np.multiply(np.conjugate(map_c, out=term), back_c, out=term)
         return img
 
-    def adjoint_maps(self, v, w, back=None):
+    def adjoint_maps(self, v, w, back=None, out=None):
         """Adjoint of maps -> A(maps) v; `back` is `inverse(w)` when the caller has it."""
         back = self.inverse(w) if back is None else back
-        return np.conj(self._as_image(v)) * back
+        return np.multiply(np.conj(self._as_image(v)), back, out=self._stack(out))
 
 
 class LinearModel:
@@ -339,32 +360,55 @@ class ConvolutionFidelity:
         return self.model.adjoint_v(theta, self.y)
 
 
+def _complex_view(pairs, shape):
+    """The pair-packed float64 array `pairs` as a complex128 array of
+    `shape`; a view, without a copy, of a C-ordered float64 array."""
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64).reshape(-1)
+    return pairs.view(np.complex128).reshape(shape)
+
+
 class MultiCoilFidelity:
-    """Least-squares fidelity for the multi-coil model over real pairs."""
+    """Least-squares fidelity for the multi-coil model over real pairs.
+
+    It reads the pair-packed blocks through complex views and runs every
+    evaluation in two (coils, H, W) work buffers that it owns, writing each
+    result through a complex view of a fresh array.  Because of the
+    buffers it is, like `_LastSpectrum`, not for sharing between threads.
+    """
 
     def __init__(self, model: MultiCoilModel, y):
         self.model = model
         y = np.asarray(y, dtype=np.complex128)
-        if y.shape != (model.num_coils,) + model.image_shape:
+        if y.shape != model.stack_shape:
             raise ValueError("measurements must be (coils, H, W) complex")
         self.y = y
         self.layout = model.layout
+        self._r = np.empty(model.stack_shape, dtype=np.complex128)
+        self._back = np.empty(model.stack_shape, dtype=np.complex128)
 
     def _image(self, pairs):
-        return pairs_to_complex(pairs, self.model.image_shape)
+        return _complex_view(pairs, self.model.image_shape)
 
     def _maps(self, pairs):
-        return pairs_to_complex(pairs, (self.model.num_coils,) + self.model.image_shape)
+        return _complex_view(pairs, self.model.stack_shape)
 
-    def _unpack(self, x: BlockVector):
-        return self._image(x.block(1)), self._maps(x.block(2))
+    def _halves(self, a):
+        """Complex views of the image and map blocks of the flat pair-packed
+        array `a` (a vector's `data`, or a fresh result)."""
+        image_slice, maps_slice = self.layout.slices
+        return self._image(a[image_slice]), self._maps(a[maps_slice])
 
-    def residual(self, v, maps):
-        return self.model.forward(maps, v) - self.y
+    def residual(self, v, maps, out=None):
+        """A(maps) v - y, written into `out` when given."""
+        r = self.model.forward(maps, v, out=out)
+        return np.subtract(r, self.y, out=r)
+
+    @staticmethod
+    def _value(r):
+        return 0.5 * float(np.sum(np.abs(r) ** 2))
 
     def value(self, x: BlockVector):
-        r = self.residual(*self._unpack(x))
-        return 0.5 * float(np.sum(np.abs(r) ** 2))
+        return self._value(self.residual(*self._halves(x.data), out=self._r))
 
     def grad_v(self, v_pairs, theta_pairs):
         return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 1).block(1)
@@ -377,23 +421,29 @@ class MultiCoilFidelity:
         if i not in (1, 2):
             raise IndexError(f"block index {i} out of range 1..2")
         m = self.model
-        v, maps = self._unpack(x)
-        r = self.residual(v, maps)
-        back = m.inverse(r)
+        v, maps = self._halves(x.data)
+        r = self.residual(v, maps, out=self._r)
+        back = m.inverse(r, out=self._back)
+        grad = np.zeros(self.layout.total)
+        part = self._halves(grad)[i - 1]
         if i == 1:
-            pairs = complex_to_pairs(m.adjoint_v(maps, r, back))
+            m.adjoint_v(maps, r, back, out=part)
         else:
-            pairs = complex_to_pairs(m.adjoint_maps(v, r, back))
-        return _one_block(self.layout, i, pairs)
+            m.adjoint_maps(v, r, back, out=part)
+        return BlockVector._wrap(self.layout, grad)
 
     def _residual_and_grad(self, x: BlockVector):
-        # both adjoints share one masked inverse DFT of the residual
+        # both adjoints share one masked inverse DFT of the residual; the
+        # residual returned is the work buffer, read before the next call
         m = self.model
-        v, maps = self._unpack(x)
-        r = self.residual(v, maps)
-        back = m.inverse(r)
-        parts = [m.adjoint_v(maps, r, back), m.adjoint_maps(v, r, back)]
-        return r, BlockVector.from_blocks([complex_to_pairs(p) for p in parts], self.layout)
+        v, maps = self._halves(x.data)
+        r = self.residual(v, maps, out=self._r)
+        back = m.inverse(r, out=self._back)
+        grad = np.empty(self.layout.total)
+        hv, ht = self._halves(grad)
+        m.adjoint_v(maps, r, back, out=hv)
+        m.adjoint_maps(v, r, back, out=ht)
+        return r, BlockVector._wrap(self.layout, grad)
 
     def grad(self, x: BlockVector):
         return self._residual_and_grad(x)[1]
@@ -401,7 +451,7 @@ class MultiCoilFidelity:
     def value_and_grad(self, x: BlockVector):
         """(g(x), grad g(x)) from one residual."""
         r, grad = self._residual_and_grad(x)
-        return 0.5 * float(np.sum(np.abs(r) ** 2)), grad
+        return self._value(r), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
         """Exact Hessian-vector product at x; `block=i` as in ConvolutionFidelity:
@@ -409,23 +459,40 @@ class MultiCoilFidelity:
         m = self.model
         if block == 1:
             maps = self._maps(x.block(2))
-            return complex_to_pairs(m.adjoint_v(maps, m.forward(maps, self._image(u))))
+            s = m.forward(maps, self._image(u), out=self._r)
+            out = np.empty(self.layout.sizes[0])
+            m.adjoint_v(maps, s, m.inverse(s, out=self._back), out=self._image(out))
+            return out
         if block == 2:
             v = self._image(x.block(1))
-            return complex_to_pairs(m.adjoint_maps(v, m.forward(self._maps(u), v)))
+            s = m.forward(self._maps(u), v, out=self._r)
+            out = np.empty(self.layout.sizes[1])
+            m.adjoint_maps(v, s, m.inverse(s, out=self._back), out=self._maps(out))
+            return out
         if block is not None:
             raise IndexError(f"block index {block} out of range 1..2")
-        v, maps = self._unpack(x)
-        dv, dmaps = self._unpack(u)
-        r = self.residual(v, maps)
-        s = m.forward(maps, dv) + m.forward(dmaps, v)
-        back_s, back_r = m.inverse(s), m.inverse(r)
-        hv = m.adjoint_v(maps, s, back_s) + m.adjoint_v(dmaps, r, back_r)
-        ht = m.adjoint_maps(v, s, back_s) + m.adjoint_maps(dv, r, back_r)
-        return BlockVector.from_blocks([complex_to_pairs(hv), complex_to_pairs(ht)], self.layout)
+        v, maps = self._halves(x.data)
+        dv, dmaps = self._halves(u.data)
+        # the adjoints read only the masked inverse DFTs of the residual and
+        # of the direction's image s, so each may overwrite its input
+        back_r = m.inverse(self.residual(v, maps, out=self._r), out=self._r)
+        s = m.forward(maps, dv, out=self._back)
+        s += m.forward(dmaps, v)
+        back_s = m.inverse(s, out=s)
+        out = np.empty(self.layout.total)
+        hv, ht = self._halves(out)
+        m.adjoint_v(maps, None, back_s, out=hv)
+        hv += m.adjoint_v(dmaps, None, back_r)
+        m.adjoint_maps(v, None, back_s, out=ht)
+        ht += m.adjoint_maps(dv, None, back_r, out=back_r)
+        return BlockVector._wrap(self.layout, out)
 
     def adjoint_init(self, theta_pairs):
-        return complex_to_pairs(self.model.adjoint_v(self._maps(theta_pairs), self.y))
+        m = self.model
+        out = np.empty(self.layout.sizes[0])
+        m.adjoint_v(self._maps(theta_pairs), self.y, m.inverse(self.y, out=self._back),
+                    out=self._image(out))
+        return out
 
 
 class LinearFidelity:

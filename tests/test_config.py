@@ -102,6 +102,10 @@ PROBES = {
         _replace(c, MULTI_COIL),
         _set(c, "problem.theta_init.perturb", -0.15),
     ),
+    "problem.mask.accel: must be an integer >= 1, got 0": lambda c: (
+        _replace(c, MULTI_COIL),
+        _set(c, "problem.mask.accel", 0),
+    ),
     "theory_checks": lambda c: _set(c, "theory_checks", [1]),
     "denoisers": lambda c: _set(c, "denoisers", [1, 2]),
     "denoisers.theta": lambda c: _drop(c, "denoisers.theta"),
