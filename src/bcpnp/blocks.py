@@ -9,6 +9,7 @@ complex ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -138,10 +139,19 @@ class BlockVector:
         return BlockVector._wrap(self.layout, out)
 
     def norm(self):
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def block_norms(self):
-        return [float(np.linalg.norm(self.data[s])) for s in self.layout.slices]
+        return [_norm(self.data[s]) for s in self.layout.slices]
+
+
+def _norm(a):
+    """Euclidean norm of a 1-D C-contiguous float64 array, as a float.
+
+    Bit for bit what `np.linalg.norm` returns for such an array: it too
+    takes the square root of `a.dot(a)`, but costs a few times as much.
+    """
+    return math.sqrt(a.dot(a))
 
 
 @dataclass

@@ -245,17 +245,13 @@ class _LastSpectrum:
 
     def __call__(self, a):
         """The transform of the float64 array `a`; do not modify the result."""
-        if not self._holds(a):
+        # keyed by the bytes, so compared as bit patterns: -0.0 and 0.0
+        # differ, and a NaN matches itself
+        key = (a.shape, a.tobytes())
+        if key != self.key:
             self.value = self.transform(a)
-            self.key = a.copy()
+            self.key = key
         return self.value
-
-    def _holds(self, a):
-        # compared as bit patterns: -0.0 and 0.0 differ, and a NaN matches itself
-        key = self.key
-        return key is not None and key.shape == a.shape and bool(
-            (key.view(np.int64) == a.view(np.int64)).all()
-        )
 
 
 class ConvolutionFidelity:

@@ -15,11 +15,12 @@ only when a check reads it (`solve(..., full_residual=True)`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSchedule, BlockVector
+from .blocks import BlockSchedule, BlockVector, _norm
 from .denoisers import apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 from .theory import TraceBuilder, rmse
@@ -90,12 +91,14 @@ def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, bloc
     """{i: D_i(x_i - gamma grad_i)} at iteration k, for each block i in `blocks`.
 
     Raises NonFiniteIterateError naming the first block whose denoised
-    values are NaN/inf.
+    values are NaN/inf.  A finite sum of squares proves every entry finite;
+    only a sum that is not (a NaN or inf, or squares that overflow) is
+    checked entry by entry.
     """
     denoised = {}
     for i in blocks:
         di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
-        if not np.isfinite(di).all():
+        if not math.isfinite(di.dot(di)) and not np.isfinite(di).all():
             raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
         denoised[i] = di
     return denoised
@@ -209,7 +212,7 @@ def solve(
         # every active block is denoised and gives G(x) for the trace
         if full_residual or k == 1:
             denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
-            g_norm2 = float(np.linalg.norm(_residual(gamma, x, denoised))) ** 2
+            g_norm2 = _norm(_residual(gamma, x, denoised)) ** 2
         else:
             denoised = _denoise_blocks(denoisers, gamma, x, grad, k, [i_k])
             g_norm2 = float("nan")
@@ -217,7 +220,7 @@ def solve(
             denoiser_calls[i - 1] += 1
         prev_norm = x.norm()
         x_new = x.inject(i_k, denoised[i_k])
-        step_norm = float(np.linalg.norm(x_new.data - x.data))
+        step_norm = _norm(x_new.data - x.data)
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm
         last = rel < config.stop_tol or k == config.max_iters
         i_next = i_k if last else _pick_index(schedule, active, k + 1)
@@ -231,7 +234,7 @@ def solve(
         changed = range(1, num_blocks + 1) if k == 1 else (i_k,)
         if not flags["left_ball"]:
             flags["left_ball"] = any(
-                float(np.linalg.norm(x_new.block(i))) > radii[i - 1] for i in changed
+                _norm(x_new.block(i)) > radii[i - 1] for i in changed
             )
 
         if objective is not None:

@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .blocks import BlockVector
+from .blocks import BlockVector, _norm
 from .denoisers import (
     InexactDenoiser,
     MmseDenoiser,
@@ -461,10 +461,10 @@ def rmse(estimate, truth):
     """Relative error ||estimate - truth|| / ||truth||."""
     estimate = np.asarray(estimate, dtype=np.float64).ravel()
     truth = np.asarray(truth, dtype=np.float64).ravel()
-    denom = np.linalg.norm(truth)
+    denom = _norm(truth)
     if denom == 0:
         raise ValueError("ground truth has zero norm")
-    return float(np.linalg.norm(estimate - truth) / denom)
+    return _norm(estimate - truth) / denom
 
 
 def _gaussian_window(size, sigma):

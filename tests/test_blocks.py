@@ -2,13 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcpnp.blocks import (
     BlockLayout,
     BlockSchedule,
     BlockVector,
+    _norm,
     complex_to_pairs,
     pairs_to_complex,
+)
+
+# finite doubles over the whole range, subnormals included, and the values
+# at which a sum of squares underflows, rounds or overflows
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-315, 1e-310, 1e-160, 1e154, -1e200, 1e300]),
+    st.floats(min_value=-1e3, max_value=1e3),
 )
 
 
@@ -113,6 +124,36 @@ class TestBlockVector:
             BlockLayout((0, 2))
         with pytest.raises(ValueError):
             BlockVector(BlockLayout((2, 2)), [1.0])
+
+
+class TestNorm:
+    """`_norm`, which every solver norm goes through, against np.linalg.norm."""
+
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).tobytes()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_ENTRIES, max_size=80), st.integers(0, 80))
+    def test_bitwise_equal_to_linalg_norm(self, values, cut):
+        a = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            assert isinstance(_norm(a), float)
+            assert self._bits(_norm(a)) == self._bits(np.linalg.norm(a))
+            # the block views of a vector, as block_norms reads them
+            if a.size >= 2:
+                cut = 1 + cut % (a.size - 1)
+                x = BlockVector(BlockLayout((cut, a.size - cut)), a)
+                assert self._bits(x.norm()) == self._bits(np.linalg.norm(a))
+                for s, got in zip(x.layout.slices, x.block_norms()):
+                    assert self._bits(got) == self._bits(np.linalg.norm(a[s]))
+
+    @pytest.mark.parametrize("values", [[], [-0.0], [0.0, -0.0], [1e-310] * 7, [1e300, 1e300],
+                                        [5e-324], [1e154, -1e154, 3.0]])
+    def test_edge_cases(self, values):
+        a = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            assert self._bits(_norm(a)) == self._bits(np.linalg.norm(a))
 
 
 def _iid_formula(seed, b, k):

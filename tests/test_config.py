@@ -106,6 +106,12 @@ PROBES = {
         _replace(c, MULTI_COIL),
         _set(c, "problem.mask.accel", 0),
     ),
+    "denoisers.image.inner_iters: must be an integer >= 0, got -3": lambda c: _set(
+        c, "denoisers.image", {"kind": "tv-prox", "weight": 0.1, "inner_iters": -3}
+    ),
+    "denoisers.image.inner_iters: must be an integer >= 0, got 2.7": lambda c: _set(
+        c, "denoisers.image", {"kind": "tv-prox", "weight": 0.1, "inner_iters": 2.7}
+    ),
     "theory_checks": lambda c: _set(c, "theory_checks", [1]),
     "denoisers": lambda c: _set(c, "denoisers", [1, 2]),
     "denoisers.theta": lambda c: _drop(c, "denoisers.theta"),

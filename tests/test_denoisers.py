@@ -400,13 +400,65 @@ def _signed_zero_inputs(rng, size):
 )
 @pytest.mark.parametrize("inner_iters", [0, 1, 30])
 def test_tv_prox_buffers_bitwise_equal_allocating_version(shape, inner_iters):
+    """Every scale, from subnormal to near overflow, where a reordered or
+    folded product (tau * g / denom) rounds differently."""
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     size = shape[0] * shape[1]
+    scales = (1e-315, 1e-310, 1e-3, 1.0, 1e3, 1e154, 1e300)
     for weight in (0.01, 0.3, 5.0):
         den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)
-        inputs = [scale * rng.standard_normal(size) for scale in (1e-3, 1.0, 1e3)]
+        inputs = [scale * rng.standard_normal(size) for scale in scales]
         for z in inputs + list(_signed_zero_inputs(rng, size)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert den.apply(z).tobytes() == _tv_prox_allocating(den, z).tobytes()
+
+
+def test_tv_prox_outputs_share_no_memory():
+    """Each output is fresh: no two share memory, none shares the work
+    buffers, and a later call leaves an earlier output as it was."""
+    den = TvProxDenoiser(0.3, (16, 12), inner_iters=5)
+    rng = np.random.default_rng(42)
+    outs = [den.apply(rng.standard_normal(16 * 12)) for _ in range(3)]
+    kept = [out.tobytes() for out in outs]
+    den.apply(rng.standard_normal(16 * 12))
+    work = den._work[:5]
+    assert len(work) == 5
+    for i, out in enumerate(outs):
+        assert out.tobytes() == kept[i]
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+        assert not any(np.shares_memory(out, w) for w in work)
+
+
+def test_tv_prox_work_arrays_start_on_pages():
+    den = TvProxDenoiser(0.3, (5, 9), inner_iters=2)
+    den.apply(np.ones(45))
+    work = den._work[:5]
+    assert [w.ctypes.data % 4096 for w in work] == [0] * 5
+    for i, w in enumerate(work):
+        assert not any(np.shares_memory(w, other) for other in work[i + 1:])
+
+
+def test_tv_prox_interleaved_instances_match_oracle():
+    """Two instances of different shapes, called in turn, each keep their
+    own buffers."""
+    rng = np.random.default_rng(43)
+    dens = [TvProxDenoiser(0.2, (8, 8), inner_iters=10),
+            TvProxDenoiser(0.5, (6, 11), inner_iters=7)]
+    for _ in range(3):
+        for den in dens:
+            z = rng.standard_normal(den.shape[0] * den.shape[1])
             assert den.apply(z).tobytes() == _tv_prox_allocating(den, z).tobytes()
+
+
+@pytest.mark.parametrize("inner_iters", [-3, 2.7, -0.5, float("nan"), "30"])
+def test_tv_prox_rejects_inner_iters_that_are_not_counts(inner_iters):
+    with pytest.raises(ValueError, match="inner_iters must be an integer >= 0"):
+        TvProxDenoiser(0.3, (4, 4), inner_iters=inner_iters)
+
+
+@pytest.mark.parametrize("inner_iters", [0, 3, 3.0, np.int64(3)])
+def test_tv_prox_takes_integral_inner_iters(inner_iters):
+    assert TvProxDenoiser(0.3, (4, 4), inner_iters=inner_iters).inner_iters == int(inner_iters)
 
 
 def test_tv_prox_leaves_input_and_repeats_itself():

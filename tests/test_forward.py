@@ -752,6 +752,54 @@ class TestSpectrumReuse:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestLastSpectrumKey:
+    """`_LastSpectrum` serves its kept value only for an array of the same
+    shape and bit pattern."""
+
+    @staticmethod
+    def _counting():
+        calls = []
+
+        def transform(a):
+            calls.append(a.copy())
+            return a.sum()
+
+        return forward._LastSpectrum(transform), calls
+
+    def test_hits_on_equal_bits_in_a_fresh_array(self):
+        last, calls = self._counting()
+        a = np.array([0.5, -0.0, 3.0])
+        first = last(a)
+        assert last(a.copy()) is first and len(calls) == 1
+
+    def test_misses_on_the_sign_of_zero(self):
+        last, calls = self._counting()
+        last(np.array([1.0, 0.0]))
+        last(np.array([1.0, -0.0]))
+        last(np.array([1.0, 0.0]))
+        assert len(calls) == 3
+
+    def test_misses_on_equal_bytes_of_another_shape(self):
+        last, calls = self._counting()
+        a = np.arange(6.0)
+        last(a)
+        last(a.reshape(2, 3))
+        last(a.reshape(3, 2))
+        assert [c.shape for c in calls] == [(6,), (2, 3), (3, 2)]
+
+    def test_hits_on_an_equal_nan_bit_pattern(self):
+        last, calls = self._counting()
+        nan = np.float64(np.nan)
+        last(np.array([nan, 2.0]))
+        last(np.array([nan, 2.0]))
+        assert len(calls) == 1
+        # a NaN with another payload is another key
+        other = np.array([nan, 2.0])
+        other.view(np.int64)[0] ^= 1
+        last(other)
+        assert len(calls) == 2
+
+
 class _FirstConvolution:
     """The convolution fidelity's gradient and Hessian-vector products as
     first written: each spectrum taken afresh by `rfft2` without its shape,

@@ -522,6 +522,49 @@ class TestFusedIteration:
                   full_residual=full_residual)
 
 
+class _OneEntryFrom:
+    """Delegates to a denoiser; from iteration k on, the output's entry
+    `index` (or, with index None, every entry) is `value`."""
+
+    def __init__(self, inner, k, value, index=None):
+        self.inner, self.k, self.value, self.index = inner, k, value, index
+
+    def apply(self, z, k=1):
+        out = self.inner.apply(z, k)
+        if k >= self.k:
+            out[slice(None) if self.index is None else self.index] = self.value
+        return out
+
+
+class TestFiniteCheck:
+    """The denoised-block check tests a sum of squares first; a sum that is
+    not finite is checked entry by entry, so the same blocks raise at the
+    same iterations, and only them."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1, 17])
+    def test_one_non_finite_entry_is_named(self, value, index):
+        desk = blind_desk_problem()
+        dens = desk.denoisers()
+        dens[1] = _OneEntryFrom(dens[1], 2, value, index % desk.fidelity.layout.sizes[1])
+        cfg = dataclasses.replace(desk.config, max_iters=5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonFiniteIterateError,
+                               match="^non-finite values in block 2 at iteration 2$"):
+                solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz,
+                      full_residual=True)
+
+    def test_squares_that_overflow_do_not_raise(self):
+        """Entries of 1e200 are finite, though their squares are not."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers()
+        dens[1] = _OneEntryFrom(dens[1], 1, 1e200)
+        with np.errstate(over="ignore"):
+            r = g_operator(desk.fidelity, dens, desk.gamma, desk.x0)
+        assert np.isfinite(r.block(2)).all()
+        assert np.array_equal(r.block(2), (desk.x0.block(2) - 1e200) / desk.gamma)
+
+
 class _NanObjectiveAt:
     """Delegates to an objective; one quantity is NaN at iteration k (the
     objective is evaluated once at x0, then once per iteration)."""
