@@ -158,7 +158,7 @@ class ProblemConfig:
     perturb: float | None = None  # relative perturbation of the true theta
     perturb_seed: int | None = None  # None: problem seed + 1
     balance_blocks: bool = True
-    rows: int = 0  # generic-linear
+    rows: int = 0  # generic-linear, without a matrix file
     matrix: np.ndarray | None = None  # generic-linear; None: drawn at seed + 3
 
 
@@ -214,7 +214,7 @@ class _Node:
     An absent or null field takes its default; one without a default is
     missing.  Each node records the keys it was asked about, and the nodes
     of one tree share the list `tree`, so that `reject_unread` can name a
-    key that nothing read.
+    key that nothing read.  All readers of a key share its one child node.
     """
 
     def __init__(self, data, path, tree=None):
@@ -222,6 +222,7 @@ class _Node:
             raise ConfigError(f"{path}: must be a mapping, got {data!r}")
         self.data, self.path = data or {}, path
         self.read = set()
+        self.children = {}
         self.tree = [] if tree is None else tree
         self.tree.append(self)
 
@@ -233,8 +234,10 @@ class _Node:
         return self.data.get(key) is not None
 
     def node(self, key, required=False):
-        self.read.add(key)
-        return _Node(self.get(key) if required else self.data.get(key), self.at(key), self.tree)
+        value = self.get(key, _REQUIRED if required else None)
+        if key not in self.children:
+            self.children[key] = _Node(value, self.at(key), self.tree)
+        return self.children[key]
 
     def get(self, key, default=_REQUIRED, want="", ok=None):
         """The field's value; `ok` vets a given value, which `want` describes."""
@@ -343,13 +346,14 @@ def _parse_problem(node):
 
     if kind == LINEAR:
         layout = BlockLayout(node.integers("block_sizes", (4, 4)))
-        matrix = _read_array(node.node("matrix")) if node.has("matrix") else None
-        if matrix is not None:
-            _nonzero(node.node("matrix"), matrix, "forward matrix")
-            with _at(node.at("matrix")):
-                LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
-        rows = node.get("rows", layout.total, "a positive integer", lambda v: _is_int(v) and v > 0)
-        return ProblemConfig(**common, layout=layout, rows=rows, matrix=matrix)
+        if not node.has("matrix"):  # a random matrix; a matrix file has its own rows
+            rows = node.get("rows", layout.total, "a positive integer",
+                            lambda v: _is_int(v) and v > 0)
+            return ProblemConfig(**common, layout=layout, rows=rows)
+        matrix = _nonzero(node.node("matrix"), _read_array(node.node("matrix")), "forward matrix")
+        with _at(node.at("matrix")):
+            LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
+        return ProblemConfig(**common, layout=layout, matrix=matrix)
 
     shape = node.integers("image_shape", (64, 64) if kind == BLIND else (32, 32), length=2)
     image = _image_source(node.node("image"), shape)
@@ -616,7 +620,6 @@ class Problem:
     image_truth: np.ndarray | None = None  # natural units, for SSIM
     image_shape: tuple | None = None
     theta0: np.ndarray | None = None
-    theta_true: np.ndarray | None = None
     scale: float = 1.0
     denoisers: tuple = ()
     # (x0 bytes, gamma, ball radius) -> (gamma, certificate); see `certify`
@@ -641,7 +644,7 @@ class Problem:
         """Adjoint initialization; the oracle mode starts from the true theta."""
         if self.theta0 is None:
             return BlockVector(self.fidelity.layout, self.fidelity.adjoint_init())
-        theta = self.theta_true if mode == PNP_ORACLE_THETA else self.theta0
+        theta = self.truth.block(2) if mode == PNP_ORACLE_THETA else self.theta0
         # adjoint initialization in natural units, then into work units
         v0 = self.fidelity.adjoint_init(theta / self.scale) / self.scale
         return BlockVector.from_blocks([v0, theta])
@@ -704,7 +707,7 @@ def _build_deconvolution(p, seed):
     scale = balanced_block_scale(model, fid, theta0) if p.balance_blocks else 1.0
     truth = BlockVector.from_blocks([p.image.ravel() / scale, scale * kernel])
     return Problem(BLIND, fid, truth, p.image, model.image_shape,
-                   theta0=scale * theta0, theta_true=scale * kernel, scale=scale)
+                   theta0=scale * theta0, scale=scale)
 
 
 def _build_multicoil(p, seed):
@@ -714,17 +717,17 @@ def _build_multicoil(p, seed):
     rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
     noise_maps = rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape)
     maps0 = maps + p.perturb * np.linalg.norm(maps) * noise_maps / np.linalg.norm(noise_maps)
-    theta_true = complex_to_pairs(maps)
-    truth = BlockVector.from_blocks([complex_to_pairs(image), theta_true])
+    truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
     return Problem(MULTI_COIL, MultiCoilFidelity(model, y), truth, np.abs(image),
-                   model.image_shape, complex_to_pairs(maps0), theta_true)
+                   model.image_shape, complex_to_pairs(maps0))
 
 
 def _build_linear(p, seed):
     A = p.matrix
     if A is None:
         A = np.random.default_rng(seed + 3).standard_normal((p.rows, p.layout.total))
-    x_true = np.random.default_rng(seed).standard_normal(p.layout.total)
+    # the noise draws at seed, so the truth takes a stream of its own
+    x_true = np.random.default_rng(seed + 2).standard_normal(p.layout.total)
     model = LinearModel(A)
     y = synthesize(model, x_true, noise_sigma=p.noise_sigma, seed=seed)
     return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true))
@@ -787,7 +790,7 @@ def run(config_path, out_override=None, seed_override=None):
 
             objective = constants = None
             if cfg.theory.enabled and mode == BC_PNP:
-                # only the bounds read l_full: the bc-pnp solves flag its
+                # only the bounds read l_full: the bc-pnp report flags its
                 # power iteration, and the certificate cached for the other
                 # modes stays block-only
                 lip = with_full_constant(problem.fidelity, x0, lip, solver_cfg.ball_radius)
@@ -799,7 +802,7 @@ def run(config_path, out_override=None, seed_override=None):
 
             # theorem 2 reads the mode's residual trace as its seed 0
             result = solve(problem.fidelity, problem.denoisers_for(mode), solver_cfg, x0,
-                           truth=problem.truth, objective=objective, lipschitz=lip,
+                           truth=problem.truth, objective=objective,
                            full_residual=objective is not None
                            and _checks_theorem2(solver_cfg, cfg.theory))
             result.trace.to_csv(mode_dir / "trace.csv")
@@ -808,11 +811,12 @@ def run(config_path, out_override=None, seed_override=None):
             _write_mode_outputs(mode_dir, problem, result)
             report["modes"][label] = {
                 "mode": mode,
-                "gamma": result.gamma,
-                "l_max": result.lipschitz.l_max,
+                "gamma": gamma,
+                "l_max": lip.l_max,
                 "iterations": len(result.trace),
                 "reason": result.reason,
-                "flags": result.flags,
+                "flags": {**result.flags, "power_iter_warning": not lip.converged,
+                          "gamma_exceeds_rule": lip.exceeded_by(gamma)},
                 "g_norm_initial": result.g_norm_initial,
                 "g_norm_final": result.g_norm_final,
                 "denoiser_calls": result.denoiser_calls,
@@ -852,23 +856,26 @@ def _config_errors(diagnostics):
 def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory):
     """Descent always; the schedule decides which bound check applies.
 
-    `objective` is the one `result` was solved with.  Each check's
-    report.json entry holds its report's dataclass fields.
+    `objective` is the one `result` was solved with; only a bound check
+    makes the reference run for f*.  Each check's report.json entry holds
+    its report's dataclass fields.
     """
     checks = {"descent": check_descent(result.trace, constants)}
 
     def rerun(objective=None, full_residual=False, **changes):
         cfg = dataclasses.replace(solver_cfg, **changes)
         return solve(problem.fidelity, problem.denoisers, cfg, x0, objective=objective,
-                     lipschitz=result.lipschitz, full_residual=full_residual).trace
+                     full_residual=full_residual).trace
 
-    max_iters = solver_cfg.max_iters * theory.reference_multiplier
-    f_star = reference_f_star(rerun(objective, max_iters=max_iters))
+    def f_star():
+        max_iters = solver_cfg.max_iters * theory.reference_multiplier
+        return reference_f_star(rerun(objective, max_iters=max_iters))
 
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
-            checks["theorem1"] = check_theorem1(result.trace, constants, f_star)
+            checks["theorem1"] = check_theorem1(result.trace, constants, f_star())
     elif _checks_theorem2(solver_cfg, theory):
+        reference = f_star()
         # the check reads residuals, errors and f(x0) only: seed 0 is the run's
         # own solve, the other seeds run without the objective, all share f(x0)
         f_initial = objective.value(x0)[0]
@@ -878,7 +885,7 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
             for s in range(1, theory.ensemble_seeds)
         ]
         traces = [dataclasses.replace(tr, f_initial=f_initial) for tr in traces]
-        checks["theorem2"] = check_theorem2(traces, constants, f_star)
+        checks["theorem2"] = check_theorem2(traces, constants, reference)
     return {name: dataclasses.asdict(report) for name, report in checks.items()}
 
 

@@ -37,8 +37,8 @@ class NonFiniteIterateError(RuntimeError):
 class SolverConfig:
     """Algorithmic knobs of a solve.
 
-    gamma=None certifies Lipschitz constants at the initialization and uses
-    0.9 / l_max.
+    `solve` needs a gamma; with gamma=None, `resolve_gamma` gives 0.9 / l_max
+    of the certificate at the initialization.
     """
 
     schedule: BlockSchedule
@@ -63,9 +63,7 @@ class SolveResult:
     x: BlockVector
     trace: "IterateTrace"
     reason: str  # "tolerance" | "max-iters"
-    flags: dict
-    gamma: float
-    lipschitz: LipschitzEstimate
+    flags: dict  # {"left_ball": bool}
     g_norm_initial: float
     g_norm_final: float
     denoiser_calls: list  # per block, the g_final residual included
@@ -143,12 +141,12 @@ def solve(
     x0: BlockVector,
     truth: BlockVector | None = None,
     objective=None,
-    lipschitz: LipschitzEstimate | None = None,
     full_residual: bool = False,
 ):
     """Run the iteration from x0 until the relative-change tolerance or the
     iteration cap, recording a per-iteration trace.
 
+    `config.gamma` is the step size; `resolve_gamma` certifies one.
     `denoisers` has one entry per block; a block whose entry is None keeps
     its value in x0.  `objective` (see theory.ImplicitObjective) enables
     f/g/h and gradient recording; it must be built with the same gamma the
@@ -173,9 +171,9 @@ def solve(
     if not active:
         raise ValueError("no block has a denoiser")
 
-    if lipschitz is None:
-        lipschitz = estimate_block_lipschitz(fidelity, x0, config.ball_radius)
-    gamma = _step_size(config, lipschitz)
+    gamma = config.gamma
+    if gamma is None:
+        raise ValueError("solve needs config.gamma; resolve_gamma certifies one")
     if objective is not None and abs(objective.gamma - gamma) > 1e-15 * gamma:
         raise ValueError("objective was built with a different gamma")
 
@@ -185,11 +183,7 @@ def solve(
     radii = [config.ball_radius * n for n in x0.block_norms()]
     full_residual = full_residual or len(active) == 1
 
-    flags = {
-        "left_ball": False,
-        "power_iter_warning": not lipschitz.converged,
-        "gamma_exceeds_rule": lipschitz.exceeded_by(gamma),
-    }
+    left_ball = False
     denoiser_calls = [0] * num_blocks
 
     # grad g at the current iterate: one evaluation per iteration, shared by
@@ -232,10 +226,8 @@ def solve(
         # every block but i_k is bitwise what it was in the previous
         # iteration, so its ball check and error carry over
         changed = range(1, num_blocks + 1) if k == 1 else (i_k,)
-        if not flags["left_ball"]:
-            flags["left_ball"] = any(
-                _norm(x_new.block(i)) > radii[i - 1] for i in changed
-            )
+        if not left_ball:
+            left_ball = any(_norm(x_new.block(i)) > radii[i - 1] for i in changed)
 
         if objective is not None:
             f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, grad, value, k)
@@ -261,7 +253,7 @@ def solve(
     for i in active:
         denoiser_calls[i - 1] += 1
     return SolveResult(
-        x=x, trace=frozen, reason=reason, flags=flags, gamma=gamma, lipschitz=lipschitz,
+        x=x, trace=frozen, reason=reason, flags={"left_ball": left_ball},
         g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,
         denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
@@ -296,8 +288,8 @@ def _objective_at(objective, x, grad, value, k):
 def resolve_gamma(fidelity, x0, config: SolverConfig):
     """Certify Lipschitz constants at x0 and return (gamma, estimate).
 
-    Useful for building an ImplicitObjective with the same gamma the
-    subsequent solve will use; pass the estimate back via `lipschitz=`.
+    `solve` takes the gamma as `config.gamma`; an ImplicitObjective for
+    that solve is built with the same gamma.
     """
     lip = estimate_block_lipschitz(fidelity, x0, config.ball_radius)
     return _step_size(config, lip), lip

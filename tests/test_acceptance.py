@@ -95,7 +95,6 @@ def desk_run():
             desk.x0,
             truth=desk.truth,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         ref = solve(
             desk.fidelity,
@@ -103,7 +102,6 @@ def desk_run():
             dataclasses.replace(desk.config, max_iters=3000),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         _cache["desk_run"] = (res, reference_f_star(ref.trace))
     return _cache["desk_run"]
@@ -299,7 +297,6 @@ def test_c07_theorem2_bound():
             dataclasses.replace(prob.config, max_iters=3000),
             prob.x0,
             objective=prob.objective,
-            lipschitz=prob.lipschitz,
         )
         f_star = reference_f_star(ref.trace)
         f_initial = ref.trace.f_initial
@@ -316,7 +313,7 @@ def test_c07_theorem2_bound():
                 obj = prob.objective if error_kind == "zero" else None
                 traces.append(
                     solve(prob.fidelity, dens, cfg, prob.x0, objective=obj,
-                          lipschitz=prob.lipschitz, full_residual=True).trace
+                          full_residual=True).trace
                 )
             # a solve without the objective records no f(x0); every seed
             # starts at x0, so the bound's gap is f(x0) - f*
@@ -364,10 +361,8 @@ def test_c08_single_block_reduction():
         cfg = SolverConfig(
             schedule=BlockSchedule("sequential", 1), gamma=gamma, stop_tol=1e-300, ball_radius=1.0
         )
-        _, lip = resolve_gamma(prob.fidelity, x0, cfg)
         for k in range(1, num + 1):
-            res = solve(prob.fidelity, [den], dataclasses.replace(cfg, max_iters=k), x0,
-                        lipschitz=lip)
+            res = solve(prob.fidelity, [den], dataclasses.replace(cfg, max_iters=k), x0)
             assert len(res.trace) == k
             assert np.array_equal(res.x.data, ref[k - 1]), f"iterate {k} differs"
 
@@ -385,9 +380,9 @@ def test_c09_quadratic_sanity():
             ball_radius=1.0,
         )
         x0 = BlockVector(prob.layout, np.zeros(prob.layout.total))
-        gamma, lip = resolve_gamma(prob.fidelity, x0, cfg)
+        gamma, _ = resolve_gamma(prob.fidelity, x0, cfg)
         cfg = dataclasses.replace(cfg, gamma=gamma)
-        res = solve(prob.fidelity, dens, cfg, x0, lipschitz=lip)
+        res = solve(prob.fidelity, dens, cfg, x0)
         expected = quadratic_minimizer(prob, gamma)
         assert rmse(res.x.data, expected) <= 1e-6
 

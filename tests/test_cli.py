@@ -362,6 +362,21 @@ class TestRun:
                  for label, mode in report["modes"].items()}
         assert flags == {"bc-pnp": True, "pnp": False}
 
+    def test_gamma_exceeds_rule_flag(self, tmp_path):
+        """Without theory checks an explicit gamma above the step rule runs,
+        and report.json flags it from the certificate at the mode's start."""
+        probe = write_config(tmp_path, name="probe.yaml")
+        cfg = cli.load_config(probe)
+        problem = cli.build_problem(cfg)
+        _, lip = solver.resolve_gamma(problem.fidelity, problem.x0_for(cfg.modes[0][1]), cfg.solver)
+        flags = {}
+        for gamma in ("auto", float(2.0 / lip.l_max)):
+            path = write_config(tmp_path, **{"solver.gamma": gamma, "solver.max_iters": 2})
+            assert cli.run(path, out_override=tmp_path / "out") == cli.EXIT_OK
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            flags[gamma] = report["modes"]["bc-pnp"]["flags"]["gamma_exceeds_rule"]
+        assert list(flags.values()) == [False, True]
+
     def test_run_step_rule_violation_is_a_config_error(self, tmp_path, capsys):
         """run applies validate's step-rule check before writing any output."""
         probe = write_config(tmp_path, name="probe.yaml", **{"denoisers.image": _GAUSSIAN_IMAGE})
@@ -400,11 +415,11 @@ class TestRun:
         objective = ImplicitObjective(problem.fidelity, dens, gamma)
         constants = TheoryConstants.from_problem(gamma, 2, lip.l_max, lip.l_full, objective.m_max())
         ref_cfg = dataclasses.replace(config, max_iters=60)
-        ref = solver.solve(problem.fidelity, dens, ref_cfg, x0, objective=objective, lipschitz=lip)
+        ref = solver.solve(problem.fidelity, dens, ref_cfg, x0, objective=objective)
         traces = [
             solver.solve(problem.fidelity, dens,
                          dataclasses.replace(config, schedule=config.schedule.with_seed(3 + s)),
-                         x0, objective=objective, lipschitz=lip, full_residual=True).trace
+                         x0, objective=objective, full_residual=True).trace
             for s in range(10)
         ]
         want = check_theorem2(traces, constants, reference_f_star(ref.trace))
@@ -435,6 +450,44 @@ class TestRun:
         assert calls == [(True, True), (True, False)] + [(False, True)] * 9
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["checks"]["bc-pnp"]["theorem2"]["num_seeds"] == 10
+
+    @pytest.mark.parametrize("schedule, seeds, checks", [
+        ("sequential", 0, ["descent", "theorem1"]),
+        ("epoch-shuffle", 0, ["descent"]),
+        ("random-iid", 0, ["descent"]),
+    ])
+    def test_reference_run_only_for_a_bound_check(self, schedule, seeds, checks, tmp_path,
+                                                   monkeypatch):
+        """Only theorems 1 and 2 read f*, so a run that checks descent alone
+        solves the mode once and makes no reference run."""
+        path = write_config(tmp_path, **{
+            "problem.image_shape": [8, 8], "problem.balance_blocks": False,
+            "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
+            "solver.schedule": {"kind": schedule, "seed": 3},
+            "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": seeds},
+        })
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[2].max_iters)
+            return solver.solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        assert cli.run(path) == cli.EXIT_OK
+        assert calls == [20, 40][:len(checks)]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert sorted(report["checks"]["bc-pnp"]) == checks
+
+    def test_generic_linear_noise_is_not_the_truth(self, tmp_path):
+        """The truth and the measurement noise draw from separate streams:
+        the noise is not a scaled prefix of the truth."""
+        overrides = _linear_overrides([4, 4], ["bc-pnp"])
+        overrides["problem"].update(rows=6, noise_sigma=0.1)
+        problem = cli.build_problem(cli.load_config(write_config(tmp_path, **overrides)))
+        x_true, fid = problem.truth.data, problem.fidelity
+        noise = fid.y - fid.model.forward(x_true)
+        assert np.linalg.norm(noise) > 0
+        assert not np.allclose(noise, 0.1 * x_true[:6])
 
     def test_multicoil_smoke(self, tmp_path):
         path = write_config(tmp_path, **_MULTICOIL)
@@ -515,7 +568,8 @@ class TestModes:
         assert d_v_gd is d_v and type(d_theta_gd) is cli.IdentityDenoiser
         # pnp-ista and pnp-oracle-theta differ only in the start of the held block
         assert np.array_equal(problem.x0_for("pnp-ista").extract(2), problem.theta0)
-        assert np.array_equal(problem.x0_for("pnp-oracle-theta").extract(2), problem.theta_true)
+        assert np.array_equal(problem.x0_for("pnp-oracle-theta").extract(2),
+                              problem.truth.extract(2))
 
     @pytest.mark.parametrize("overrides, error", [
         ({"solver.modes": ["bc-pnp", "admm"]}, "solver.modes[1]: unknown mode 'admm'"),

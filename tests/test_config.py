@@ -222,6 +222,33 @@ def test_all_zero_matrix_names_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _linear_with_matrix(tmp_path):
+    """The theory config as a generic-linear problem on a 10x8 matrix file."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    _linear(cfg, {})
+    del cfg["problem"]["rows"]
+    csv = tmp_path / "matrix.csv"
+    fileio.save_matrix_csv(csv, np.random.default_rng(0).standard_normal((10, 8)))
+    cfg["problem"]["matrix"] = {"path": str(csv)}
+    return cfg
+
+
+def test_matrix_file_runs(tmp_path, capsys):
+    """A valid matrix file passes both commands; its rows are the problem's."""
+    path = _write(tmp_path, _linear_with_matrix(tmp_path))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    assert "config ok" in capsys.readouterr().out
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert cli.build_problem(cli.load_config(path)).fidelity.y.size == 10
+
+
+def test_rows_beside_a_matrix_file_is_unknown(tmp_path, capsys):
+    """A matrix file fixes the rows, so `rows` beside it is read by nothing."""
+    cfg = _linear_with_matrix(tmp_path)
+    cfg["problem"]["rows"] = 4
+    _assert_both_commands_name("problem.rows: unknown key", cfg, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("seeds, accepted", [(0, True), (1, False), (9, False), (10, True)])
 def test_theorem2_ensemble_size(seeds, accepted, tmp_path):
     """A random-iid ensemble below the theorem-2 minimum would skip the check

@@ -43,9 +43,9 @@ def make_quadratic_setup(max_iters=4000, stop_tol=1e-14):
         stop_tol=stop_tol,
         ball_radius=1.0,
     )
-    gamma, lip = resolve_gamma(prob.fidelity, _origin(prob), config)
+    gamma, _ = resolve_gamma(prob.fidelity, _origin(prob), config)
     config = dataclasses.replace(config, gamma=gamma)
-    return prob, denoisers, config, lip
+    return prob, denoisers, config
 
 
 def _origin(prob):
@@ -117,8 +117,7 @@ class TestStep:
     def test_only_selected_block_changes(self):
         desk = blind_desk_problem()
         x = desk.x0
-        iterates = _solve_iterates(desk.fidelity, desk.denoisers(), desk.config, desk.x0, 4,
-                                   lipschitz=desk.lipschitz)
+        iterates = _solve_iterates(desk.fidelity, desk.denoisers(), desk.config, desk.x0, 4)
         for k, (x_new, i_k) in enumerate(iterates, start=1):
             assert i_k == 1 + (k - 1) % 2
             other = 2 if i_k == 1 else 1
@@ -152,7 +151,7 @@ class TestStep:
 class TestSolve:
     def test_quadratic_reaches_normal_equations_solution(self):
         """Strongly convex case: limit matches the closed-form minimizer."""
-        prob, denoisers, config, _ = make_quadratic_setup()
+        prob, denoisers, config = make_quadratic_setup()
         res = solve(prob.fidelity, denoisers, config, _origin(prob))
         expected = quadratic_minimizer(prob, config.gamma)
         rel = np.linalg.norm(res.x.data - expected) / np.linalg.norm(expected)
@@ -189,7 +188,7 @@ class TestSolve:
         desk = blind_desk_problem()
         x = desk.x0
         for x_new, i_k in _solve_iterates(desk.fidelity, desk.denoisers(), desk.config,
-                                          desk.x0, 12, lipschitz=desk.lipschitz):
+                                          desk.x0, 12):
             for j in (1, 2):
                 if j != i_k:
                     assert np.array_equal(x_new.extract(j), x.extract(j))
@@ -253,17 +252,12 @@ class TestSolve:
         res = solve(desk.fidelity, dens, cfg, desk.x0)
         assert res.flags["left_ball"]
 
-    def test_gamma_rule_flag(self):
+    def test_needs_a_step_size(self):
+        """solve takes gamma from its config and certifies nothing itself."""
         desk = blind_desk_problem()
-        cfg = dataclasses.replace(desk.config, gamma=2.0 / desk.lipschitz.l_max)
-        res = solve(
-            desk.fidelity,
-            desk.denoisers(),
-            dataclasses.replace(cfg, max_iters=2),
-            desk.x0,
-            lipschitz=desk.lipschitz,
-        )
-        assert res.flags["gamma_exceeds_rule"]
+        cfg = dataclasses.replace(desk.config, gamma=None)
+        with pytest.raises(ValueError, match="resolve_gamma"):
+            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0)
 
     def test_residual_ratio_decreases_on_theory_config(self):
         desk = blind_desk_problem()
@@ -273,7 +267,6 @@ class TestSolve:
             dataclasses.replace(desk.config, stop_tol=1e-8),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         assert res.reason == "tolerance"
         assert res.g_norm_final / res.g_norm_initial < 1.0
@@ -288,10 +281,10 @@ class TestTraceRmse:
         denoisers = [MmseDenoiser(p, s) for p, s in zip(prob.priors, prob.sigmas)]
         config = SolverConfig(schedule=BlockSchedule(schedule, 3, seed=2), max_iters=30,
                               stop_tol=1e-300, ball_radius=1.0)
-        gamma, lip = resolve_gamma(prob.fidelity, _origin(prob), config)
+        gamma, _ = resolve_gamma(prob.fidelity, _origin(prob), config)
         config = dataclasses.replace(config, gamma=gamma)
         truth = BlockVector(prob.layout, np.random.default_rng(3).standard_normal(10))
-        res = solve(prob.fidelity, denoisers, config, _origin(prob), truth=truth, lipschitz=lip)
+        res = solve(prob.fidelity, denoisers, config, _origin(prob), truth=truth)
         assert len(res.trace) == 30
         x = _origin(prob)
         for k in range(1, 31):
@@ -442,7 +435,7 @@ class TestFusedIteration:
         num_active = sum(d is not None for d in dens)
         for full_residual in (True, False):
             res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth, objective=objective,
-                        lipschitz=desk.lipschitz, full_residual=full_residual)
+                        full_residual=full_residual)
             tr = res.trace
             want = rows.copy()
             if not full_residual and num_active == 2:
@@ -475,7 +468,7 @@ class TestFusedIteration:
             dens = [None if d is None else _CountingDenoiser(d) for d in dens]
             objective = (ImplicitObjective(fid, desk.denoisers(), desk.gamma)
                          if with_objective else None)
-            res = solve(fid, dens, cfg, x0, objective=objective, lipschitz=desk.lipschitz,
+            res = solve(fid, dens, cfg, x0, objective=objective,
                         full_residual=full_residual)
             assert len(res.trace) == n
             assert fid.grad_calls == res.gradient_evals == n + 1
@@ -502,7 +495,7 @@ class TestFusedIteration:
         dens[1] = _NanFromIteration(dens[1], 1)
         cfg = dataclasses.replace(desk.config, max_iters=5)
         with pytest.raises(NonFiniteIterateError, match="block 2 at iteration 1$"):
-            solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz)
+            solve(desk.fidelity, dens, cfg, desk.x0)
 
     @pytest.mark.parametrize("max_iters, full_residual, caught_at", [
         (5, True, 3),  # block 2 is denoised at every iteration
@@ -518,7 +511,7 @@ class TestFusedIteration:
         dens[1] = _NanFromIteration(dens[1], 3)
         cfg = dataclasses.replace(desk.config, max_iters=max_iters)
         with pytest.raises(NonFiniteIterateError, match=f"block 2 at iteration {caught_at}$"):
-            solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz,
+            solve(desk.fidelity, dens, cfg, desk.x0,
                   full_residual=full_residual)
 
 
@@ -551,7 +544,7 @@ class TestFiniteCheck:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NonFiniteIterateError,
                                match="^non-finite values in block 2 at iteration 2$"):
-                solve(desk.fidelity, dens, cfg, desk.x0, lipschitz=desk.lipschitz,
+                solve(desk.fidelity, dens, cfg, desk.x0,
                       full_residual=True)
 
     def test_squares_that_overflow_do_not_raise(self):
@@ -597,15 +590,13 @@ class TestNonFiniteObjective:
         cfg = dataclasses.replace(desk.config, max_iters=10)
         match = f"non-finite objective {re.escape(quantity)} at iteration 3$"
         with pytest.raises(NonFiniteIterateError, match=match):
-            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, objective=objective,
-                  lipschitz=desk.lipschitz)
+            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, objective=objective)
 
     def test_nan_at_the_start_is_iteration_0(self):
         desk = blind_desk_problem()
         objective = _NanObjectiveAt(desk.objective, 0, "f")
         with pytest.raises(NonFiniteIterateError, match="objective f at iteration 0$"):
-            solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=objective,
-                  lipschitz=desk.lipschitz)
+            solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=objective)
 
 
 class TestGradientChainIdentity:

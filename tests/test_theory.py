@@ -190,7 +190,6 @@ class TestDescentCheck:
             desk.config,
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         report = check_descent(res.trace, desk.constants)
         assert report.passed
@@ -230,7 +229,6 @@ class TestDescentCheck:
             dataclasses.replace(desk.config, max_iters=60),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         f = res.trace.f.copy()
         f[::7] += 1e-3
@@ -256,7 +254,7 @@ class TestDescentCheck:
         all-NaN f would compare false against every bound."""
         desk = blind_desk_problem()
         lean = solve(desk.fidelity, desk.denoisers(), dataclasses.replace(desk.config, max_iters=5),
-                     desk.x0, lipschitz=desk.lipschitz).trace
+                     desk.x0).trace
         with pytest.raises(ValueError, match="lacks objective values; solve with an objective"):
             check_descent(dataclasses.replace(lean, f_initial=1.0), desk.constants)
         recorded = _defect_trace(desk)
@@ -286,7 +284,6 @@ class TestTheorem1:
             dataclasses.replace(desk.config, max_iters=2),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         report = check_theorem1(res.trace, desk.constants, f_star=0.0)
         assert report.num_epochs == 1
@@ -307,7 +304,6 @@ class TestTheorem1:
             dataclasses.replace(desk.config, max_iters=1),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         with pytest.raises(ValueError):
             check_theorem1(res.trace, desk.constants, f_star=0.0)
@@ -353,7 +349,6 @@ class TestTheorem2:
             dataclasses.replace(desk.config, max_iters=3),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         with pytest.raises(ValueError):
             check_theorem2([res.trace] * 5, desk.constants, 0.0)
@@ -404,8 +399,7 @@ class TestTheorem2:
         obj = ImplicitObjective(prob.fidelity, dens, gamma)
         constants = TheoryConstants.from_problem(gamma, 1, lip.l_max, lip.l_full, obj.m_max())
         traces = [
-            solve(prob.fidelity, dens, config, x0, objective=obj, lipschitz=lip,
-                  full_residual=True).trace
+            solve(prob.fidelity, dens, config, x0, objective=obj, full_residual=True).trace
             for _ in range(10)
         ]
         fstar = reference_f_star(traces[0])
@@ -420,8 +414,7 @@ DEFECT_ITERS = 100  # length of each trace the seeded-defect checks read
 def defect_desk():
     """The blind desk problem with f* from a 300-iteration reference run."""
     desk = blind_desk_problem()
-    ref = solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0,
-                objective=desk.objective, lipschitz=desk.lipschitz)
+    ref = solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=desk.objective)
     desk.f_star = reference_f_star(ref.trace)
     return desk
 
@@ -430,7 +423,7 @@ def _defect_trace(desk, objective=None, schedule=None, full_residual=False):
     config = dataclasses.replace(desk.config, max_iters=DEFECT_ITERS,
                                  schedule=schedule or desk.config.schedule)
     return solve(desk.fidelity, desk.denoisers(), config, desk.x0,
-                 objective=objective or desk.objective, lipschitz=desk.lipschitz,
+                 objective=objective or desk.objective,
                  full_residual=full_residual).trace
 
 
@@ -485,7 +478,6 @@ class TestReferenceFStar:
             dataclasses.replace(desk.config, max_iters=50),
             desk.x0,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         fstar = reference_f_star(res.trace)
         assert fstar < np.min(res.trace.f)
@@ -600,7 +592,6 @@ class TestTraceSerialization:
             desk.x0,
             truth=desk.truth,
             objective=desk.objective,
-            lipschitz=desk.lipschitz,
         )
         path = tmp_path / "trace.csv"
         res.trace.to_csv(path)
