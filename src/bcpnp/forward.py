@@ -16,9 +16,11 @@ of g with respect to the pairs is exactly the pair packing of A^H(residual)
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 # the benchmark's tracer wraps the two pair converters where this module
 # would look them up, so they stay importable from it
@@ -27,6 +29,52 @@ from .blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex
 POWER_ITER_TOL = 1e-4
 POWER_ITER_MAX = 100
 _POWER_SEED = 0x5EED
+
+
+# ---------------------------------------------------------------------------
+# 2-D transforms
+# ---------------------------------------------------------------------------
+#
+# numpy's `rfft2`, `irfft2`, `fft2` and `ifft2` run one pocketfft kernel per
+# axis, and around each call they parse the shape and the axes, derive the
+# dtypes and allocate each pass's result: at 8x8 that costs more than the
+# kernels do.  The helpers below call the same kernels, in numpy's order
+# and with numpy's factors, so they give numpy's bits (a test pins it).  The
+# pass over axis -2 runs on views with the two last axes swapped, as the
+# kernels transform along the last axis.  `shape` is the (H, W) of the
+# images transformed; an array given may stack several on leading axes.
+
+
+def _rfft2(a, shape):
+    """numpy's `rfft2(a, s=shape)` of the float64 array `a`, in a new array."""
+    w = shape[1]
+    out = np.empty(a.shape[:-1] + (w // 2 + 1,), dtype=np.complex128)
+    (_pocketfft.rfft_n_even if w % 2 == 0 else _pocketfft.rfft_n_odd)(a, 1.0, out=out)
+    columns = np.swapaxes(out, -1, -2)
+    _pocketfft.fft(columns, 1.0, out=columns)
+    return out
+
+
+def _irfft2(spectrum, shape):
+    """numpy's `irfft2(spectrum, s=shape)`, in a new array; the complex128
+    `spectrum` is overwritten, so pass only a product made for the call."""
+    h, w = shape
+    columns = np.swapaxes(spectrum, -1, -2)
+    _pocketfft.ifft(columns, 1 / h, out=columns)
+    out = np.empty(spectrum.shape[:-1] + (w,))
+    _pocketfft.irfft(spectrum, 1 / w, out=out)
+    return out
+
+
+def _dft2(stack, shape, inverse=False):
+    """numpy's `fft2` (or `ifft2`) of the complex128 `stack` with
+    `norm="ortho"`, written into `stack`, which is returned."""
+    h, w = shape
+    kernel = _pocketfft.ifft if inverse else _pocketfft.fft
+    kernel(stack, 1 / math.sqrt(w), out=stack)
+    columns = np.swapaxes(stack, -1, -2)
+    kernel(columns, 1 / math.sqrt(h), out=columns)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +116,14 @@ class BlindConvolutionModel:
         """Inverse of `_embed`: the flat kernel-sized crop around the origin."""
         return full.reshape(-1)[self._kernel_index]
 
-    # Every transform passes its shape: without `s`, numpy rebuilds the
-    # shape argument on each call, about a quarter of an 8x8 call's time.
-    # The result is the same bitwise.
-
     def spectrum(self, image):
         """rfft2 of an image-shaped array (an image or a measurement)."""
         image = np.asarray(image, dtype=np.float64).reshape(self.image_shape)
-        return np.fft.rfft2(image, s=self.image_shape)
+        return _rfft2(image, self.image_shape)
 
     def kernel_spectrum(self, theta):
         """rfft2 of the kernel embedded at image size."""
-        return np.fft.rfft2(self._embed(theta), s=self.image_shape)
+        return _rfft2(self._embed(theta), self.image_shape)
 
     # Each operator below takes the spectra of its two arguments when the
     # caller already has them, so that an evaluation sharing an argument
@@ -89,32 +133,33 @@ class BlindConvolutionModel:
         """A(theta) v = theta (*) v, flattened to length H*W."""
         ft = self.kernel_spectrum(theta) if ft is None else ft
         fv = self.spectrum(v) if fv is None else fv
-        return np.fft.irfft2(ft * fv, s=self.image_shape).ravel()
+        return _irfft2(ft * fv, self.image_shape).ravel()
 
     def adjoint_v(self, theta, w, ft=None, fw=None):
         """A(theta)^T w: correlate the kernel against a measurement image."""
         ft = self.kernel_spectrum(theta) if ft is None else ft
         fw = self.spectrum(w) if fw is None else fw
-        return np.fft.irfft2(np.conj(ft) * fw, s=self.image_shape).ravel()
+        return _irfft2(np.conj(ft) * fw, self.image_shape).ravel()
 
     def adjoint_theta(self, v, w, fv=None, fw=None):
         """Adjoint of theta -> theta (*) v: correlate v with w, crop to kernel."""
         fv = self.spectrum(v) if fv is None else fv
         fw = self.spectrum(w) if fw is None else fw
-        return self._extract(np.fft.irfft2(np.conj(fv) * fw, s=self.image_shape))
+        return self._extract(_irfft2(np.conj(fv) * fw, self.image_shape))
 
     def adjoints(self, ft, fv, fw):
         """(adjoint_v(theta, w), adjoint_theta(v, w)) from the spectra of theta,
         v and w, with one inverse transform of the two products, written
         into the planes of one stack.
 
-        numpy transforms each plane of a stack exactly as it would transform
-        that plane alone, so both equal the separate adjoints bitwise.
+        The kernels transform each plane of a stack exactly as they would
+        transform that plane alone, so both equal the separate adjoints
+        bitwise.
         """
         products = np.empty((2,) + fw.shape, dtype=np.complex128)
         np.multiply(np.conj(ft), fw, out=products[0])
         np.multiply(np.conj(fv), fw, out=products[1])
-        back = np.fft.irfft2(products, s=self.image_shape)
+        back = _irfft2(products, self.image_shape)
         return back[0].ravel(), self._extract(back[1])
 
 
@@ -156,9 +201,8 @@ class MultiCoilModel:
         return np.empty(self.stack_shape, dtype=np.complex128) if out is None else out
 
     # The per-coil transforms below run as one call over the stacked coil
-    # axis; numpy transforms each plane of a stack exactly as it would
-    # transform that plane alone.  They pass their shape, as the
-    # convolution's transforms do.
+    # axis; the kernels transform each plane of a stack exactly as they
+    # would transform that plane alone.
     #
     # Each operator writes its result into `out` when given, a C-ordered
     # complex128 array of the result's shape; without it, it allocates one
@@ -169,18 +213,12 @@ class MultiCoilModel:
     def forward(self, maps, v, out=None):
         """Stack of masked unitary DFTs of (map_i * image)."""
         out = np.multiply(self._as_maps(maps), self._as_image(v), out=self._stack(out))
-        np.fft.fft2(out, s=self.image_shape, norm="ortho", out=out)
-        return np.multiply(self._complex_mask, out, out=out)
+        return np.multiply(self._complex_mask, _dft2(out, self.image_shape), out=out)
 
     def inverse(self, w, out=None):
-        """Masked inverse unitary DFT of each coil of w, shared by both adjoints.
-
-        Read the result from the returned array: numpy's `ifft2` (as of
-        2.4) drops its `out` and returns a fresh array, so `out` may hold
-        only the masked product.
-        """
+        """Masked inverse unitary DFT of each coil of w, shared by both adjoints."""
         out = np.multiply(self._complex_mask, w, out=self._stack(out))
-        return np.fft.ifft2(out, s=self.image_shape, norm="ortho", out=out)
+        return _dft2(out, self.image_shape, inverse=True)
 
     def adjoint_v(self, maps, w, back=None, out=None):
         """A(maps)^H w; `back` is `inverse(w)` when the caller has it."""
