@@ -124,7 +124,12 @@ class BlockVector:
 
     def block(self, i):
         """Read-only view of block i (1-based), for reading without a copy."""
-        return self.data[self.layout.block_slice(i)]
+        if i > 0:
+            try:
+                return self.data[self.layout.slices[i - 1]]
+            except IndexError:
+                pass
+        return self.data[self.layout.block_slice(i)]  # raises, naming i
 
     def inject(self, i, values):
         """Return a new vector with block i replaced by `values`."""
@@ -162,9 +167,11 @@ class BlockSchedule:
     random kinds derive a fresh generator per draw (random-iid, `_iid_draw`)
     or per epoch (epoch-shuffle) from a spawned seed sequence, so equal
     inputs always reproduce equal streams and draws can be evaluated out of
-    order. Epoch-shuffle keeps the last epoch's permutation and random-iid
-    the last chunk of `_CHUNK` draws (`_iid_chunk`), each keyed by
-    everything that determines it.
+    order. Random-iid computes `_CHUNK` draws at a time (`_iid_chunk`), and
+    two-block epoch-shuffle `_CHUNK` epoch orders, with the generators'
+    arithmetic and no generator; epoch-shuffle over three or more blocks
+    keeps the last epoch's permutation.  Each cache is keyed by everything
+    that determines it.
     """
 
     kind: str
@@ -188,6 +195,16 @@ class BlockSchedule:
             return 1 + (k - 1) % b
         if self.kind == EPOCH_SHUFFLE:
             epoch, pos = divmod(k - 1, b)
+            start = epoch - epoch % _CHUNK
+            if b == 2 and start + _CHUNK <= 2**32:
+                # permutation(2) swaps when bit 0 of the generator's first
+                # output is 0, so the epoch's order is (1 - bit, bit)
+                key = (self.seed, b, start)
+                if self._epoch[0] != key:
+                    es = np.arange(start, start + _CHUNK, dtype=np.uint64)
+                    bits = _first_output_low(self.seed, (0,), es) & 1
+                    self._epoch = (key, bits.tolist())
+                return (self._epoch[1][epoch - start] ^ pos ^ 1) + 1
             key = (self.seed, b, epoch)
             if self._epoch[0] != key:
                 rng = np.random.default_rng(
@@ -225,10 +242,22 @@ def _iid_chunk(seed, b, ks):
     with the arithmetic numpy runs inside those calls, for 1 <= b < 2**32 and
     0 <= k < 2**32. A draw that may reach the rejection loop of Lemire's
     method is taken from the definition."""
+    m = _first_output_low(seed, (1,), ks) * b
+    draws = m >> 32
+    for i in np.flatnonzero((m & _M32) < b):
+        draws[i] = _iid_draw(seed, b, int(ks[i]))
+    return draws
+
+
+def _first_output_low(seed, prefix, ks):
+    """The low 32 bits of the first 64-bit output of
+    `default_rng(SeedSequence(seed, spawn_key=prefix + (k,)))` for each k of
+    the uint64 array `ks`, with numpy's arithmetic, for 0 <= k < 2**32 and
+    a prefix of ints below 2**32."""
     # numpy's pool after every entropy word before k's: the seed's words,
-    # padded to 4, and the spawn key's 1; 4 hashes per word went into it
-    pool = np.random.SeedSequence(seed, spawn_key=(1,)).pool.astype(np.uint64)[:, None]
-    n = 4 * (max(4, -(-int(seed).bit_length() // 32)) + 1)
+    # padded to 4, and the prefix's; 4 hashes per word went into it
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool.astype(np.uint64)[:, None]
+    n = 4 * (max(4, -(-int(seed).bit_length() // 32)) + len(prefix))
     h = np.array([_INIT_A * pow(_MULT_A, n + j, 2**32) & _M32 for j in range(5)],
                  dtype=np.uint64)[:, None]
     r = (_MIX_L * pool - _MIX_R * _hashmix(ks, h[:4], h[1:])) & _M32
@@ -243,14 +272,10 @@ def _iid_chunk(seed, b, ks):
     for c in range(3):
         limbs[c + 1] += limbs[c] >> 32
     s = limbs & _M32
-    # the XSL-RR output's low 32 bits, then Lemire's bounded draw
+    # the XSL-RR output's low 32 bits
     x = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
     rot = s[3] >> 26
-    m = ((x >> rot | x << (64 - rot & 63)) & _M32) * b
-    draws = m >> 32
-    for i in np.flatnonzero((m & _M32) < b):
-        draws[i] = _iid_draw(seed, b, int(ks[i]))
-    return draws
+    return (x >> rot | x << (64 - rot & 63)) & _M32
 
 
 def complex_to_pairs(z):

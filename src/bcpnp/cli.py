@@ -856,20 +856,29 @@ def _config_errors(diagnostics):
 def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory):
     """Descent always; the schedule decides which bound check applies.
 
-    `objective` is the one `result` was solved with; only a bound check
-    makes the reference run for f*.  Each check's report.json entry holds
-    its report's dataclass fields.
+    `objective` is the one `result` was solved with.  Only a bound check
+    reads f*, from the mode's trajectory continued to
+    `reference_multiplier * max_iters` iterations in all; a mode that
+    stopped on tolerance, or a multiplier of 1, needs no further solve.
+    Each check's report.json entry holds its report's dataclass fields.
     """
     checks = {"descent": check_descent(result.trace, constants)}
 
-    def rerun(objective=None, full_residual=False, **changes):
-        cfg = dataclasses.replace(solver_cfg, **changes)
-        return solve(problem.fidelity, problem.denoisers, cfg, x0, objective=objective,
-                     full_residual=full_residual).trace
-
     def f_star():
-        max_iters = solver_cfg.max_iters * theory.reference_multiplier
-        return reference_f_star(rerun(objective, max_iters=max_iters))
+        if result.reason == "tolerance" or theory.reference_multiplier == 1:
+            return reference_f_star(result.trace)
+        cfg = dataclasses.replace(solver_cfg,
+                                  max_iters=solver_cfg.max_iters * theory.reference_multiplier)
+        more = solve(problem.fidelity, problem.denoisers, cfg, result.x, objective=objective,
+                     start_iter=len(result.trace) + 1)
+        return reference_f_star(result.trace, more.trace)
+
+    def seed_trace(s):
+        schedule = solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s)
+        trace = solve(problem.fidelity, problem.denoisers,
+                      dataclasses.replace(solver_cfg, schedule=schedule), x0,
+                      full_residual=True).trace
+        return dataclasses.replace(trace, f_initial=result.trace.f_initial)
 
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
@@ -877,14 +886,9 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     elif _checks_theorem2(solver_cfg, theory):
         reference = f_star()
         # the check reads residuals, errors and f(x0) only: seed 0 is the run's
-        # own solve, the other seeds run without the objective, all share f(x0)
-        f_initial = objective.value(x0)[0]
-        traces = [result.trace] + [
-            rerun(schedule=solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s),
-                  full_residual=True)
-            for s in range(1, theory.ensemble_seeds)
-        ]
-        traces = [dataclasses.replace(tr, f_initial=f_initial) for tr in traces]
+        # own solve, the other seeds run without the objective and share the
+        # f(x0) that the mode's solve recorded
+        traces = [result.trace] + [seed_trace(s) for s in range(1, theory.ensemble_seeds)]
         checks["theorem2"] = check_theorem2(traces, constants, reference)
     return {name: dataclasses.asdict(report) for name, report in checks.items()}
 

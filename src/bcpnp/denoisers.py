@@ -20,6 +20,7 @@ from numbers import Real
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_FLOAT64 = np.dtype(np.float64)
 
 
 class UnsupportedPriorError(TypeError):
@@ -165,8 +166,16 @@ def _check_step(sigma, gamma):
     return sigma, gamma
 
 
+def _flat(z):
+    """z as a flat float64 array; a 1-D float64 ndarray, which is what a
+    solve passes, is taken as it is."""
+    if type(z) is np.ndarray and z.dtype is _FLOAT64 and z.ndim == 1:
+        return z
+    return np.asarray(z, dtype=np.float64).ravel()
+
+
 def _check_dim(prior, z):
-    z = np.asarray(z, dtype=np.float64).ravel()
+    z = _flat(z)
     if z.size != prior.dim:
         raise ValueError(f"expected dimension {prior.dim}, got {z.size}")
     return z
@@ -455,7 +464,7 @@ class InexactDenoiser:
 
 def apply_denoiser(spec, z, k=1):
     """Apply a denoiser object to a coordinate vector at iteration k."""
-    return spec.apply(np.asarray(z, dtype=np.float64).ravel(), k)
+    return spec.apply(_flat(z), k)
 
 
 def error_magnitude(spec, k):

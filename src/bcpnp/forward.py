@@ -50,7 +50,7 @@ def _rfft2(a, shape):
     w = shape[1]
     out = np.empty(a.shape[:-1] + (w // 2 + 1,), dtype=np.complex128)
     (_pocketfft.rfft_n_even if w % 2 == 0 else _pocketfft.rfft_n_odd)(a, 1.0, out=out)
-    columns = np.swapaxes(out, -1, -2)
+    columns = out.swapaxes(-1, -2)
     _pocketfft.fft(columns, 1.0, out=columns)
     return out
 
@@ -59,7 +59,7 @@ def _irfft2(spectrum, shape):
     """numpy's `irfft2(spectrum, s=shape)`, in a new array; the complex128
     `spectrum` is overwritten, so pass only a product made for the call."""
     h, w = shape
-    columns = np.swapaxes(spectrum, -1, -2)
+    columns = spectrum.swapaxes(-1, -2)
     _pocketfft.ifft(columns, 1 / h, out=columns)
     out = np.empty(spectrum.shape[:-1] + (w,))
     _pocketfft.irfft(spectrum, 1 / w, out=out)
@@ -72,7 +72,7 @@ def _dft2(stack, shape, inverse=False):
     h, w = shape
     kernel = _pocketfft.ifft if inverse else _pocketfft.fft
     kernel(stack, 1 / math.sqrt(w), out=stack)
-    columns = np.swapaxes(stack, -1, -2)
+    columns = stack.swapaxes(-1, -2)
     kernel(columns, 1 / math.sqrt(h), out=columns)
     return stack
 

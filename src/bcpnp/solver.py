@@ -142,6 +142,7 @@ def solve(
     truth: BlockVector | None = None,
     objective=None,
     full_residual: bool = False,
+    start_iter: int = 1,
 ):
     """Run the iteration from x0 until the relative-change tolerance or the
     iteration cap, recording a per-iteration trace.
@@ -161,6 +162,15 @@ def solve(
     a solve of n iterations makes n + 1 gradient evaluations.  Raises
     NonFiniteIterateError when a denoised block or any recorded objective
     quantity (f, g, h, ||grad f||^2) is NaN/inf.
+
+    `start_iter` is the number of the first iteration, and `config.max_iters`
+    the number of the last.  An iterate depends only on the previous one
+    and on k (the schedule and inexact denoisers draw by k), so a solve
+    from `result.x` with `start_iter = len(result.trace) + 1` continues
+    `result`'s solve: its iterates, and the f, g, h and step norms of its
+    rows, are bitwise those that one longer solve from `result`'s start
+    reaches after `result`'s last row.  The first row of every solve logs
+    ||G|| at its start.
     """
     layout = fidelity.layout
     if x0.layout.sizes != layout.sizes:
@@ -170,6 +180,8 @@ def solve(
     active = [i for i, d in enumerate(denoisers, start=1) if d is not None]
     if not active:
         raise ValueError("no block has a denoiser")
+    if not 1 <= start_iter <= config.max_iters:
+        raise ValueError(f"start_iter must be in 1..max_iters, got {start_iter}")
 
     gamma = config.gamma
     if gamma is None:
@@ -192,19 +204,19 @@ def solve(
     gradient_evals = 1
     trace = TraceBuilder(num_blocks)
     if objective is not None:
-        trace.set_initial(_objective_at(objective, x0, grad, value, 0)[0])
+        trace.set_initial(_objective_at(objective, x0, value, 0)[0])
     else:
         trace.set_initial(float("nan"))
 
     x = x0
     rmse_blocks = [float("nan")] * num_blocks
     reason = "max-iters"
-    i_k = _pick_index(schedule, active, 1)
-    k = 0
-    for k in range(1, config.max_iters + 1):
-        # the chosen block's update; at k = 1 and with the full residual,
-        # every active block is denoised and gives G(x) for the trace
-        if full_residual or k == 1:
+    i_k = _pick_index(schedule, active, start_iter)
+    for k in range(start_iter, config.max_iters + 1):
+        # the chosen block's update; at the first iteration and with the full
+        # residual, every active block is denoised and gives G(x) for the trace
+        first = k == start_iter
+        if full_residual or first:
             denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
             g_norm2 = _norm(_residual(gamma, x, denoised)) ** 2
         else:
@@ -225,12 +237,12 @@ def solve(
 
         # every block but i_k is bitwise what it was in the previous
         # iteration, so its ball check and error carry over
-        changed = range(1, num_blocks + 1) if k == 1 else (i_k,)
+        changed = range(1, num_blocks + 1) if first else (i_k,)
         if not left_ball:
             left_ball = any(_norm(x_new.block(i)) > radii[i - 1] for i in changed)
 
         if objective is not None:
-            f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, grad, value, k)
+            f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, value, k, grad)
         else:
             f_k = g_k = h_k = gradf2 = float("nan")
         if truth is not None:
@@ -272,13 +284,16 @@ def _fidelity_at(fidelity, x, objective, blocks):
     return fidelity.grad(x), None
 
 
-def _objective_at(objective, x, grad, value, k):
-    """(f, g, h, ||grad f||^2) at the iterate x of iteration k.
+def _objective_at(objective, x, value, k, grad=None):
+    """(f, g, h) at the iterate x of iteration k, and ||grad f||^2 after
+    them when `grad`, grad g(x), is given: the start records f alone.
 
     Raises NonFiniteIterateError naming the first non-finite quantity.
     """
     f, g, h = objective.value(x, value)
-    quantities = {"f": f, "g": g, "h": h, "||grad f||^2": objective.grad(x, grad).norm() ** 2}
+    quantities = {"f": f, "g": g, "h": h}
+    if grad is not None:
+        quantities["||grad f||^2"] = objective.grad(x, grad).norm() ** 2
     for name, q in quantities.items():
         if not np.isfinite(q):
             raise NonFiniteIterateError(f"non-finite objective {name} at iteration {k}")

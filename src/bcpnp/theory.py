@@ -25,7 +25,7 @@ from .denoisers import (
 
 # trace.csv, column by column: (csv column, IterateTrace field).  The
 # `rmse` columns take the per-block relative errors in block order, NaN
-# past the trace's last block, so the file carries blocks 1 and 2 only.
+# past the trace's last block; blocks 3 and on follow as `rmse_3`, ...
 TRACE_COLUMNS = (
     ("iter", "iters"),
     ("block", "block"),
@@ -88,8 +88,12 @@ class IterateTrace:
             .tolist()
             for _, name in TRACE_COLUMNS
         ]
+        header = [TRACE_CSV_HEADER]
+        for i, column in enumerate(blocks, start=3):  # blocks 3 and on
+            header.append(f"rmse_{i}")
+            columns.append(column.tolist())
         # repr of a Python float is its shortest round-trip form
-        lines = [TRACE_CSV_HEADER] + [",".join(map(repr, row)) for row in zip(*columns)]
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -107,6 +111,10 @@ class IterateTrace:
                 values["rmse"].append(by_column[column])
             else:
                 values[name] = by_column[column].astype(_dtype(name))
+        i = 3
+        while f"rmse_{i}" in by_column:
+            values["rmse"].append(by_column[f"rmse_{i}"])
+            i += 1
         values["rmse"] = np.column_stack(values["rmse"])
         return cls(**values, grad_f_norm2=np.full(raw.shape[0], np.nan))
 
@@ -439,15 +447,18 @@ def check_theorem2(traces, constants: TheoryConstants, f_star):
     )
 
 
-def reference_f_star(trace: IterateTrace):
+def reference_f_star(trace: IterateTrace, *continued: IterateTrace):
     """Lower estimate of inf f from a long reference run.
 
-    The running minimum of f along a trace upper-bounds the true infimum,
+    The run is `trace` and, when given, the solves that continue it in
+    order (`solve(..., start_iter=...)`), whose f rows extend `trace`'s.
+    The running minimum of f along the run upper-bounds the true infimum,
     so F_STAR_MARGIN times the observed descent span is subtracted;
     underestimating f* only loosens the checked bounds, never falsely
     fails them.
     """
-    fmin = float(min(trace.f_initial, np.min(trace.f)))
+    f = np.concatenate([trace.f] + [tr.f for tr in continued])
+    fmin = float(min(trace.f_initial, np.min(f)))
     span = trace.f_initial - fmin
     return fmin - F_STAR_MARGIN * span - 1e-12 * (1.0 + abs(fmin))
 

@@ -162,6 +162,13 @@ def _iid_formula(seed, b, k):
     return int(np.random.default_rng(ss).integers(b)) + 1
 
 
+def _epoch_formula(seed, b, k):
+    """The epoch-shuffle stream's definition: one permutation per epoch."""
+    epoch, pos = divmod(k - 1, b)
+    ss = np.random.SeedSequence(seed, spawn_key=(0, epoch))
+    return int(np.random.default_rng(ss).permutation(b)[pos]) + 1
+
+
 class TestSchedules:
     def test_sequential_modulo(self):
         sched = BlockSchedule("sequential", 3)
@@ -204,9 +211,7 @@ class TestSchedules:
             if kind == "sequential":
                 return 1 + (k - 1) % b
             if kind == "epoch-shuffle":
-                epoch, pos = divmod(k - 1, b)
-                ss = np.random.SeedSequence(9, spawn_key=(0, epoch))
-                return int(np.random.default_rng(ss).permutation(b)[pos]) + 1
+                return _epoch_formula(9, b, k)
             return _iid_formula(9, b, k)
 
         ks = list(range(1, 3 * b + 1))
@@ -224,17 +229,31 @@ class TestSchedules:
 
     @pytest.mark.parametrize("seed", [0, 3, 19, 2**32 - 1, 2**40 + 3, 2**130 + 9])
     def test_chunked_stream_equals_definition(self, seed):
-        """Random-iid draws, computed a chunk at a time, equal one generator
-        per draw over several chunks, read in order, reversed and shuffled;
-        a seed of more than four 32-bit words included."""
+        """Random-iid draws and two-block epoch orders, computed a chunk at
+        a time, equal one generator per draw or epoch over several chunks,
+        read in order, reversed and shuffled; a seed of more than four
+        32-bit words included."""
         ks = list(range(1, 601))
         shuffled = [int(k) for k in np.random.default_rng(seed % 97).permutation(ks)]
-        for b in (1, 2, 3, 5, 16):
-            want = [_iid_formula(seed, b, k) for k in ks]
-            sched = BlockSchedule("random-iid", b, seed=seed)
+        cases = [("random-iid", b, _iid_formula) for b in (1, 2, 3, 5, 16)]
+        for kind, b, formula in cases + [("epoch-shuffle", 2, _epoch_formula)]:
+            want = [formula(seed, b, k) for k in ks]
+            sched = BlockSchedule(kind, b, seed=seed)
             for order in (ks, ks[::-1], shuffled):
                 got = {k: sched.next_index(k) for k in order}
                 assert [got[k] for k in ks] == want
+
+    def test_two_block_epoch_shuffle_over_many_seeds(self):
+        for seed in range(40):
+            sched = BlockSchedule("epoch-shuffle", 2, seed=seed)
+            ks = range(1, 601)
+            assert [sched.next_index(k) for k in ks] == [_epoch_formula(seed, 2, k) for k in ks]
+
+    def test_two_block_epochs_of_two_words_follow_the_definition(self):
+        """Epochs from 2**32 - 3 on, past the chunk arithmetic's range."""
+        ks = range(2 * (2**32 - 3) + 1, 2 * (2**32 + 3) + 1)
+        sched = BlockSchedule("epoch-shuffle", 2, seed=7)
+        assert [sched.next_index(k) for k in ks] == [_epoch_formula(7, 2, k) for k in ks]
 
     @pytest.mark.parametrize("b, ks", [
         (3 * 2**30, range(1, 301)),  # about 3 in 4 draws may reach Lemire's rejection loop

@@ -428,8 +428,8 @@ class TestRun:
 
     def test_theorem2_ensemble_reuses_the_mode_solve(self, tmp_path, monkeypatch):
         """A random-iid run with n ensemble seeds solves n + 1 times: the
-        mode, the reference run and seeds 1..n-1; seed 0 is the mode's own
-        solve."""
+        mode, the continuation of the mode's solve for f* and seeds 1..n-1;
+        seed 0 is the mode's own solve."""
         path = write_config(tmp_path, **{
             "problem.image_shape": [8, 8], "problem.balance_blocks": False,
             "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
@@ -439,16 +439,19 @@ class TestRun:
         calls = []
 
         def counting_solve(*args, **kwargs):
-            calls.append((kwargs.get("objective") is not None, kwargs["full_residual"]))
+            calls.append((kwargs.get("objective") is not None, kwargs.get("full_residual", False),
+                          kwargs.get("start_iter", 1), args[2].max_iters))
             return solver.solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve", counting_solve)
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 11
-        # the mode and the reference run record the objective; the seeds do
-        # not.  Theorem 2 reads the residuals of the mode and the seeds only.
-        assert calls == [(True, True), (True, False)] + [(False, True)] * 9
+        # the mode and the reference's continuation record the objective; the
+        # seeds do not.  Theorem 2 reads the residuals of the mode and the
+        # seeds only.  The continuation runs iterations 21..40.
+        assert calls == [(True, True, 1, 20), (True, False, 21, 40)] + [(False, True, 1, 20)] * 9
         report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["modes"]["bc-pnp"]["reason"] == "max-iters"
         assert report["checks"]["bc-pnp"]["theorem2"]["num_seeds"] == 10
 
     @pytest.mark.parametrize("schedule, seeds, checks", [
@@ -459,7 +462,8 @@ class TestRun:
     def test_reference_run_only_for_a_bound_check(self, schedule, seeds, checks, tmp_path,
                                                    monkeypatch):
         """Only theorems 1 and 2 read f*, so a run that checks descent alone
-        solves the mode once and makes no reference run."""
+        solves the mode once and makes no reference run.  The reference
+        continues the mode's solve from its iteration 21 to the cap of 40."""
         path = write_config(tmp_path, **{
             "problem.image_shape": [8, 8], "problem.balance_blocks": False,
             "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
@@ -469,14 +473,103 @@ class TestRun:
         calls = []
 
         def counting_solve(*args, **kwargs):
-            calls.append(args[2].max_iters)
+            calls.append((kwargs.get("start_iter", 1), args[2].max_iters))
             return solver.solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve", counting_solve)
         assert cli.run(path) == cli.EXIT_OK
-        assert calls == [20, 40][:len(checks)]
+        assert calls == [(1, 20), (21, 40)][:len(checks)]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sorted(report["checks"]["bc-pnp"]) == checks
+
+    @pytest.mark.parametrize("overrides, solves, reason", [
+        # random-iid, theorem 2: the mode, the continuation and 9 seeds
+        ({"solver.schedule": {"kind": "random-iid", "seed": 3},
+          "theory_checks.ensemble_seeds": 10}, 11, "max-iters"),
+        ({"solver.schedule": {"kind": "sequential", "seed": 0}}, 2, "max-iters"),
+        ({"denoisers.image": {"kind": "inexact", "base": _GAUSSIAN_IMAGE,
+                              "schedule": {"kind": "constant", "base": 0.01, "seed": 4}}},
+         2, "max-iters"),
+        # the mode stops on tolerance, and so would the reference: no solve
+        ({"solver.stop_tol": 1e-2}, 1, "tolerance"),
+        ({"theory_checks.reference_multiplier": 1}, 1, "max-iters"),
+    ], ids=["random-iid", "sequential", "inexact-constant", "tolerance", "multiplier-1"])
+    def test_f_star_equals_a_reference_from_scratch(self, overrides, solves, reason, tmp_path,
+                                                    monkeypatch):
+        """f* from the mode's trajectory, continued, is bitwise the f* of a
+        reference_multiplier x max_iters solve from the start."""
+        path = write_config(tmp_path, **{
+            "problem.image_shape": [8, 8], "problem.balance_blocks": False,
+            "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
+            "solver.stop_tol": 1e-12,
+            "theory_checks": {"enabled": True, "reference_multiplier": 3},
+            **overrides,
+        })
+        calls, f_stars = [], []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("start_iter", 1))
+            return solver.solve(*args, **kwargs)
+
+        def recording_f_star(*traces):
+            f_stars.append(reference_f_star(*traces))
+            return f_stars[-1]
+
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        monkeypatch.setattr(cli, "reference_f_star", recording_f_star)
+        assert cli.run(path) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["modes"]["bc-pnp"]["reason"] == reason
+        assert len(calls) == solves
+
+        cfg = cli.load_config(path)
+        problem = cli.build_problem(cfg)
+        x0 = problem.x0_for("bc-pnp")
+        gamma, _ = solver.resolve_gamma(problem.fidelity, x0, cfg.solver)
+        objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
+        ref_cfg = dataclasses.replace(
+            cfg.solver, gamma=gamma,
+            max_iters=cfg.solver.max_iters * cfg.theory.reference_multiplier)
+        ref = solver.solve(problem.fidelity, problem.denoisers, ref_cfg, x0, objective=objective)
+        want = reference_f_star(ref.trace)
+        assert [np.float64(f).tobytes() for f in f_stars] == [np.float64(want).tobytes()]
+
+    def test_theorem2_reads_the_modes_f_x0(self, tmp_path, monkeypatch):
+        """Every ensemble trace carries the f(x0) that the mode's solve
+        recorded, bitwise objective.value(x0)[0]; nothing evaluates it again."""
+        path = write_config(tmp_path, **{
+            "problem.image_shape": [8, 8], "problem.balance_blocks": False,
+            "denoisers.image": _GAUSSIAN_IMAGE, "solver.max_iters": 20,
+            "solver.schedule": {"kind": "random-iid", "seed": 3},
+            "theory_checks": {"enabled": True, "reference_multiplier": 2, "ensemble_seeds": 10},
+        })
+        ensembles = []
+
+        def recording_check(traces, *args):
+            ensembles.append(traces)
+            return check_theorem2(traces, *args)
+
+        monkeypatch.setattr(cli, "check_theorem2", recording_check)
+        assert cli.run(path) == cli.EXIT_OK
+        cfg = cli.load_config(path)
+        problem = cli.build_problem(cfg)
+        x0 = problem.x0_for("bc-pnp")
+        gamma, _ = solver.resolve_gamma(problem.fidelity, x0, cfg.solver)
+        want = ImplicitObjective(problem.fidelity, problem.denoisers, gamma).value(x0)[0]
+        [traces] = ensembles
+        assert len(traces) == 10
+        assert {np.float64(tr.f_initial).tobytes() for tr in traces} == {np.float64(want).tobytes()}
+
+    def test_trace_csv_has_every_block(self, tmp_path):
+        """A 3-block generic-linear run writes rmse_3 after the two fixed
+        columns, and reads it back."""
+        path = write_config(tmp_path, **_linear_overrides([3, 4, 5], ["bc-pnp"]))
+        assert cli.run(path) == cli.EXIT_OK
+        csv = tmp_path / "out" / "bc-pnp" / "trace.csv"
+        assert csv.read_text().splitlines()[0].endswith(",rmse_v,rmse_theta,rmse_3")
+        trace = IterateTrace.from_csv(csv)
+        assert trace.rmse.shape == (30, 3)
+        assert np.isfinite(trace.rmse).all()
 
     def test_generic_linear_noise_is_not_the_truth(self, tmp_path):
         """The truth and the measurement noise draw from separate streams:

@@ -560,7 +560,8 @@ class TestFiniteCheck:
 
 class _NanObjectiveAt:
     """Delegates to an objective; one quantity is NaN at iteration k (the
-    objective is evaluated once at x0, then once per iteration)."""
+    objective's value is evaluated once at x0, then once per iteration, and
+    its gradient once per iteration)."""
 
     def __init__(self, inner, k, quantity):
         self.inner, self.k, self.quantity = inner, k, quantity
@@ -577,7 +578,7 @@ class _NanObjectiveAt:
     def grad(self, x, grad_g=None):
         self.grad_calls += 1
         out = self.inner.grad(x, grad_g)
-        if self.grad_calls == self.k + 1 and self.quantity == "||grad f||^2":
+        if self.grad_calls == self.k and self.quantity == "||grad f||^2":
             return BlockVector(out.layout, np.full(out.layout.total, np.nan))
         return out
 
@@ -597,6 +598,47 @@ class TestNonFiniteObjective:
         objective = _NanObjectiveAt(desk.objective, 0, "f")
         with pytest.raises(NonFiniteIterateError, match="objective f at iteration 0$"):
             solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=objective)
+
+    def test_the_start_records_f_without_a_gradient(self):
+        """f(x0) is the start's only use of the objective: n iterations take
+        n + 1 values and n gradients."""
+        desk = blind_desk_problem()
+        counting = _NanObjectiveAt(desk.objective, -1, None)
+        solve(desk.fidelity, desk.denoisers(), dataclasses.replace(desk.config, max_iters=10),
+              desk.x0, objective=counting)
+        assert (counting.value_calls, counting.grad_calls) == (11, 10)
+
+
+class TestContinuation:
+    """A solve from `result.x` with `start_iter = len(result.trace) + 1`
+    continues `result`'s solve."""
+
+    @pytest.mark.parametrize("kind", ["sequential", "epoch-shuffle", "random-iid"])
+    @pytest.mark.parametrize("with_objective", [True, False], ids=["objective", "lean"])
+    def test_continuation_is_the_longer_solve(self, kind, with_objective):
+        desk = blind_desk_problem()
+        dens = desk.denoisers("constant", 0.01, 7)
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma) if with_objective else None
+        cfg = dataclasses.replace(desk.config, schedule=BlockSchedule(kind, 2, seed=5))
+        short = solve(desk.fidelity, dens, dataclasses.replace(cfg, max_iters=15), desk.x0,
+                      objective=objective)
+        cfg = dataclasses.replace(cfg, max_iters=40)
+        more = solve(desk.fidelity, dens, cfg, short.x, objective=objective, start_iter=16)
+        whole = solve(desk.fidelity, dens, cfg, desk.x0, objective=objective)
+        assert more.x.data.tobytes() == whole.x.data.tobytes()
+        assert more.trace.iters.tolist() == list(range(16, 41))
+        for name in ("block", "f", "g", "h", "step_norm", "eps", "grad_f_norm2"):
+            assert getattr(more.trace, name).tobytes() == getattr(whole.trace, name)[15:].tobytes()
+        assert more.g_norm_final == whole.g_norm_final
+        # its first row logs ||G|| at its start, which a lean whole solve skips
+        assert np.isfinite(more.trace.g_norm2[0])
+
+    @pytest.mark.parametrize("start_iter", [0, 41])
+    def test_start_outside_the_cap_is_refused(self, start_iter):
+        desk = blind_desk_problem()
+        cfg = dataclasses.replace(desk.config, max_iters=40)
+        with pytest.raises(ValueError, match="start_iter"):
+            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, start_iter=start_iter)
 
 
 class TestGradientChainIdentity:

@@ -561,16 +561,25 @@ class TestTraceSerialization:
                  "2,1,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,nan"]),
             (2, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,0.25",
                  "2,2,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,1e-17"]),
-            # trace.csv carries the relative errors of blocks 1-2 only
-            (3, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,0.25",
-                 "2,3,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,1e-17"]),
+            # blocks 3 and on follow the two fixed columns, as rmse_3, ...
+            (3, ["1,1,0.1,nan,5e-324,3.0,1.5e-08,0.0,0.5,0.25,9.0",
+                 "2,3,-0.0,1e+300,-2.5,0.0,nan,0.125,nan,1e-17,9.5"]),
         ],
     )
     def test_csv_golden_bytes(self, tmp_path, num_blocks, rows):
         path = tmp_path / "trace.csv"
         hand_trace(num_blocks).to_csv(path)
         header = "iter,block,f,g,h,Gnorm2,step_norm,eps,rmse_v,rmse_theta"
+        header += "".join(f",rmse_{i}" for i in range(3, num_blocks + 1))
         assert path.read_bytes() == "".join(r + "\n" for r in [header] + rows).encode()
+
+    def test_csv_round_trip_three_blocks(self, tmp_path):
+        trace = hand_trace(3)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        back = IterateTrace.from_csv(path)
+        assert back.rmse.shape == (2, 3)
+        assert back.rmse.tobytes() == trace.rmse.tobytes()
 
     def test_csv_round_trip_one_block_bits(self, tmp_path):
         trace = hand_trace(1)
