@@ -28,7 +28,9 @@ import numpy as np
 import yaml
 
 from . import fileio
-from .blocks import BlockLayout, BlockSchedule, BlockVector, complex_to_pairs, pairs_to_complex
+from .blocks import (
+    BlockLayout, BlockSchedule, BlockVector, _norm, complex_to_pairs, pairs_to_complex,
+)
 from .denoisers import (
     ErrorSchedule, GaussianPrior, GmmPrior, IdentityDenoiser, InexactDenoiser,
     MmseDenoiser, SoftThresholdDenoiser, TvProxDenoiser,
@@ -701,9 +703,9 @@ def _build_deconvolution(p, seed):
     theta0 = kernel if p.theta_init is None else p.theta_init
     if p.perturb is not None:
         rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
-        size = p.perturb * np.linalg.norm(kernel)
+        size = p.perturb * _norm(kernel)
         noise = rng.standard_normal(kernel.size)
-        theta0 = kernel + size * noise / np.linalg.norm(noise)
+        theta0 = kernel + size * noise / _norm(noise)
     scale = balanced_block_scale(model, fid, theta0) if p.balance_blocks else 1.0
     truth = BlockVector.from_blocks([p.image.ravel() / scale, scale * kernel])
     return Problem(BLIND, fid, truth, p.image, model.image_shape,
@@ -716,7 +718,7 @@ def _build_multicoil(p, seed):
     y = synthesize(model, image, maps, p.noise_sigma, seed=seed)
     rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
     noise_maps = rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape)
-    maps0 = maps + p.perturb * np.linalg.norm(maps) * noise_maps / np.linalg.norm(noise_maps)
+    maps0 = maps + p.perturb * _norm(maps) * noise_maps / _norm(noise_maps)
     truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
     return Problem(MULTI_COIL, MultiCoilFidelity(model, y), truth, np.abs(image),
                    model.image_shape, complex_to_pairs(maps0))
@@ -815,9 +817,10 @@ def run(config_path, out_override=None, seed_override=None):
                 "l_max": lip.l_max,
                 "iterations": len(result.trace),
                 "reason": result.reason,
-                "flags": {**result.flags, "power_iter_warning": not lip.converged,
+                "flags": {"left_ball": result.left_ball,
+                          "power_iter_warning": not lip.converged,
                           "gamma_exceeds_rule": lip.exceeded_by(gamma)},
-                "g_norm_initial": result.g_norm_initial,
+                "g_norm_initial": math.sqrt(result.trace.g_norm2[0]),
                 "g_norm_final": result.g_norm_final,
                 "denoiser_calls": result.denoiser_calls,
                 "gradient_evals": result.gradient_evals,

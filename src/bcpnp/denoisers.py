@@ -19,6 +19,8 @@ from numbers import Real
 
 import numpy as np
 
+from .blocks import _norm
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 _FLOAT64 = np.dtype(np.float64)
 
@@ -458,7 +460,7 @@ class InexactDenoiser:
             np.random.SeedSequence(self.schedule.seed, spawn_key=(self.block_index, k))
         )
         u = rng.standard_normal(out.size)
-        u /= np.linalg.norm(u)
+        u /= _norm(u)
         return out + eps * u
 
 

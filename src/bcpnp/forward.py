@@ -24,7 +24,9 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 # the benchmark's tracer wraps the two pair converters where this module
 # would look them up, so they stay importable from it
-from .blocks import BlockLayout, BlockVector, complex_to_pairs, pairs_to_complex  # noqa: F401
+from .blocks import (  # noqa: F401
+    BlockLayout, BlockVector, _norm, _sumsq, complex_to_pairs, pairs_to_complex,
+)
 
 POWER_ITER_TOL = 1e-4
 POWER_ITER_MAX = 100
@@ -321,7 +323,7 @@ class ConvolutionFidelity:
     def value(self, x: BlockVector):
         v, theta, fv, ft = self._spectra(x)
         r = self.residual(v, theta, ft, fv)
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * _sumsq(r)
 
     def grad_v(self, v, theta):
         return self.grad_block(BlockVector.from_blocks([v, theta]), 1).block(1)
@@ -358,7 +360,7 @@ class ConvolutionFidelity:
     def value_and_grad(self, x: BlockVector):
         """(g(x), grad g(x)) from one residual."""
         r, grad = self._residual_and_grad(x)
-        return 0.5 * float(np.dot(r, r)), grad
+        return 0.5 * _sumsq(r), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
         """Exact Hessian-vector product of the bilinear fidelity at x.
@@ -543,7 +545,7 @@ class LinearFidelity:
 
     def value(self, x: BlockVector):
         r = self.model.forward(x.data) - self.y
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * _sumsq(r)
 
     def grad(self, x: BlockVector):
         return self.value_and_grad(x)[1]
@@ -556,7 +558,7 @@ class LinearFidelity:
     def value_and_grad(self, x: BlockVector):
         """(g(x), grad g(x)) from one residual."""
         r = self.model.forward(x.data) - self.y
-        return 0.5 * float(np.dot(r, r)), BlockVector._wrap(self.layout, self.model.adjoint(r))
+        return 0.5 * _sumsq(r), BlockVector._wrap(self.layout, self.model.adjoint(r))
 
     def hessian_vec(self, x: BlockVector, u, block=None):
         """A^T A u; with `block=i`, `u` holds only block i and the result is
@@ -602,7 +604,7 @@ def _power_iteration(apply_op, dim, rng, square=False):
     the bilinear Hessian) at the cost of one extra application.
     """
     u = rng.standard_normal(dim)
-    nrm = np.linalg.norm(u)
+    nrm = _norm(u)
     if nrm == 0:
         return 0.0, True
     u /= nrm
@@ -611,10 +613,10 @@ def _power_iteration(apply_op, dim, rng, square=False):
         w = apply_op(u)
         if square:
             w = apply_op(w)
-        wn = np.linalg.norm(w)
+        wn = _norm(w)
         if wn == 0.0:
             return 0.0, True
-        est = float(np.sqrt(wn)) if square else float(wn)
+        est = math.sqrt(wn) if square else wn
         u = w / wn
         if abs(est - lam) <= POWER_ITER_TOL * max(est, 1e-300):
             return est, True

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSchedule, BlockVector, _norm
+from .blocks import BlockSchedule, BlockVector, _norm, _sumsq
 from .denoisers import apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 from .theory import TraceBuilder, rmse
@@ -63,8 +63,7 @@ class SolveResult:
     x: BlockVector
     trace: "IterateTrace"
     reason: str  # "tolerance" | "max-iters"
-    flags: dict  # {"left_ball": bool}
-    g_norm_initial: float
+    left_ball: bool  # an iterate block left its ball around x0
     g_norm_final: float
     denoiser_calls: list  # per block, the g_final residual included
     gradient_evals: int  # fidelity gradients, each of one block or of all
@@ -96,7 +95,7 @@ def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, bloc
     denoised = {}
     for i in blocks:
         di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
-        if not math.isfinite(di.dot(di)) and not np.isfinite(di).all():
+        if not math.isfinite(_sumsq(di)) and not np.isfinite(di).all():
             raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
         denoised[i] = di
     return denoised
@@ -106,7 +105,7 @@ def _residual(gamma, x: BlockVector, denoised):
     """Flat array of (x_i - denoised_i) / gamma per block; zero on blocks not denoised."""
     out = np.zeros(x.layout.total)
     for i, di in denoised.items():
-        out[x.layout.block_slice(i)] = (x.block(i) - di) / gamma
+        out[x.layout.slices[i - 1]] = (x.block(i) - di) / gamma
     return out
 
 
@@ -260,13 +259,11 @@ def solve(
             reason = "tolerance"
             break
 
-    frozen = trace.freeze()
     g_final = g_operator(fidelity, denoisers, gamma, x, k + 1, grad).norm()
     for i in active:
         denoiser_calls[i - 1] += 1
     return SolveResult(
-        x=x, trace=frozen, reason=reason, flags={"left_ball": left_ball},
-        g_norm_initial=float(np.sqrt(frozen.g_norm2[0])), g_norm_final=g_final,
+        x=x, trace=trace.freeze(), reason=reason, left_ball=left_ball, g_norm_final=g_final,
         denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
 

@@ -1,4 +1,8 @@
-"""Block vector algebra and block-selection schedules."""
+"""Block vector algebra, sums of squares and block-selection schedules."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from bcpnp.blocks import (
     BlockSchedule,
     BlockVector,
     _norm,
+    _sumsq,
     complex_to_pairs,
     pairs_to_complex,
 )
@@ -127,11 +132,23 @@ class TestBlockVector:
 
 
 class TestNorm:
-    """`_norm`, which every solver norm goes through, against np.linalg.norm."""
+    """`_sumsq` and its root `_norm`, which every BLAS sum of squares in the
+    package goes through, against `np.dot` and `np.linalg.norm`."""
+
+    # around 10000 entries OpenBLAS `ddot` starts splitting its sum across threads
+    SIZES = [1, 9, 73, 4096, 8192, 10001, 32768, 40960]
 
     @staticmethod
     def _bits(value):
         return np.float64(value).tobytes()
+
+    @staticmethod
+    def _with_specials(a, rng):
+        """`a` with signed zeros and subnormals placed among its entries."""
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]
+        spots = rng.choice(a.size, size=min(a.size, len(specials)), replace=False)
+        a.flat[spots] = specials[: spots.size]
+        return a
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.lists(_ENTRIES, max_size=80), st.integers(0, 80))
@@ -140,6 +157,7 @@ class TestNorm:
         with np.errstate(over="ignore", under="ignore"):
             assert isinstance(_norm(a), float)
             assert self._bits(_norm(a)) == self._bits(np.linalg.norm(a))
+            assert self._bits(_sumsq(a)) == self._bits(np.dot(a, a))
             # the block views of a vector, as block_norms reads them
             if a.size >= 2:
                 cut = 1 + cut % (a.size - 1)
@@ -154,6 +172,41 @@ class TestNorm:
         a = np.array(values, dtype=np.float64)
         with np.errstate(over="ignore"):
             assert self._bits(_norm(a)) == self._bits(np.linalg.norm(a))
+            assert self._bits(_sumsq(a)) == self._bits(np.dot(a, a))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_long_vectors(self, size):
+        rng = np.random.default_rng(size)
+        a = self._with_specials(rng.standard_normal(size), rng)
+        assert isinstance(_sumsq(a), float)
+        assert self._bits(_sumsq(a)) == self._bits(np.dot(a, a))
+        assert self._bits(_norm(a)) == self._bits(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("shape", [(2, 32, 32), (4, 64, 64), (3, 7, 5)])
+    def test_complex_coil_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        re, im = (self._with_specials(rng.standard_normal(shape), rng) for _ in range(2))
+        z = re + 1j * im
+        assert isinstance(_sumsq(z), float)
+        assert self._bits(_norm(z)) == self._bits(np.linalg.norm(z))
+        assert _sumsq(z) == pytest.approx(np.vdot(z, z).real, rel=1e-12)
+
+    def test_no_sum_of_squares_outside_the_helper(self):
+        """`np.linalg.norm(`, `np.dot(` and `.dot(` appear in the package
+        only inside `_sumsq`, so how sums of squares are formed is decided
+        in one function."""
+        src = Path(__file__).resolve().parents[1] / "src" / "bcpnp"
+        tree = ast.parse((src / "blocks.py").read_text())
+        (helper,) = [n for n in tree.body if getattr(n, "name", None) == "_sumsq"]
+        inside = range(helper.lineno, helper.end_lineno + 1)
+        pattern = re.compile(r"np\.linalg\.norm\(|\.dot\(")
+        found = [
+            f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line) and not (path.name == "blocks.py" and n in inside)
+        ]
+        assert not found, "sums of squares outside blocks._sumsq:\n" + "\n".join(found)
 
 
 def _iid_formula(seed, b, k):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +254,17 @@ class TestRun:
         assert modes["bc-pnp"]["gradient_evals"] == n + 1
         assert modes["pnp"]["denoiser_calls"] == [n + 1, 0]
         assert modes["pnp"]["gradient_evals"] == n + 1
+
+    def test_report_g_norm_initial_reads_the_trace(self, tmp_path):
+        """report.json's g_norm_initial is the root of the first Gnorm2 row,
+        and its left_ball flag is the solve's."""
+        path = write_config(tmp_path, **{"solver.modes": ["bc-pnp", "pnp"]})
+        assert cli.run(path) == cli.EXIT_OK
+        modes = json.loads((tmp_path / "out" / "report.json").read_text())["modes"]
+        for label, mode in modes.items():
+            trace = IterateTrace.from_csv(tmp_path / "out" / label / "trace.csv")
+            assert mode["g_norm_initial"] == np.sqrt(trace.g_norm2[0])
+            assert mode["flags"]["left_ball"] is False
 
     def test_report_is_strict_json(self, tmp_path):
         """The shipped theory config's 8x8 image is below the SSIM size, so
@@ -587,6 +601,27 @@ class TestRun:
         assert cli.run(path) == cli.EXIT_OK
         trace = IterateTrace.from_csv(tmp_path / "out" / "bc-pnp" / "trace.csv")
         assert len(trace) == 30
+
+    @pytest.mark.xfail(strict=False, raises=AssertionError, reason="ROADMAP item 14")
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        """A multi-coil run whose map block has 32768 entries, past the
+        size at which OpenBLAS splits a dot product across threads, writes
+        the same bytes with one BLAS thread and with two."""
+        overrides = {**_MULTICOIL, "problem.image_shape": [64, 64], "problem.num_coils": 4,
+                     "solver.modes": ["bc-pnp", "pnp"], "solver.stop_tol": 1e-12}
+        path = write_config(tmp_path, **overrides)
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        files = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": pythonpath}
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "bcpnp", "run", str(path), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            files.append({f.relative_to(out): f.read_bytes()
+                          for f in sorted(out.rglob("*")) if f.is_file()})
+        assert len(files[0]) == 12 and files[0].keys() == files[1].keys()
+        assert [str(name) for name in files[0] if files[0][name] != files[1][name]] == []
 
     def test_generic_linear_smoke(self, tmp_path):
         path = write_config(

@@ -250,7 +250,7 @@ class TestSolve:
         ]
         cfg = dataclasses.replace(desk.config, max_iters=2, ball_radius=2.0)
         res = solve(desk.fidelity, dens, cfg, desk.x0)
-        assert res.flags["left_ball"]
+        assert res.left_ball is True
 
     def test_needs_a_step_size(self):
         """solve takes gamma from its config and certifies nothing itself."""
@@ -269,7 +269,7 @@ class TestSolve:
             objective=desk.objective,
         )
         assert res.reason == "tolerance"
-        assert res.g_norm_final / res.g_norm_initial < 1.0
+        assert res.g_norm_final / np.sqrt(res.trace.g_norm2[0]) < 1.0
 
 
 class TestTraceRmse:
@@ -448,7 +448,6 @@ class TestFusedIteration:
             assert tr.f_initial == f_initial
             assert res.x.data.tobytes() == x.data.tobytes()
             assert res.g_norm_final == g_final
-            assert res.g_norm_initial == np.sqrt(rows[0, 5])
 
     @pytest.mark.parametrize("mode, num_active", [("bc-pnp", 2), ("pnp-ista", 1)])
     @pytest.mark.parametrize("with_objective", [False, True])
