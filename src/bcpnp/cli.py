@@ -41,8 +41,8 @@ from .forward import (
 )
 from .solver import NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
-    MIN_ENSEMBLE_SEEDS, ImplicitObjective, TheoryConstants, check_descent, check_theorem1,
-    check_theorem2, reference_f_star, rmse, ssim,
+    MIN_ENSEMBLE_SEEDS, ImplicitObjective, NotRunReport, TheoryConstants, check_descent,
+    check_theorem1, check_theorem2, reference_f_star, rmse, ssim,
 )
 
 EXIT_OK = 0
@@ -320,6 +320,11 @@ def load_config(path):
     if theory.enabled and (BC_PNP not in dict(modes).values()):
         raise ConfigError("theory_checks.enabled: the convergence checks run on the bc-pnp "
                           "mode, which solver.modes does not list")
+    epoch = solver.schedule.num_blocks
+    if theory.enabled and solver.schedule.kind == "sequential" and solver.max_iters < epoch:
+        raise ConfigError(f"solver.max_iters: theorem 1 checks complete epochs of {epoch} "
+                          f"iterations, so a sequential theory run needs at least {epoch}, "
+                          f"got {solver.max_iters}")
     unsupported = [(field, kind) for field, kind in kinds if kind != "gaussian-mmse"]
     if theory.enabled and unsupported:
         raise ConfigError("theory_checks.enabled: the implicit objective needs a gaussian-mmse "
@@ -886,6 +891,12 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     if solver_cfg.schedule.kind == "sequential":
         if len(result.trace) >= constants.num_blocks:
             checks["theorem1"] = check_theorem1(result.trace, constants, f_star())
+        else:
+            # `load_config` keeps max_iters at one epoch or more, so the
+            # solve stopped on tolerance
+            checks["theorem1"] = NotRunReport(
+                f"the solve stopped on tolerance after {len(result.trace)} iterations, before "
+                f"the first complete epoch of {constants.num_blocks}")
     elif _checks_theorem2(solver_cfg, theory):
         reference = f_star()
         # the check reads residuals, errors and f(x0) only: seed 0 is the run's

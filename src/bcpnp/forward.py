@@ -47,23 +47,27 @@ _POWER_SEED = 0x5EED
 # images transformed; an array given may stack several on leading axes.
 
 
-def _rfft2(a, shape):
-    """numpy's `rfft2(a, s=shape)` of the float64 array `a`, in a new array."""
+def _rfft2(a, shape, out=None):
+    """numpy's `rfft2(a, s=shape)` of the float64 array `a`, in `out` when
+    given, else in a new array."""
     w = shape[1]
-    out = np.empty(a.shape[:-1] + (w // 2 + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (w // 2 + 1,), dtype=np.complex128)
     (_pocketfft.rfft_n_even if w % 2 == 0 else _pocketfft.rfft_n_odd)(a, 1.0, out=out)
     columns = out.swapaxes(-1, -2)
     _pocketfft.fft(columns, 1.0, out=columns)
     return out
 
 
-def _irfft2(spectrum, shape):
-    """numpy's `irfft2(spectrum, s=shape)`, in a new array; the complex128
-    `spectrum` is overwritten, so pass only a product made for the call."""
+def _irfft2(spectrum, shape, out=None):
+    """numpy's `irfft2(spectrum, s=shape)`, in `out` when given, else in a
+    new array; the complex128 `spectrum` is overwritten, so pass only a
+    product made for the call."""
     h, w = shape
     columns = spectrum.swapaxes(-1, -2)
     _pocketfft.ifft(columns, 1 / h, out=columns)
-    out = np.empty(spectrum.shape[:-1] + (w,))
+    if out is None:
+        out = np.empty(spectrum.shape[:-1] + (w,))
     _pocketfft.irfft(spectrum, 1 / w, out=out)
     return out
 
@@ -108,9 +112,11 @@ class BlindConvolutionModel:
         cols = (np.arange(wK) - wK // 2) % wI
         self._kernel_index = (rows[:, None] * wI + cols[None, :]).ravel()
 
-    def _embed(self, kernel):
-        """The kernel padded to image size with its center at the origin."""
-        full = np.zeros(self.image_shape[0] * self.image_shape[1])
+    def _embed(self, kernel, out=None):
+        """The kernel padded to image size with its center at the origin;
+        written into `out` when given, a flat float64 array of H*W entries
+        that is zero off the kernel's."""
+        full = np.zeros(self.image_shape[0] * self.image_shape[1]) if out is None else out
         full[self._kernel_index] = np.asarray(kernel, dtype=np.float64).ravel()
         return full.reshape(self.image_shape)
 
@@ -129,13 +135,18 @@ class BlindConvolutionModel:
 
     # Each operator below takes the spectra of its two arguments when the
     # caller already has them, so that an evaluation sharing an argument
-    # between operators transforms it once.
+    # between operators transforms it once.  `forward` and `adjoints` write
+    # into `out` when given, and run the same ufuncs in the same order as
+    # without it, so both give the same bits.
 
-    def forward(self, theta, v, ft=None, fv=None):
-        """A(theta) v = theta (*) v, flattened to length H*W."""
+    def forward(self, theta, v, ft=None, fv=None, out=None):
+        """A(theta) v = theta (*) v, flattened to length H*W; `out` is a flat
+        float64 array of H*W entries."""
         ft = self.kernel_spectrum(theta) if ft is None else ft
         fv = self.spectrum(v) if fv is None else fv
-        return _irfft2(ft * fv, self.image_shape).ravel()
+        if out is not None:
+            out = out.reshape(self.image_shape)
+        return _irfft2(ft * fv, self.image_shape, out).ravel()
 
     def adjoint_v(self, theta, w, ft=None, fw=None):
         """A(theta)^T w: correlate the kernel against a measurement image."""
@@ -149,18 +160,19 @@ class BlindConvolutionModel:
         fw = self.spectrum(w) if fw is None else fw
         return self._extract(_irfft2(np.conj(fv) * fw, self.image_shape))
 
-    def adjoints(self, ft, fv, fw):
+    def adjoints(self, ft, fv, fw, out=None):
         """(adjoint_v(theta, w), adjoint_theta(v, w)) from the spectra of theta,
         v and w, with one inverse transform of the two products, written
-        into the planes of one stack.
+        into the planes of one stack: `out` when given, a C-ordered
+        (2, H, W // 2 + 1) complex128 array that the transform overwrites.
 
         The kernels transform each plane of a stack exactly as they would
         transform that plane alone, so both equal the separate adjoints
         bitwise.
         """
-        products = np.empty((2,) + fw.shape, dtype=np.complex128)
-        np.multiply(np.conj(ft), fw, out=products[0])
-        np.multiply(np.conj(fv), fw, out=products[1])
+        products = np.empty((2,) + fw.shape, dtype=np.complex128) if out is None else out
+        for plane, f in zip(products, (ft, fv)):
+            np.multiply(np.conjugate(f, out=plane), fw, out=plane)
         back = _irfft2(products, self.image_shape)
         return back[0].ravel(), self._extract(back[1])
 
@@ -300,25 +312,46 @@ class ConvolutionFidelity:
     Keeps the spectrum of the last image block and of the last kernel it
     transformed at an iterate, so a point that repeats a block (in a solve,
     every block but the one just updated) transforms only what changed.
+    Like `MultiCoilFidelity`, it computes in work buffers it owns (the
+    kernel embedding, the residual, its spectrum and the two-plane adjoint
+    stack) and hands back only fresh arrays; because of them it is not for
+    sharing between threads.
     """
 
     def __init__(self, model: BlindConvolutionModel, y):
         self.model = model
         self.y = np.asarray(y, dtype=np.float64).ravel()
-        if self.y.size != model.image_shape[0] * model.image_shape[1]:
+        h, w = model.image_shape
+        if self.y.size != h * w:
             raise ValueError("measurement size does not match the image shape")
         self.layout = model.layout
+        self._embedding = np.zeros(h * w)  # zero off the kernel's entries
+        self._r = np.empty(h * w)
+        self._fr = np.empty((h, w // 2 + 1), dtype=np.complex128)
+        self._stack = np.empty((2, h, w // 2 + 1), dtype=np.complex128)
         self._image_spectrum = _LastSpectrum(model.spectrum)
-        self._kernel_spectrum = _LastSpectrum(model.kernel_spectrum)
+        self._kernel_spectrum = _LastSpectrum(
+            lambda theta: _rfft2(model._embed(theta, self._embedding), model.image_shape))
 
     def _spectra(self, x: BlockVector):
         """(v, theta, fv, ft): read-only views of the blocks and their spectra."""
-        v, theta = x.block(1), x.block(2)
+        image_slice, kernel_slice = self.layout.slices
+        v, theta = x.data[image_slice], x.data[kernel_slice]
         return v, theta, self._image_spectrum(v), self._kernel_spectrum(theta)
 
-    def residual(self, v, theta, ft=None, fv=None):
-        """A(theta) v - y; `ft`, `fv` are the spectra of theta and v when the caller has them."""
-        return self.model.forward(theta, v, ft, fv) - self.y
+    def residual(self, v, theta, ft=None, fv=None, out=None):
+        """A(theta) v - y, written into `out` when given; `ft`, `fv` are the
+        spectra of theta and v when the caller has them."""
+        r = self.model.forward(theta, v, ft, fv, out)
+        return np.subtract(r, self.y, out=r)
+
+    def _residual_spectrum(self, x: BlockVector):
+        """(v, theta, fv, ft, r, fr): `_spectra`, the residual and its
+        spectrum, the last two in the work buffers."""
+        v, theta, fv, ft = self._spectra(x)
+        r = self.residual(v, theta, ft, fv, out=self._r)
+        fr = _rfft2(r.reshape(self.model.image_shape), self.model.image_shape, self._fr)
+        return v, theta, fv, ft, r, fr
 
     def value(self, x: BlockVector):
         v, theta, fv, ft = self._spectra(x)
@@ -336,22 +369,19 @@ class ConvolutionFidelity:
         plane, from the spectra of the residual and of the other block."""
         if i not in (1, 2):
             raise IndexError(f"block index {i} out of range 1..2")
-        v, theta, fv, ft = self._spectra(x)
-        r = self.residual(v, theta, ft, fv)
-        fr = self.model.spectrum(r)
+        v, theta, fv, ft, r, fr = self._residual_spectrum(x)
         m = self.model
         part = m.adjoint_v(theta, r, ft, fr) if i == 1 else m.adjoint_theta(v, r, fv, fr)
         return _one_block(self.layout, i, part)
 
     def _residual_and_grad(self, x: BlockVector):
         # theta, v and the residual are each transformed once, and both
-        # adjoints share one inverse transform and one gradient buffer
-        v, theta, fv, ft = self._spectra(x)
-        r = self.residual(v, theta, ft, fv)
-        fr = self.model.spectrum(r)
+        # adjoints share one inverse transform and one gradient buffer; the
+        # residual returned is the work buffer, read before the next call
+        v, theta, fv, ft, r, fr = self._residual_spectrum(x)
         grad = np.empty(self.layout.total)
         image_slice, kernel_slice = self.layout.slices
-        grad[image_slice], grad[kernel_slice] = self.model.adjoints(ft, fv, fr)
+        grad[image_slice], grad[kernel_slice] = self.model.adjoints(ft, fv, fr, self._stack)
         return r, BlockVector._wrap(self.layout, grad)
 
     def grad(self, x: BlockVector):

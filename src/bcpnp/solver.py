@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockSchedule, BlockVector, _norm, _sumsq
-from .denoisers import apply_denoiser, error_magnitude
+from .denoisers import InexactDenoiser, apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 from .theory import TraceBuilder, rmse
 
@@ -79,34 +79,61 @@ def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
         raise ValueError("gamma must be positive")
     if grad is None:
         grad = fidelity.grad(x)
-    active = [i for i, d in enumerate(denoisers, start=1) if d is not None]
-    denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
-    return BlockVector._wrap(x.layout, _residual(gamma, x, denoised))
+    residual = _Residual(denoisers, gamma, x)
+    residual(x.data, grad.data, k)
+    return BlockVector._wrap(x.layout, residual.out)
 
 
-def _denoise_blocks(denoisers, gamma, x: BlockVector, grad: BlockVector, k, blocks):
-    """{i: D_i(x_i - gamma grad_i)} at iteration k, for each block i in `blocks`.
+def _denoise(denoiser, z, i, k):
+    """D_i(z), block i's denoiser at iteration k.
 
-    Raises NonFiniteIterateError naming the first block whose denoised
-    values are NaN/inf.  A finite sum of squares proves every entry finite;
-    only a sum that is not (a NaN or inf, or squares that overflow) is
-    checked entry by entry.
+    Raises NonFiniteIterateError naming block i when the denoised values
+    are NaN/inf.  A finite sum of squares proves every entry finite; only
+    a sum that is not (a NaN or inf, or squares that overflow) is checked
+    entry by entry.
     """
-    denoised = {}
-    for i in blocks:
-        di = apply_denoiser(denoisers[i - 1], x.block(i) - gamma * grad.block(i), k)
-        if not math.isfinite(_sumsq(di)) and not np.isfinite(di).all():
-            raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
-        denoised[i] = di
-    return denoised
+    di = apply_denoiser(denoiser, z, k)
+    if not math.isfinite(_sumsq(di)) and not np.isfinite(di).all():
+        raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
+    return di
 
 
-def _residual(gamma, x: BlockVector, denoised):
-    """Flat array of (x_i - denoised_i) / gamma per block; zero on blocks not denoised."""
-    out = np.zeros(x.layout.total)
-    for i, di in denoised.items():
-        out[x.layout.slices[i - 1]] = (x.block(i) - di) / gamma
-    return out
+class _Residual:
+    """The residual G(x) = (x - D(x - gamma grad g(x))) / gamma, computed
+    in two buffers made once: `out` holds G, zero on blocks whose denoiser
+    is None, and `denoised` holds D's output on the active blocks.
+
+    The steps before and after the denoisers run elementwise over the span
+    from the first active block to the last, so each block gets the bits
+    that a pass block by block gives it.  Inside the span `denoised` holds
+    x on the blocks without a denoiser, which keep x0's values in a solve,
+    so G is zero there.
+    """
+
+    def __init__(self, denoisers, gamma, x0: BlockVector):
+        slices = x0.layout.slices
+        self.blocks = [(i, d, slices[i - 1]) for i, d in enumerate(denoisers, start=1)
+                       if d is not None]
+        self.span = span = (slice(self.blocks[0][2].start, self.blocks[-1][2].stop)
+                            if self.blocks else slice(0, 0))
+        self.gamma = gamma
+        self.out = np.zeros(x0.layout.total)
+        self.denoised = x0.data.copy()
+        # the buffers' views over the span, made once
+        self._spans = self.out[span], self.denoised[span]
+
+    def __call__(self, x, grad, k):
+        """Denoise every active block of the flat iterate `x` at iteration k,
+        in block order, given the flat gradient `grad`, and write G(x)."""
+        gamma, out, denoised = self.gamma, self.out, self.denoised
+        out_span, denoised_span = self._spans
+        x_span = x[self.span]
+        # the denoisers' inputs x - gamma grad are formed in `out`, which
+        # G overwrites once every block is denoised
+        np.subtract(x_span, np.multiply(gamma, grad[self.span], out=out_span), out=out_span)
+        for i, d, s in self.blocks:
+            denoised[s] = _denoise(d, out[s], i, k)
+        np.divide(np.subtract(x_span, denoised_span, out=out_span), gamma, out=out_span)
 
 
 def _active_schedule(config: SolverConfig, active):
@@ -189,10 +216,12 @@ def solve(
         raise ValueError("objective was built with a different gamma")
 
     num_blocks = layout.num_blocks
+    slices = layout.slices
     schedule = _active_schedule(config, active)
-    active_denoisers = [denoisers[i - 1] for i in active]
     radii = [config.ball_radius * n for n in x0.block_norms()]
     full_residual = full_residual or len(active) == 1
+    # eps_k is read from the inexact denoisers; exact ones log 0
+    inexact = any(isinstance(denoisers[i - 1], InexactDenoiser) for i in active)
 
     left_ball = False
     denoiser_calls = [0] * num_blocks
@@ -201,69 +230,80 @@ def solve(
     # the denoising pass, the objective and the final residual
     grad, value = _fidelity_at(fidelity, x0, objective, active)
     gradient_evals = 1
-    trace = TraceBuilder(num_blocks)
+    trace = TraceBuilder(num_blocks, config.max_iters - start_iter + 1)
     if objective is not None:
         trace.set_initial(_objective_at(objective, x0, value, 0)[0])
     else:
         trace.set_initial(float("nan"))
+    columns = trace.columns
 
-    x = x0
+    # the iterate is a flat array; an update copies it and writes one block,
+    # and one BlockVector over the copy serves the fidelity and the objective
+    x, xv = x0.data, x0
+    residual = _Residual(denoisers, gamma, x0)
     rmse_blocks = [float("nan")] * num_blocks
     reason = "max-iters"
     i_k = _pick_index(schedule, active, start_iter)
     for k in range(start_iter, config.max_iters + 1):
+        n = k - start_iter
+        if n == len(columns["iters"]):
+            columns = trace.grow()
         # the chosen block's update; at the first iteration and with the full
         # residual, every active block is denoised and gives G(x) for the trace
-        first = k == start_iter
+        first = n == 0
+        block = slices[i_k - 1]
         if full_residual or first:
-            denoised = _denoise_blocks(denoisers, gamma, x, grad, k, active)
-            g_norm2 = _norm(_residual(gamma, x, denoised)) ** 2
+            residual(x, grad.data, k)
+            update = residual.denoised[block]
+            for i in active:
+                denoiser_calls[i - 1] += 1
+            columns["g_norm2"][n] = _norm(residual.out) ** 2
         else:
-            denoised = _denoise_blocks(denoisers, gamma, x, grad, k, [i_k])
-            g_norm2 = float("nan")
-        for i in denoised:
-            denoiser_calls[i - 1] += 1
-        prev_norm = x.norm()
-        x_new = x.inject(i_k, denoised[i_k])
-        step_norm = _norm(x_new.data - x.data)
+            update = _denoise(denoisers[i_k - 1], x[block] - gamma * grad.data[block], i_k, k)
+            denoiser_calls[i_k - 1] += 1
+        prev_norm = _norm(x)
+        x_new = x.copy()
+        x_new[block] = update
+        step_norm = _norm(x_new - x)
+        xv = BlockVector._wrap(layout, x_new)
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm
         last = rel < config.stop_tol or k == config.max_iters
         i_next = i_k if last else _pick_index(schedule, active, k + 1)
         # the last gradient feeds the final residual over every active block
         needed = active if full_residual or last else [i_next]
-        grad, value = _fidelity_at(fidelity, x_new, objective, needed)
+        grad, value = _fidelity_at(fidelity, xv, objective, needed)
         gradient_evals += 1
 
         # every block but i_k is bitwise what it was in the previous
-        # iteration, so its ball check and error carry over
-        changed = range(1, num_blocks + 1) if first else (i_k,)
+        # iteration (at the first, x0's, inside the ball since ball_radius
+        # >= 1), so its ball check and error carry over
         if not left_ball:
-            left_ball = any(_norm(x_new.block(i)) > radii[i - 1] for i in changed)
+            left_ball = _norm(x_new[block]) > radii[i_k - 1]
 
+        columns["iters"][n] = k
+        columns["block"][n] = i_k
+        columns["step_norm"][n] = step_norm
+        columns["eps"][n] = (max(error_magnitude(denoisers[i - 1], k) for i in active)
+                             if inexact else 0.0)
         if objective is not None:
-            f_k, g_k, h_k, gradf2 = _objective_at(objective, x_new, value, k, grad)
-        else:
-            f_k = g_k = h_k = gradf2 = float("nan")
+            (columns["f"][n], columns["g"][n], columns["h"][n],
+             columns["grad_f_norm2"][n]) = _objective_at(objective, xv, value, k, grad)
         if truth is not None:
-            for i in changed:
-                rmse_blocks[i - 1] = rmse(x_new.block(i), truth.block(i))
-
-        trace.append(
-            iters=k, block=i_k, f=f_k, g=g_k, h=h_k, g_norm2=g_norm2, step_norm=step_norm,
-            eps=max(error_magnitude(d, k) for d in active_denoisers),
-            grad_f_norm2=gradf2, rmse=list(rmse_blocks),
-        )
+            for i in range(1, num_blocks + 1) if first else (i_k,):
+                rmse_blocks[i - 1] = rmse(x_new[slices[i - 1]], truth.block(i))
+            columns["rmse"][n] = rmse_blocks
         x = x_new
         i_k = i_next
         if rel < config.stop_tol:
             reason = "tolerance"
             break
 
-    g_final = g_operator(fidelity, denoisers, gamma, x, k + 1, grad).norm()
+    trace.length = k - start_iter + 1
+    g_final = g_operator(fidelity, denoisers, gamma, xv, k + 1, grad).norm()
     for i in active:
         denoiser_calls[i - 1] += 1
     return SolveResult(
-        x=x, trace=trace.freeze(), reason=reason, left_ball=left_ball, g_norm_final=g_final,
+        x=xv, trace=trace.freeze(), reason=reason, left_ball=left_ball, g_norm_final=g_final,
         denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
 

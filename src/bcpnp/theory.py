@@ -40,6 +40,8 @@ TRACE_COLUMNS = (
 )
 TRACE_CSV_HEADER = ",".join(column for column, _ in TRACE_COLUMNS)
 _INT_FIELDS = ("iters", "block")
+# rows a trace's columns hold at first; they double as a solve needs
+_TRACE_ROWS = 4096
 
 
 def _dtype(name):
@@ -120,28 +122,55 @@ class IterateTrace:
 
 
 class TraceBuilder:
-    """Accumulates trace rows during a solve; `freeze` yields IterateTrace."""
+    """Per-field columns of a solve's trace, filled row by row; `freeze`
+    cuts them to the rows filled and yields an IterateTrace.
 
-    def __init__(self, num_blocks):
+    A solve writes row n of each column in place (`columns[name][n]`) and
+    sets `length`; `append` writes the next row from keywords.  Float
+    columns start NaN, so a row needs only the fields that were computed.
+    The columns start at the `rows` expected, or at `_TRACE_ROWS` when
+    more are, and `grow` doubles them.
+    """
+
+    def __init__(self, num_blocks, rows=_TRACE_ROWS):
         self.num_blocks = num_blocks
-        # one list per per-iteration field, i.e. per IterateTrace field
-        # without a default
-        self.rows = {f.name: [] for f in fields(IterateTrace) if f.default is MISSING}
+        self.length = 0
+        self.columns = self._columns(min(rows, _TRACE_ROWS))
         self.initial = {}
+
+    def _columns(self, rows):
+        # one column per per-iteration field, i.e. per IterateTrace field
+        # without a default; `rmse` holds one column per block
+        return {
+            f.name: np.empty(rows, dtype=int) if f.name in _INT_FIELDS
+            else np.full((rows, self.num_blocks) if f.name == "rmse" else rows, np.nan)
+            for f in fields(IterateTrace) if f.default is MISSING
+        }
+
+    def grow(self):
+        """Double the columns, keeping their rows; returns the new columns."""
+        old = self.columns
+        self.columns = self._columns(2 * max(len(old["iters"]), 1))
+        for name, column in old.items():
+            self.columns[name][:len(column)] = column
+        return self.columns
 
     def set_initial(self, f):
         self.initial = {"f_initial": f}
 
     def append(self, **row):
-        """One iteration: a value for every per-iteration field, with `rmse`
-        the list of per-block relative errors."""
+        """One iteration: a value for each per-iteration field given, with
+        `rmse` the list of per-block relative errors.  `solve` writes its
+        rows in place instead; the benchmark's span tracer wraps this name."""
+        n = self.length
+        if n == len(self.columns["iters"]):
+            self.grow()
         for name, value in row.items():
-            self.rows[name].append(value)
+            self.columns[name][n] = value
+        self.length = n + 1
 
     def freeze(self):
-        arrays = {name: np.asarray(rows, dtype=_dtype(name)) for name, rows in self.rows.items()}
-        if not self.rows["iters"]:
-            arrays["rmse"] = np.empty((0, self.num_blocks))
+        arrays = {name: column[:self.length].copy() for name, column in self.columns.items()}
         return IterateTrace(**arrays, **self.initial)
 
 
@@ -335,6 +364,14 @@ def check_descent(trace: IterateTrace, constants: TheoryConstants):
         num_checked=len(trace),
         violations=violations,
     )
+
+
+@dataclass
+class NotRunReport:
+    """A check that a run could not make, and why."""
+
+    reason: str
+    ran: bool = False
 
 
 @dataclass

@@ -237,6 +237,31 @@ class TestRun:
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
 
+    def test_theorem1_before_one_epoch_is_reported_not_run(self, tmp_path):
+        """A sequential theory run that stops on tolerance at its first
+        iteration, before an epoch of its two blocks, says why theorem 1
+        did not run, and a strict run still passes."""
+        path = write_config(
+            tmp_path,
+            **{
+                "denoisers.image": _GAUSSIAN_IMAGE,
+                "theory_checks.enabled": True,
+                "theory_checks.strict": True,
+                "solver.stop_tol": 0.5,
+            },
+        )
+        assert cli.run(path) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["modes"]["bc-pnp"]["iterations"] == 1
+        assert report["modes"]["bc-pnp"]["reason"] == "tolerance"
+        checks = report["checks"]["bc-pnp"]
+        assert checks["descent"]["passed"]
+        assert checks["theorem1"] == {
+            "ran": False,
+            "reason": "the solve stopped on tolerance after 1 iterations, before the first "
+                      "complete epoch of 2",
+        }
+
     def test_report_counts_a_lean_sequential_run(self, tmp_path):
         """n iterations of two blocks: every active block is denoised at
         k = 1 and for the final residual, the chosen block alone in

@@ -122,6 +122,10 @@ PROBES = {
     "theory_checks.ensemble_seeds: the theorem-2 ensemble needs the random-iid schedule": (
         lambda c: _set(c, "theory_checks.ensemble_seeds", 20)
     ),
+    # theorem 1 reads complete epochs of the sequential schedule's two blocks
+    "solver.max_iters: theorem 1 checks complete epochs of 2 iterations": lambda c: _set(
+        c, "solver.max_iters", 1
+    ),
     "theory_checks.reference_multiplier: must be an integer >= 1": lambda c: _set(
         c, "theory_checks.reference_multiplier", 0
     ),
@@ -261,6 +265,25 @@ def test_theorem2_ensemble_size(seeds, accepted, tmp_path):
         assert diags == []
     else:
         assert len(diags) == 1 and diags[0].startswith("theory_checks.ensemble_seeds:")
+
+
+@pytest.mark.parametrize("kind, enabled, max_iters, accepted", [
+    ("sequential", True, 1, False), ("sequential", True, 2, True),
+    ("sequential", False, 1, True), ("random-iid", True, 1, True),
+])
+def test_sequential_theory_run_needs_one_epoch(kind, enabled, max_iters, accepted, tmp_path):
+    """Theorem 1 reads complete epochs, so a sequential theory run shorter
+    than one would drop it; only that combination is rejected."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    _set(cfg, "solver.schedule.kind", kind)
+    _set(cfg, "solver.max_iters", max_iters)
+    _set(cfg, "theory_checks.enabled", enabled)
+    diags = cli.validate(_write(tmp_path, cfg))
+    if accepted:
+        assert diags == []
+    else:
+        assert diags == ["solver.max_iters: theorem 1 checks complete epochs of 2 iterations, "
+                         "so a sequential theory run needs at least 2, got 1"]
 
 
 # ---------------------------------------------------------------------------

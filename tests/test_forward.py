@@ -362,13 +362,13 @@ def fft(monkeypatch):
     count = _FftCount()
     rfft2, irfft2, dft2 = forward._rfft2, forward._irfft2, forward._dft2
 
-    def counted_rfft2(a, shape):
+    def counted_rfft2(a, shape, out=None):
         count.add("rfft2", a, shape)
-        return rfft2(a, shape)
+        return rfft2(a, shape, out)
 
-    def counted_irfft2(spectrum, shape):
+    def counted_irfft2(spectrum, shape, out=None):
         count.add("irfft2", spectrum, shape)
-        return irfft2(spectrum, shape)
+        return irfft2(spectrum, shape, out)
 
     def counted_dft2(stack, shape, inverse=False):
         count.add("ifft2" if inverse else "fft2", stack, shape)
@@ -693,6 +693,64 @@ class TestInPlaceMultiCoil:
             tracemalloc.stop()
         stack = np.empty(fid.model.stack_shape, dtype=np.complex128).nbytes
         assert peak <= 8 * fid.layout.total + stack
+
+
+class TestInPlaceConvolution:
+    """The convolution model writes into the buffers it is given with the
+    bits it allocates, and the fidelity, computing in buffers it owns,
+    never returns one of them."""
+
+    @pytest.mark.parametrize("shape, kernel", [((8, 8), (3, 3)), ((6, 9), (5, 3))])
+    def test_model_operators_with_and_without_out(self, shape, kernel):
+        rng = np.random.default_rng(70)
+        model, fid, _, _ = make_conv_problem(rng, shape, kernel, noise=0.05)
+        x = _signed_zero_point(rng, fid.layout)
+        v, theta = x.extract(1), x.extract(2)
+        ft, fv, fw = model.kernel_spectrum(theta), model.spectrum(v), model.spectrum(fid.y)
+        want = model.forward(theta, v)
+        out = np.full(shape[0] * shape[1], np.nan)
+        got = model.forward(theta, v, ft, fv, out=out)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, out)
+        want = model.adjoints(ft, fv, fw)
+        stack = np.full((2,) + ft.shape, np.nan, dtype=np.complex128)
+        got = model.adjoints(ft, fv, fw, out=stack)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[0].tobytes() == model.adjoint_v(theta, fid.y).tobytes()
+        assert got[1].tobytes() == model.adjoint_theta(v, fid.y).tobytes()
+        embedded = np.zeros(shape[0] * shape[1])
+        got = model._embed(theta, embedded)
+        assert got.tobytes() == model._embed(theta).tobytes()
+        assert np.shares_memory(got, embedded)
+
+    def test_results_are_kept_and_equal_a_fresh_fidelity(self):
+        """Each result stays as it was after later calls at another point,
+        and is bitwise what a fidelity that made no call before gives."""
+        fid, x = _bilinear_problems()[0]
+        rng = np.random.default_rng(71)
+        y = _signed_zero_point(rng, fid.layout)
+        u = _signed_zero_point(rng, fid.layout)
+
+        def results(f, point):
+            theta = point.extract(2)
+            out = [f.grad_block(point, 1), f.grad_block(point, 2), f.grad(point),
+                   f.value_and_grad(point)[1], f.hessian_vec(point, u),
+                   f.hessian_vec(point, u.extract(1), block=1),
+                   f.hessian_vec(point, u.extract(2), block=2), f.adjoint_init(theta),
+                   f.residual(point.block(1), theta)]
+            return [a.data if isinstance(a, BlockVector) else a for a in out]
+
+        kept = results(fid, x)
+        before = [a.tobytes() for a in kept]
+        fresh = results(ConvolutionFidelity(fid.model, fid.y), x)
+        assert before == [a.tobytes() for a in fresh]
+        for point in (y, x, y):
+            results(fid, point)
+            fid.value(point)
+        assert [a.tobytes() for a in kept] == before
+        arrays = [a for a in kept if isinstance(a, np.ndarray)]
+        buffers = [fid._embedding, fid._r, fid._fr, fid._stack]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
 
 class TestSpectrumReuse:

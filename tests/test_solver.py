@@ -2,16 +2,20 @@
 
 import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bcpnp import (
+    BlockLayout,
     BlockSchedule,
     BlockVector,
     GaussianPrior,
     IdentityDenoiser,
     ImplicitObjective,
+    LinearFidelity,
+    LinearModel,
     MmseDenoiser,
     NonFiniteIterateError,
     SolverConfig,
@@ -22,6 +26,7 @@ from bcpnp import (
     rmse,
     solve,
 )
+from bcpnp import theory
 from bcpnp.denoisers import error_magnitude
 
 from desk_problems import (
@@ -94,6 +99,28 @@ class TestGOperator:
         res = solve(prob.fidelity, denoisers, config, _origin(prob))
         g_final = g_operator(prob.fidelity, denoisers, gamma, res.x)
         assert g_final.norm() < 1e-10
+
+    @pytest.mark.parametrize("held", [(), (0,), (1,), (2,), (0, 2), (0, 1, 2)])
+    def test_blocks_without_a_denoiser_add_zero_bitwise(self, held):
+        """Over three blocks, with the blocks in `held` lacking a denoiser
+        (one between two that have one included), G is bitwise the
+        definition block by block, and zero on the held blocks."""
+        rng = np.random.default_rng(7)
+        layout = BlockLayout((3, 4, 2))
+        fid = LinearFidelity(LinearModel(rng.standard_normal((8, 9))), layout,
+                             rng.standard_normal(8))
+        dens = [None if i in held else MmseDenoiser(GaussianPrior(np.zeros(n), 0.5), 0.3)
+                for i, n in enumerate(layout.sizes)]
+        x = BlockVector(layout, rng.standard_normal(9))
+        gamma = 0.07
+        got = g_operator(fid, dens, gamma, x, k=2)
+        grad = fid.grad(x)
+        want = np.zeros(layout.total)
+        for i, d in enumerate(dens, start=1):
+            if d is not None:
+                zi = x.block(i) - gamma * grad.block(i)
+                want[layout.block_slice(i)] = (x.block(i) - apply_denoiser(d, zi, 2)) / gamma
+        assert got.data.tobytes() == want.tobytes()
 
     def test_compositional_recomputation(self):
         """Matches an explicit grad + denoise + scale recomputation."""
@@ -336,15 +363,19 @@ class TestModes:
             solve(desk.fidelity, [None, None], desk.config, desk.x0)
 
 
-def _two_pass_reference(desk, dens, config, objective, x0):
+def _two_pass_reference(desk, dens, config, x0, objective=None, truth=None, start_iter=1):
     """The iteration written out from its definition, in two passes per
     iteration: the residual G(x) over the active blocks (those whose
     denoiser is not None), then the update x_i <- D_i(x_i - gamma grad_i
-    g(x)) of the scheduled block.  Returns the final iterate, the trace
-    rows, f(x0) and the final residual norm, for comparison with the fused
-    `solve`."""
+    g(x)) of the scheduled block, from iteration `start_iter` on.  Rows
+    hold NaN where there is no objective or truth.  Returns the final
+    iterate, the trace rows, f(x0), the final residual norm and what a
+    full-residual `solve` reports beside them, for comparison with the
+    fused `solve`."""
     fid, gamma = desk.fidelity, config.gamma
     active = [i for i in (1, 2) if dens[i - 1] is not None]
+    radii = [config.ball_radius * np.linalg.norm(x0.block(i)) for i in (1, 2)]
+    nan = float("nan")
 
     def residual_norm(x, k):
         grad, out = fid.grad(x), np.zeros(x.layout.total)
@@ -355,19 +386,59 @@ def _two_pass_reference(desk, dens, config, objective, x0):
 
     x = x0
     rows = []
-    for k in range(1, config.max_iters + 1):
+    left_ball = False
+    reason = "max-iters"
+    for k in range(start_iter, config.max_iters + 1):
         g_norm2 = residual_norm(x, k) ** 2
         i_k = config.schedule.next_index(k) if len(active) == 2 else active[0]
         x_new = _block_update(fid, dens, gamma, x, i_k, k)
-        f, g, h = objective.value(x_new)
+        step_norm = float(np.linalg.norm(x_new.data - x.data))
+        f, g, h = (nan,) * 3 if objective is None else objective.value(x_new)
         rows.append([
-            k, i_k, f, g, h, g_norm2, float(np.linalg.norm(x_new.data - x.data)),
+            k, i_k, f, g, h, g_norm2, step_norm,
             max(error_magnitude(dens[i - 1], k) for i in active),
-            objective.grad(x_new).norm() ** 2,
-            *(rmse(x_new.block(i), desk.truth.block(i)) for i in (1, 2)),
+            nan if objective is None else objective.grad(x_new).norm() ** 2,
+            *(nan if truth is None else rmse(x_new.block(i), truth.block(i)) for i in (1, 2)),
         ])
+        left_ball = left_ball or any(
+            np.linalg.norm(x_new.block(i)) > radii[i - 1] for i in (1, 2))
+        prev_norm = float(np.linalg.norm(x.data))
         x = x_new
-    return x, np.array(rows), objective.value(x0)[0], residual_norm(x, len(rows) + 1)
+        if (step_norm / prev_norm if prev_norm > 0 else step_norm) < config.stop_tol:
+            reason = "tolerance"
+            break
+    return SimpleNamespace(
+        x=x, rows=np.array(rows), f_initial=nan if objective is None else objective.value(x0)[0],
+        g_final=residual_norm(x, k + 1), reason=reason, left_ball=left_ball,
+        denoiser_calls=[0 if d is None else len(rows) + 1 for d in dens],
+        gradient_evals=len(rows) + 1,
+    )
+
+
+def _trace_columns(trace):
+    """The trace's per-iteration fields in the reference's row order."""
+    return [trace.iters, trace.block, trace.f, trace.g, trace.h, trace.g_norm2,
+            trace.step_norm, trace.eps, trace.grad_f_norm2, trace.rmse[:, 0], trace.rmse[:, 1]]
+
+
+def _assert_matches_reference(res, ref, full_residual=True):
+    """Every trace column and every SolveResult field of `res` is bitwise
+    the reference's; a lean solve's Gnorm2 rows 2 and on are NaN, and its
+    denoiser counts are not compared."""
+    want = ref.rows.copy()
+    if not full_residual:
+        want[1:, 5] = np.nan
+    assert len(res.trace) == len(ref.rows)
+    for j, col in enumerate(_trace_columns(res.trace)):
+        assert np.asarray(col, dtype=float).tobytes() == want[:, j].tobytes(), j
+    assert np.float64(res.trace.f_initial).tobytes() == np.float64(ref.f_initial).tobytes()
+    assert res.x.data.tobytes() == ref.x.data.tobytes()
+    assert np.float64(res.g_norm_final).tobytes() == np.float64(ref.g_final).tobytes()
+    assert res.gradient_evals == ref.gradient_evals
+    assert res.left_ball == ref.left_ball
+    assert res.reason == ref.reason
+    if full_residual:
+        assert res.denoiser_calls == ref.denoiser_calls
 
 
 class _CountingFidelity:
@@ -431,23 +502,71 @@ class TestFusedIteration:
         cfg = dataclasses.replace(
             desk.config, max_iters=40, schedule=BlockSchedule(schedule, 2, seed=4)
         )
-        x, rows, f_initial, g_final = _two_pass_reference(desk, dens, cfg, objective, x0)
+        ref = _two_pass_reference(desk, dens, cfg, x0, objective, desk.truth)
         num_active = sum(d is not None for d in dens)
         for full_residual in (True, False):
             res = solve(desk.fidelity, dens, cfg, x0, truth=desk.truth, objective=objective,
                         full_residual=full_residual)
-            tr = res.trace
-            want = rows.copy()
-            if not full_residual and num_active == 2:
-                want[1:, 5] = np.nan
-            columns = [tr.iters, tr.block, tr.f, tr.g, tr.h, tr.g_norm2, tr.step_norm, tr.eps,
-                       tr.grad_f_norm2, tr.rmse[:, 0], tr.rmse[:, 1]]
-            assert len(tr) == len(rows) == 40
-            for j, col in enumerate(columns):
-                assert np.asarray(col, dtype=float).tobytes() == want[:, j].tobytes(), j
-            assert tr.f_initial == f_initial
-            assert res.x.data.tobytes() == x.data.tobytes()
-            assert res.g_norm_final == g_final
+            assert len(res.trace) == 40
+            _assert_matches_reference(res, ref, full_residual or num_active == 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("inexact", [False, True])
+    def test_theorem2_seed_solve_matches_two_pass_reference_bitwise(self, seed, inexact):
+        """An ensemble seed's solve: random-iid, the full residual, no
+        objective and no truth, with exact denoisers (as the shipped
+        configs build them) or inexact ones."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers("constant", 0.01, 3)
+        if not inexact:
+            dens = [d.base for d in dens]
+        cfg = dataclasses.replace(
+            desk.config, max_iters=60, schedule=BlockSchedule("random-iid", 2, seed=seed)
+        )
+        ref = _two_pass_reference(desk, dens, cfg, desk.x0)
+        res = solve(desk.fidelity, dens, cfg, desk.x0, full_residual=True)
+        assert len(res.trace) == 60
+        _assert_matches_reference(res, ref)
+
+    @pytest.mark.parametrize("with_objective", [False, True])
+    @pytest.mark.parametrize("schedule", ["sequential", "random-iid"])
+    def test_continued_solve_matches_two_pass_reference_bitwise(self, schedule,
+                                                                with_objective):
+        """A solve that starts at iteration 31 from a 30-iteration solve's
+        end is the reference from there."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers("square-summable", 0.02, 5)
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma) if with_objective else None
+        cfg = dataclasses.replace(
+            desk.config, max_iters=30, schedule=BlockSchedule(schedule, 2, seed=6)
+        )
+        start = solve(desk.fidelity, dens, cfg, desk.x0, objective=objective,
+                      full_residual=True).x
+        more = dataclasses.replace(cfg, max_iters=70)
+        ref = _two_pass_reference(desk, dens, more, start, objective, start_iter=31)
+        res = solve(desk.fidelity, dens, more, start, objective=objective, full_residual=True,
+                    start_iter=31)
+        assert res.trace.iters[0] == 31 and len(res.trace) == 40
+        _assert_matches_reference(res, ref)
+
+    @pytest.mark.parametrize("stop_tol, ball_radius, reason, left_ball", [
+        (1e-3, 1.0, "tolerance", True),
+        (1e-300, 2.0, "max-iters", False),
+    ])
+    def test_stop_and_ball_match_two_pass_reference(self, stop_tol, ball_radius, reason,
+                                                    left_ball):
+        """The stopping rule, the reason and the ball flag, on a seed solve
+        that stops on tolerance and leaves its ball, and on one that runs to
+        the cap inside it."""
+        desk = blind_desk_problem()
+        dens = [d.base for d in desk.denoisers()]
+        cfg = dataclasses.replace(desk.config, max_iters=80, stop_tol=stop_tol,
+                                  ball_radius=ball_radius,
+                                  schedule=BlockSchedule("random-iid", 2, seed=2))
+        ref = _two_pass_reference(desk, dens, cfg, desk.x0)
+        res = solve(desk.fidelity, dens, cfg, desk.x0, full_residual=True)
+        _assert_matches_reference(res, ref)
+        assert (res.reason, res.left_ball) == (reason, left_ball)
 
     @pytest.mark.parametrize("mode, num_active", [("bc-pnp", 2), ("pnp-ista", 1)])
     @pytest.mark.parametrize("with_objective", [False, True])
@@ -512,6 +631,73 @@ class TestFusedIteration:
         with pytest.raises(NonFiniteIterateError, match=f"block 2 at iteration {caught_at}$"):
             solve(desk.fidelity, dens, cfg, desk.x0,
                   full_residual=full_residual)
+
+
+_TRACE_FIELDS = ("iters", "block", "f", "g", "h", "g_norm2", "step_norm", "eps", "rmse",
+                 "grad_f_norm2", "f_initial")
+
+
+def _trace_bytes(trace):
+    return [np.asarray(getattr(trace, name)).tobytes() for name in _TRACE_FIELDS]
+
+
+class TestTraceColumns:
+    """A solve fills the trace's columns in place; what it hands back is
+    its own, whatever the columns' first size."""
+
+    def test_frozen_trace_is_unchanged_by_the_next_solve(self):
+        desk = blind_desk_problem()
+        dens = desk.denoisers("constant", 0.01, 3)
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma)
+        cfg = dataclasses.replace(desk.config, max_iters=30,
+                                  schedule=BlockSchedule("random-iid", 2, seed=1))
+        first = solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth, objective=objective,
+                      full_residual=True)
+        before, x = _trace_bytes(first.trace), first.x.data.tobytes()
+        for seed in (2, 3):
+            solve(desk.fidelity, dens,
+                  dataclasses.replace(cfg, schedule=BlockSchedule("random-iid", 2, seed=seed)),
+                  desk.x0, truth=desk.truth, objective=objective, full_residual=seed == 2)
+        assert _trace_bytes(first.trace) == before
+        assert first.x.data.tobytes() == x
+
+    @pytest.mark.parametrize("with_objective", [False, True])
+    def test_columns_that_grow_give_the_same_trace(self, monkeypatch, with_objective):
+        """Columns that start at 4 rows and double as the solve runs hold
+        the rows that columns made at full size do."""
+        desk = blind_desk_problem()
+        dens = desk.denoisers("square-summable", 0.02, 5)
+        objective = ImplicitObjective(desk.fidelity, dens, desk.gamma) if with_objective else None
+        cfg = dataclasses.replace(desk.config, max_iters=37)
+
+        def run():
+            return solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth,
+                         objective=objective).trace
+
+        whole = run()
+        monkeypatch.setattr(theory, "_TRACE_ROWS", 4)
+        grown = run()
+        assert len(grown) == 37
+        assert _trace_bytes(grown) == _trace_bytes(whole)
+
+    def test_builder_rows_and_growth(self):
+        """`append` writes the fields it is given, grows the columns when
+        they are full, and leaves the other floats NaN; `freeze` cuts the
+        columns to the rows written, in arrays of their own."""
+        builder = theory.TraceBuilder(2, rows=1)
+        for k in range(1, 6):
+            builder.append(iters=k, block=1 + k % 2, step_norm=0.5 * k, eps=0.0,
+                           rmse=[k, -k])
+        trace = builder.freeze()
+        assert len(trace) == 5 and trace.iters.tolist() == [1, 2, 3, 4, 5]
+        assert trace.block.tolist() == [2, 1, 2, 1, 2]
+        assert trace.rmse.shape == (5, 2) and trace.rmse[:, 1].tolist() == [-1, -2, -3, -4, -5]
+        assert np.isnan(trace.f).all() and np.isnan(trace.g_norm2).all()
+        assert np.isnan(trace.f_initial)
+        assert all(not np.shares_memory(getattr(trace, name), column)
+                   for name, column in builder.columns.items())
+        empty = theory.TraceBuilder(3).freeze()
+        assert len(empty) == 0 and empty.rmse.shape == (0, 3)
 
 
 class _OneEntryFrom:
