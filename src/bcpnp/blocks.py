@@ -78,7 +78,7 @@ class BlockVector:
     """Immutable flat vector together with its block layout.
 
     The constructor copies `data`; `_wrap` is the internal constructor for
-    an array that was just computed and is held by no one else.
+    an array that was just computed.  Either way `data` is a read-only view.
     """
 
     layout: BlockLayout
@@ -99,8 +99,10 @@ class BlockVector:
 
     @classmethod
     def _wrap(cls, layout, data):
-        """A vector over the float64 array `data` without a copy; `data` is
-        made read-only, so its creator must not keep writing to it."""
+        """A vector over the float64 array `data` without a copy.  The
+        vector's `data` is a read-only view; `data` itself stays writable,
+        and its creator may write it again once no one reads the vector
+        (as `solve` does with its work arrays)."""
         return cls(layout, data, True)
 
     @classmethod

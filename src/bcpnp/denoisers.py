@@ -58,7 +58,10 @@ class GaussianPrior:
     def posterior_mean(self, sigma, z):
         """mean + tau^2/(tau^2 + sigma^2) * (z - mean)."""
         shrink = self.var / (self.var + sigma**2)
-        return self.mean + shrink * (z - self.mean)
+        # the ufuncs of `mean + shrink * (z - mean)`, in one array
+        out = np.subtract(z, self.mean)
+        np.multiply(shrink, out, out=out)
+        return np.add(self.mean, out, out=out)
 
     def neg_log_marginal(self, sigma, z):
         s2 = self.var + sigma**2

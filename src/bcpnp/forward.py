@@ -198,10 +198,13 @@ class MultiCoilModel:
         if not mask.any():
             raise ValueError("mask samples no frequency")
         self.mask = mask
-        # numpy casts the mask to complex128 for every product with a coil
-        # stack; cast once, the products are the same bitwise
-        self._complex_mask = mask.astype(np.complex128)
         self.stack_shape = (self.num_coils,) + self.image_shape
+        # a product with a coil stack would cast the mask to complex128 each
+        # time, and broadcasting it over the coils makes numpy allocate an
+        # iterator buffer; cast and spread into a C-ordered stack once, the
+        # products are the same bitwise
+        self._complex_mask = np.ascontiguousarray(
+            np.broadcast_to(mask, self.stack_shape), dtype=np.complex128)
         n = self.image_shape[0] * self.image_shape[1]
         self.layout = BlockLayout((2 * n, 2 * self.num_coils * n))
 
@@ -270,15 +273,28 @@ class LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def _one_block(layout: BlockLayout, i, a):
-    """The BlockVector holding `a` in block i and zeros on every other block.
+def _one_block_array(layout: BlockLayout, i, out=None):
+    """A flat array that is zero off block i: `out`, with every other block
+    zeroed, when given, else a fresh zero array.  Block i is left for the
+    caller to write."""
+    if out is None:
+        return np.zeros(layout.total)
+    s = layout.block_slice(i)
+    out[:s.start] = 0.0
+    out[s.stop:] = 0.0
+    return out
+
+
+def _one_block(layout: BlockLayout, i, a, out=None):
+    """The BlockVector holding `a` in block i and zeros on every other
+    block, over `out` when given.
 
     Each `grad_block` builds it before it returns, while its temporaries
     are still allocated: freed first, they would let glibc trim the heap
     and map it again on every iteration.
     """
-    out = np.zeros(layout.total)
-    out[layout.block_slice(i)] = a
+    out = _one_block_array(layout, i, out)
+    out[layout.slices[i - 1]] = a
     return BlockVector._wrap(layout, out)
 
 
@@ -314,8 +330,8 @@ class ConvolutionFidelity:
     every block but the one just updated) transforms only what changed.
     Like `MultiCoilFidelity`, it computes in work buffers it owns (the
     kernel embedding, the residual, its spectrum and the two-plane adjoint
-    stack) and hands back only fresh arrays; because of them it is not for
-    sharing between threads.
+    stack) and hands back only fresh arrays, or the `out` a gradient was
+    asked into; because of them it is not for sharing between threads.
     """
 
     def __init__(self, model: BlindConvolutionModel, y):
@@ -364,7 +380,12 @@ class ConvolutionFidelity:
     def grad_theta(self, v, theta):
         return self.grad_block(BlockVector.from_blocks([v, theta]), 2).block(2)
 
-    def grad_block(self, x: BlockVector, i):
+    # `grad_block`, `grad` and `value_and_grad` write the gradient into `out`
+    # when given, a writable flat float64 array of the layout's total length
+    # that shares no memory with x, and return a vector over it; without
+    # it, into a fresh array.  Both give the same bits.
+
+    def grad_block(self, x: BlockVector, i, out=None):
         """Block i of grad g(x), with zeros on the other block: one adjoint
         plane, from the spectra of the residual and of the other block."""
         if i not in (1, 2):
@@ -372,24 +393,24 @@ class ConvolutionFidelity:
         v, theta, fv, ft, r, fr = self._residual_spectrum(x)
         m = self.model
         part = m.adjoint_v(theta, r, ft, fr) if i == 1 else m.adjoint_theta(v, r, fv, fr)
-        return _one_block(self.layout, i, part)
+        return _one_block(self.layout, i, part, out)
 
-    def _residual_and_grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector, out):
         # theta, v and the residual are each transformed once, and both
         # adjoints share one inverse transform and one gradient buffer; the
         # residual returned is the work buffer, read before the next call
         v, theta, fv, ft, r, fr = self._residual_spectrum(x)
-        grad = np.empty(self.layout.total)
+        grad = np.empty(self.layout.total) if out is None else out
         image_slice, kernel_slice = self.layout.slices
         grad[image_slice], grad[kernel_slice] = self.model.adjoints(ft, fv, fr, self._stack)
         return r, BlockVector._wrap(self.layout, grad)
 
-    def grad(self, x: BlockVector):
-        return self._residual_and_grad(x)[1]
+    def grad(self, x: BlockVector, out=None):
+        return self._residual_and_grad(x, out)[1]
 
-    def value_and_grad(self, x: BlockVector):
+    def value_and_grad(self, x: BlockVector, out=None):
         """(g(x), grad g(x)) from one residual."""
-        r, grad = self._residual_and_grad(x)
+        r, grad = self._residual_and_grad(x, out)
         return 0.5 * _sumsq(r), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -438,7 +459,8 @@ class MultiCoilFidelity:
 
     It reads the pair-packed blocks through complex views and runs every
     evaluation in two (coils, H, W) work buffers that it owns, writing each
-    result through a complex view of a fresh array.  Because of the
+    result through a complex view of a fresh array (or of a gradient's
+    `out`).  Because of the
     buffers it is, like `_LastSpectrum`, not for sharing between threads.
     """
 
@@ -482,7 +504,9 @@ class MultiCoilFidelity:
     def grad_theta(self, v_pairs, theta_pairs):
         return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 2).block(2)
 
-    def grad_block(self, x: BlockVector, i):
+    # `out` on the gradients as in ConvolutionFidelity
+
+    def grad_block(self, x: BlockVector, i, out=None):
         """Block i of grad g(x), with zeros on the other block."""
         if i not in (1, 2):
             raise IndexError(f"block index {i} out of range 1..2")
@@ -490,7 +514,7 @@ class MultiCoilFidelity:
         v, maps = self._halves(x.data)
         r = self.residual(v, maps, out=self._r)
         back = m.inverse(r, out=self._back)
-        grad = np.zeros(self.layout.total)
+        grad = _one_block_array(self.layout, i, out)
         part = self._halves(grad)[i - 1]
         if i == 1:
             m.adjoint_v(maps, r, back, out=part)
@@ -498,25 +522,25 @@ class MultiCoilFidelity:
             m.adjoint_maps(v, r, back, out=part)
         return BlockVector._wrap(self.layout, grad)
 
-    def _residual_and_grad(self, x: BlockVector):
+    def _residual_and_grad(self, x: BlockVector, out):
         # both adjoints share one masked inverse DFT of the residual; the
         # residual returned is the work buffer, read before the next call
         m = self.model
         v, maps = self._halves(x.data)
         r = self.residual(v, maps, out=self._r)
         back = m.inverse(r, out=self._back)
-        grad = np.empty(self.layout.total)
+        grad = np.empty(self.layout.total) if out is None else out
         hv, ht = self._halves(grad)
         m.adjoint_v(maps, r, back, out=hv)
         m.adjoint_maps(v, r, back, out=ht)
         return r, BlockVector._wrap(self.layout, grad)
 
-    def grad(self, x: BlockVector):
-        return self._residual_and_grad(x)[1]
+    def grad(self, x: BlockVector, out=None):
+        return self._residual_and_grad(x, out)[1]
 
-    def value_and_grad(self, x: BlockVector):
+    def value_and_grad(self, x: BlockVector, out=None):
         """(g(x), grad g(x)) from one residual."""
-        r, grad = self._residual_and_grad(x)
+        r, grad = self._residual_and_grad(x, out)
         return self._value(r), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
@@ -577,18 +601,25 @@ class LinearFidelity:
         r = self.model.forward(x.data) - self.y
         return 0.5 * _sumsq(r)
 
-    def grad(self, x: BlockVector):
-        return self.value_and_grad(x)[1]
+    # `out` on the gradients as in ConvolutionFidelity; the gradient is
+    # computed in a fresh array and copied into it
 
-    def grad_block(self, x: BlockVector, i):
+    def grad(self, x: BlockVector, out=None):
+        return self.value_and_grad(x, out)[1]
+
+    def grad_block(self, x: BlockVector, i, out=None):
         """Block i of grad g(x), with zeros on the other blocks; the residual
         reads every block, so it costs the whole gradient."""
-        return _one_block(self.layout, i, self.grad(x).block(i))
+        return _one_block(self.layout, i, self.grad(x).block(i), out)
 
-    def value_and_grad(self, x: BlockVector):
+    def value_and_grad(self, x: BlockVector, out=None):
         """(g(x), grad g(x)) from one residual."""
         r = self.model.forward(x.data) - self.y
-        return 0.5 * _sumsq(r), BlockVector._wrap(self.layout, self.model.adjoint(r))
+        grad = self.model.adjoint(r)
+        if out is not None:
+            out[...] = grad
+            grad = out
+        return 0.5 * _sumsq(r), BlockVector._wrap(self.layout, grad)
 
     def hessian_vec(self, x: BlockVector, u, block=None):
         """A^T A u; with `block=i`, `u` holds only block i and the result is
@@ -647,7 +678,9 @@ def _power_iteration(apply_op, dim, rng, square=False):
         if wn == 0.0:
             return 0.0, True
         est = math.sqrt(wn) if square else wn
-        u = w / wn
+        # normalised into u, which only the product that gave w read; w may
+        # be a vector's read-only data
+        np.divide(w, wn, out=u)
         if abs(est - lam) <= POWER_ITER_TOL * max(est, 1e-300):
             return est, True
         lam = est

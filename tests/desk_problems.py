@@ -103,13 +103,18 @@ def blind_desk_problem(shrink=0.8, image_scale=1.0, noise_sigma=0.01, seed=100):
 
 def two_coil_problem(seed=200):
     """8x8 two-coil model with a half-sampled mask, real-pair blocks."""
+    return coil_problem((8, 8), 2, seed)
+
+
+def coil_problem(shape, coils, seed=200):
+    """Multi-coil model with a half-sampled mask, real-pair blocks."""
     rng = np.random.default_rng(seed)
-    mask = (rng.random((8, 8)) < 0.55).astype(float)
+    mask = (rng.random(shape) < 0.55).astype(float)
     mask[0, 0] = 1.0
-    model = MultiCoilModel((8, 8), 2, mask)
-    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    maps = 0.8 + 0.4 * rng.standard_normal((2, 8, 8))
-    maps = maps + 0.3j * rng.standard_normal((2, 8, 8))
+    model = MultiCoilModel(shape, coils, mask)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    maps = 0.8 + 0.4 * rng.standard_normal((coils,) + shape)
+    maps = maps + 0.3j * rng.standard_normal((coils,) + shape)
     y = synthesize(model, v, maps, noise_sigma=0.02, seed=3)
     fid = MultiCoilFidelity(model, y)
     truth = BlockVector.from_blocks([complex_to_pairs(v), complex_to_pairs(maps)])

@@ -110,6 +110,25 @@ class TestBlockVector:
         with pytest.raises(ValueError):
             BlockVector.from_blocks(parts, BlockLayout((1, 2)))
 
+    def test_wrapped_array_stays_writable_under_a_read_only_view(self):
+        """`_wrap` makes no copy: its `data` is a read-only view of the
+        array given, which its creator may write again; the constructor
+        copies."""
+        layout = BlockLayout((2, 1))
+        a = np.array([1.0, 2.0, 3.0])
+        x = BlockVector._wrap(layout, a)
+        assert not x.data.flags.writeable
+        with pytest.raises(ValueError):
+            x.data[0] = 0.0
+        assert a.flags.writeable
+        assert np.shares_memory(x.data, a)
+        a[0] = 5.0
+        assert x.data[0] == 5.0
+        y = BlockVector(layout, a)
+        assert not np.shares_memory(y.data, a)
+        a[1] = 7.0
+        assert y.data.tolist() == [5.0, 2.0, 3.0]
+
     def test_layout_slices(self):
         layout = BlockLayout((4, 3, 5))
         assert (layout.num_blocks, layout.total) == (3, 12)

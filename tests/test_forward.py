@@ -683,16 +683,8 @@ class TestInPlaceMultiCoil:
         rng = np.random.default_rng(60)
         _, fid, _, _ = make_coil_problem(rng, image_shape=(64, 64), coils=4)
         x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
-        fid.grad_block(x, block)  # numpy's transform caches are filled once
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fid.grad_block(x, block)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         stack = np.empty(fid.model.stack_shape, dtype=np.complex128).nbytes
-        assert peak <= 8 * fid.layout.total + stack
+        assert _traced_peak(lambda: fid.grad_block(x, block)) <= 8 * fid.layout.total + stack
 
 
 class TestInPlaceConvolution:
@@ -751,6 +743,58 @@ class TestInPlaceConvolution:
         arrays = [a for a in kept if isinstance(a, np.ndarray)]
         buffers = [fid._embedding, fid._r, fid._fr, fid._stack]
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
+class TestGradientOut:
+    """`out=` on `grad_block`, `grad` and `value_and_grad` writes the bits
+    of the call without it, zeros off the block included, into `out`, and
+    returns a vector over it."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_out_gives_the_bits_of_a_fresh_call(self, case):
+        fid, x = _all_problems()[case]
+        layout = fid.layout
+        rng = np.random.default_rng(80 + case)
+        out = np.empty(layout.total)
+        for point in (x, _signed_zero_point(rng, layout), _signed_zero_point(rng, layout)):
+            calls = [lambda **kw: fid.grad(point, **kw),
+                     lambda **kw: fid.value_and_grad(point, **kw)[1]]
+            calls += [lambda i=i, **kw: fid.grad_block(point, i, **kw)
+                      for i in range(1, layout.num_blocks + 1)]
+            for call in calls:
+                want = call().data.tobytes()
+                out.fill(np.nan)  # a block left unwritten shows
+                got = call(out=out)
+                assert got.data.tobytes() == want
+                assert np.shares_memory(got.data, out)
+                assert not got.data.flags.writeable
+            assert fid.value_and_grad(point, out=out)[0] == fid.value_and_grad(point)[0]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_grad_block_into_out_allocates_less_than_a_coil_stack(self, block):
+        """At 64x64 with 4 coils, one block's gradient written into `out`
+        peaks below one 256 KB coil stack of traced allocation, and the
+        masked inverse DFT allocates no iterator buffer for the mask."""
+        rng = np.random.default_rng(60)
+        model, fid, _, _ = make_coil_problem(rng, image_shape=(64, 64), coils=4)
+        x = BlockVector(fid.layout, rng.standard_normal(fid.layout.total))
+        out = np.empty(fid.layout.total)
+        stack = np.empty(model.stack_shape, dtype=np.complex128)
+        assert _traced_peak(lambda: fid.grad_block(x, block, out=out)) < stack.nbytes
+        assert _traced_peak(lambda: model.inverse(fid.y, out=stack)) < 4096
+
+
+def _traced_peak(call):
+    """Peak traced allocation, in bytes, of `call()` after a first call
+    that fills numpy's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestSpectrumReuse:

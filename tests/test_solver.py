@@ -1,12 +1,17 @@
 """Solver iteration: block updates, inactive blocks, stopping, determinism."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import bcpnp
 from bcpnp import (
     BlockLayout,
     BlockSchedule,
@@ -456,17 +461,17 @@ class _CountingFidelity:
     def grad_calls(self):
         return len(self.grad_blocks)
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         self.grad_blocks.append(None)
-        return self.inner.grad(x)
+        return self.inner.grad(x, out=out)
 
-    def grad_block(self, x, i):
+    def grad_block(self, x, i, out=None):
         self.grad_blocks.append(i)
-        return self.inner.grad_block(x, i)
+        return self.inner.grad_block(x, i, out=out)
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, out=None):
         self.grad_blocks.append(None)
-        return self.inner.value_and_grad(x)
+        return self.inner.value_and_grad(x, out=out)
 
 
 class _CountingDenoiser:
@@ -824,6 +829,63 @@ class TestContinuation:
         cfg = dataclasses.replace(desk.config, max_iters=40)
         with pytest.raises(ValueError, match="start_iter"):
             solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, start_iter=start_iter)
+
+
+class TestWorkArrays:
+    """`solve` computes in arrays it makes once per solve: two iterates
+    used in turn, a gradient and a step."""
+
+    def test_result_is_not_written_by_later_solves(self):
+        desk = blind_desk_problem()
+        dens = desk.denoisers()
+        cfg = dataclasses.replace(desk.config, max_iters=15)
+        short = solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth)
+        before = short.x.data.tobytes()
+        longer = dataclasses.replace(cfg, max_iters=40)
+        solve(desk.fidelity, dens, longer, short.x, truth=desk.truth, start_iter=16)
+        solve(desk.fidelity, dens, cfg, desk.x0, truth=desk.truth)
+        assert short.x.data.tobytes() == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_warm_iteration_faults_no_pages_in(self):
+        """A warm 64x64, 4-coil bc-pnp solve takes fewer than 8 minor page
+        faults per iteration, its own work arrays included.  An iteration
+        that allocates and frees block-sized temporaries takes over 50, as
+        glibc hands their pages back to the kernel in between.  It runs in
+        a fresh interpreter, whose heap no other test has grown."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(bcpnp.__file__).parents[1]),
+                                               str(Path(__file__).parent)]))
+        run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        iterations, faults = map(int, run.stdout.split())
+        assert iterations == 100
+        assert faults / iterations < 8
+
+
+_FAULTS_SCRIPT = """
+import dataclasses, resource
+import numpy as np
+from bcpnp import (BlockSchedule, GaussianPrior, MmseDenoiser, SolverConfig, initialize,
+                   resolve_gamma, solve)
+from desk_problems import coil_problem
+
+prob = coil_problem((64, 64), 4, seed=210)
+fid = prob.fidelity
+x0 = initialize(fid, 1.1 * prob.truth.block(2))
+n1, n2 = fid.layout.sizes
+dens = [MmseDenoiser(GaussianPrior(np.zeros(n1), 1.0), 0.1),
+        MmseDenoiser(GaussianPrior(np.zeros(n2), 25.0), 0.02)]
+cfg = SolverConfig(BlockSchedule("epoch-shuffle", 2, seed=1), max_iters=100, stop_tol=1e-12,
+                   ball_radius=3.0)
+cfg = dataclasses.replace(cfg, gamma=resolve_gamma(fid, x0, cfg)[0])
+solve(fid, dens, cfg, x0, truth=prob.truth)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = solve(fid, dens, cfg, x0, truth=prob.truth)
+print(len(result.trace), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestGradientChainIdentity:
