@@ -165,8 +165,9 @@ def _sumsq(a):
 
     Left where they are: the sums of squares that do not go through BLAS
     (`np.sum` in `GaussianPrior`, `GmmPrior`, `implicit_reg_value` and
-    `MultiCoilFidelity._value`), and the matrix products of `LinearModel`
-    and `GmmPrior`, which go through BLAS but are no sums of squares.
+    `MultiCoilFidelity._sum_of_squares`), and the matrix products of
+    `LinearModel` and `GmmPrior`, which go through BLAS but are no sums of
+    squares.
     """
     a = a.ravel(order="K")
     if a.dtype.kind == "c":

@@ -16,6 +16,7 @@ of g with respect to the pairs is exactly the pair packing of A^H(residual)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -285,19 +286,6 @@ def _one_block_array(layout: BlockLayout, i, out=None):
     return out
 
 
-def _one_block(layout: BlockLayout, i, a, out=None):
-    """The BlockVector holding `a` in block i and zeros on every other
-    block, over `out` when given.
-
-    Each `grad_block` builds it before it returns, while its temporaries
-    are still allocated: freed first, they would let glibc trim the heap
-    and map it again on every iteration.
-    """
-    out = _one_block_array(layout, i, out)
-    out[layout.slices[i - 1]] = a
-    return BlockVector._wrap(layout, out)
-
-
 class _LastSpectrum:
     """The transform of the last array given, kept while the next array
     given is bitwise equal to it.
@@ -322,57 +310,42 @@ class _LastSpectrum:
         return self.value
 
 
-class ConvolutionFidelity:
-    """Least-squares fidelity for the blind deconvolution model.
+class _BilinearFidelity:
+    """Least-squares fidelity g(x) = 0.5 ||A(theta) v - y||^2 of a bilinear
+    model over x = (v, theta), written once for every model.
 
-    Keeps the spectrum of the last image block and of the last kernel it
-    transformed at an iterate, so a point that repeats a block (in a solve,
-    every block but the one just updated) transforms only what changed.
-    Like `MultiCoilFidelity`, it computes in work buffers it owns (the
-    kernel embedding, the residual, its spectrum and the two-plane adjoint
-    stack) and hands back only fresh arrays, or the `out` a gradient was
-    asked into; because of them it is not for sharing between threads.
+    A model's subclass supplies what its products read of a block, its
+    *operand* (a spectrum, or a complex view of the pairs): `_point_image`
+    and `_point_theta` for an evaluated point's blocks, which may be kept
+    from the last call, and `_image_operand` and `_theta_operand` for any
+    other array.  It supplies `_forward(pt, pv, out)`, A(theta) v into
+    `out` or a new array; `_adjoint_v(pt, w, out)`, `_adjoint_theta(pv, w,
+    out)` and `_adjoints(pt, pv, w, out)`, the adjoints of one block or of
+    both at the measurement-space array `w` (transformed once), written
+    into the flat float64 block(s) of `out`; `_sum_of_squares(r)`; and its
+    work buffers, `_r` for the residual among them.  Because of those and
+    the kept operands, a fidelity is not for sharing between threads.
     """
 
-    def __init__(self, model: BlindConvolutionModel, y):
-        self.model = model
-        self.y = np.asarray(y, dtype=np.float64).ravel()
-        h, w = model.image_shape
-        if self.y.size != h * w:
-            raise ValueError("measurement size does not match the image shape")
-        self.layout = model.layout
-        self._embedding = np.zeros(h * w)  # zero off the kernel's entries
-        self._r = np.empty(h * w)
-        self._fr = np.empty((h, w // 2 + 1), dtype=np.complex128)
-        self._stack = np.empty((2, h, w // 2 + 1), dtype=np.complex128)
-        self._image_spectrum = _LastSpectrum(model.spectrum)
-        self._kernel_spectrum = _LastSpectrum(
-            lambda theta: _rfft2(model._embed(theta, self._embedding), model.image_shape))
-
-    def _spectra(self, x: BlockVector):
-        """(v, theta, fv, ft): read-only views of the blocks and their spectra."""
-        image_slice, kernel_slice = self.layout.slices
-        v, theta = x.data[image_slice], x.data[kernel_slice]
-        return v, theta, self._image_spectrum(v), self._kernel_spectrum(theta)
-
-    def residual(self, v, theta, ft=None, fv=None, out=None):
-        """A(theta) v - y, written into `out` when given; `ft`, `fv` are the
-        spectra of theta and v when the caller has them."""
-        r = self.model.forward(theta, v, ft, fv, out)
+    def residual(self, v, theta, pt=None, pv=None, out=None):
+        """A(theta) v - y for the blocks v and theta as a point holds them,
+        written into `out` when given; `pt`, `pv` are their operands when
+        the caller has them."""
+        if pt is None:
+            pt, pv = self._theta_operand(theta), self._image_operand(v)
+        r = self._forward(pt, pv, out)
         return np.subtract(r, self.y, out=r)
 
-    def _residual_spectrum(self, x: BlockVector):
-        """(v, theta, fv, ft, r, fr): `_spectra`, the residual and its
-        spectrum, the last two in the work buffers."""
-        v, theta, fv, ft = self._spectra(x)
-        r = self.residual(v, theta, ft, fv, out=self._r)
-        fr = _rfft2(r.reshape(self.model.image_shape), self.model.image_shape, self._fr)
-        return v, theta, fv, ft, r, fr
+    def _residual_at(self, x: BlockVector):
+        """(pt, pv, r): the operands of x's blocks and the residual at x,
+        the last in the work buffer."""
+        image_slice, theta_slice = self.layout.slices
+        v, theta = x.data[image_slice], x.data[theta_slice]
+        pt, pv = self._point_theta(theta), self._point_image(v)
+        return pt, pv, self.residual(v, theta, pt, pv, self._r)
 
     def value(self, x: BlockVector):
-        v, theta, fv, ft = self._spectra(x)
-        r = self.residual(v, theta, ft, fv)
-        return 0.5 * _sumsq(r)
+        return 0.5 * self._sum_of_squares(self._residual_at(x)[2])
 
     def grad_v(self, v, theta):
         return self.grad_block(BlockVector.from_blocks([v, theta]), 1).block(1)
@@ -386,23 +359,23 @@ class ConvolutionFidelity:
     # it, into a fresh array.  Both give the same bits.
 
     def grad_block(self, x: BlockVector, i, out=None):
-        """Block i of grad g(x), with zeros on the other block: one adjoint
-        plane, from the spectra of the residual and of the other block."""
+        """Block i of grad g(x), with zeros on the other block: the adjoint
+        of block i alone, from the residual and the other block."""
         if i not in (1, 2):
             raise IndexError(f"block index {i} out of range 1..2")
-        v, theta, fv, ft, r, fr = self._residual_spectrum(x)
-        m = self.model
-        part = m.adjoint_v(theta, r, ft, fr) if i == 1 else m.adjoint_theta(v, r, fv, fr)
-        return _one_block(self.layout, i, part, out)
+        pt, pv, r = self._residual_at(x)
+        grad = _one_block_array(self.layout, i, out)
+        if i == 1:
+            self._adjoint_v(pt, r, grad[self.layout.slices[0]])
+        else:
+            self._adjoint_theta(pv, r, grad[self.layout.slices[1]])
+        return BlockVector._wrap(self.layout, grad)
 
     def _residual_and_grad(self, x: BlockVector, out):
-        # theta, v and the residual are each transformed once, and both
-        # adjoints share one inverse transform and one gradient buffer; the
-        # residual returned is the work buffer, read before the next call
-        v, theta, fv, ft, r, fr = self._residual_spectrum(x)
+        # the residual returned is the work buffer, read before the next call
+        pt, pv, r = self._residual_at(x)
         grad = np.empty(self.layout.total) if out is None else out
-        image_slice, kernel_slice = self.layout.slices
-        grad[image_slice], grad[kernel_slice] = self.model.adjoints(ft, fv, fr, self._stack)
+        self._adjoints(pt, pv, r, grad)
         return r, BlockVector._wrap(self.layout, grad)
 
     def grad(self, x: BlockVector, out=None):
@@ -411,40 +384,101 @@ class ConvolutionFidelity:
     def value_and_grad(self, x: BlockVector, out=None):
         """(g(x), grad g(x)) from one residual."""
         r, grad = self._residual_and_grad(x, out)
-        return 0.5 * _sumsq(r), grad
+        return 0.5 * self._sum_of_squares(r), grad
 
     def hessian_vec(self, x: BlockVector, u, block=None):
         """Exact Hessian-vector product of the bilinear fidelity at x.
 
         With `block=i`, `u` holds only block i of the direction (the other
-        blocks are zero) and the result is block i of H(x)u: A(theta)^T
-        A(theta) u for the image block and A_v^T A_v u for the kernel block,
-        where A_v theta = theta (*) v; the residual terms drop out.
+        block is zero) and the result is block i of H(x)u: A(theta)^H
+        A(theta) u for the image block and A_v^H A_v u for the operator
+        block, where A_v theta = A(theta) v; the residual terms drop out.
+        The full product is the two-block adjoint at the direction's image
+        s = A(theta) du + A(dtheta) v plus the adjoint, with the direction's
+        blocks as operands, at the residual.
         """
-        m = self.model
         if block == 1:
-            theta = x.block(2)
-            ft = self._kernel_spectrum(theta)
-            return m.adjoint_v(theta, m.forward(theta, u, ft), ft)
+            pt = self._point_theta(x.block(2))
+            out = np.empty(self.layout.sizes[0])
+            self._adjoint_v(pt, self._forward(pt, self._image_operand(u), self._r), out)
+            return out
         if block == 2:
-            v = x.block(1)
-            fv = self._image_spectrum(v)
-            return m.adjoint_theta(v, m.forward(u, v, fv=fv), fv)
+            pv = self._point_image(x.block(1))
+            out = np.empty(self.layout.sizes[1])
+            self._adjoint_theta(pv, self._forward(self._theta_operand(u), pv, self._r), out)
+            return out
         if block is not None:
             raise IndexError(f"block index {block} out of range 1..2")
-        v, theta, fv, ft = self._spectra(x)
-        dv, dtheta = u.block(1), u.block(2)
-        fdt, fdv = m.kernel_spectrum(dtheta), m.spectrum(dv)
-        r = self.residual(v, theta, ft, fv)
-        s = m.forward(theta, dv, ft, fdv) + m.forward(dtheta, v, fdt, fv)
-        fs, fr = m.spectrum(s), m.spectrum(r)
-        hv = m.adjoint_v(theta, s, ft, fs) + m.adjoint_v(dtheta, r, fdt, fr)
-        ht = m.adjoint_theta(v, s, fv, fs) + m.adjoint_theta(dv, r, fdv, fr)
-        return BlockVector.from_blocks([hv, ht], self.layout)
+        pt, pv, r = self._residual_at(x)
+        pdt, pdv = self._theta_operand(u.block(2)), self._image_operand(u.block(1))
+        s = self._forward(pt, pdv, None)
+        s += self._forward(pdt, pv, None)
+        out, at_r = np.empty(self.layout.total), np.empty(self.layout.total)
+        self._adjoints(pt, pv, s, out)
+        self._adjoints(pdt, pdv, r, at_r)
+        out += at_r
+        return BlockVector._wrap(self.layout, out)
 
     def adjoint_init(self, theta):
-        """Image-block initialization A(theta)^T y."""
-        return self.model.adjoint_v(theta, self.y)
+        """Image-block initialization A(theta)^H y."""
+        out = np.empty(self.layout.sizes[0])
+        self._adjoint_v(self._theta_operand(theta), self.y, out)
+        return out
+
+    # the benchmark's span tracer (`benchmarks/tracing.py`) wraps these by
+    # name in each fidelity class's own namespace, so each binds them there
+    _traced = (residual, value, grad_v, grad_theta, grad_block, grad, hessian_vec, adjoint_init)
+
+
+class ConvolutionFidelity(_BilinearFidelity):
+    """Least-squares fidelity for the blind deconvolution model.
+
+    The operands are spectra.  It keeps the spectrum of the last image
+    block and of the last kernel it transformed at a point, so a point that
+    repeats a block (in a solve, every block but the one just updated)
+    transforms only what changed.  Its work buffers are the kernel
+    embedding, the residual, its spectrum and the two-plane adjoint stack.
+    """
+
+    # bound in this namespace for `benchmarks/tracing.py` (see `_traced`)
+    (residual, value, grad_v, grad_theta, grad_block, grad, hessian_vec,
+     adjoint_init) = _BilinearFidelity._traced
+
+    def __init__(self, model: BlindConvolutionModel, y):
+        self.model = model
+        self.y = np.asarray(y, dtype=np.float64).ravel()
+        h, w = model.image_shape
+        if self.y.size != h * w:
+            raise ValueError("measurement size does not match the image shape")
+        self.layout = model.layout
+        self._embedding = np.zeros(h * w)  # zero off the kernel's entries
+        self._r = np.empty(h * w)
+        self._fr = np.empty((h, w // 2 + 1), dtype=np.complex128)
+        self._stack = np.empty((2, h, w // 2 + 1), dtype=np.complex128)
+        self._point_image = _LastSpectrum(model.spectrum)
+        self._point_theta = _LastSpectrum(
+            lambda theta: _rfft2(model._embed(theta, self._embedding), model.image_shape))
+        self._image_operand, self._theta_operand = model.spectrum, model.kernel_spectrum
+        self._forward = functools.partial(model.forward, None, None)  # from the spectra
+
+    _sum_of_squares = staticmethod(_sumsq)
+
+    # the adjoints read only the spectrum of `w`, taken into the work buffer
+
+    def _adjoint_v(self, ft, w, out):
+        shape = self.model.image_shape
+        out[...] = self.model.adjoint_v(None, w, ft, _rfft2(w.reshape(shape), shape, self._fr))
+
+    def _adjoint_theta(self, fv, w, out):
+        shape = self.model.image_shape
+        out[...] = self.model.adjoint_theta(None, w, fv, _rfft2(w.reshape(shape), shape, self._fr))
+
+    def _adjoints(self, ft, fv, w, out):
+        # both adjoints share one inverse transform, of a two-plane stack
+        shape = self.model.image_shape
+        fw = _rfft2(w.reshape(shape), shape, self._fr)
+        image_slice, kernel_slice = self.layout.slices
+        out[image_slice], out[kernel_slice] = self.model.adjoints(ft, fv, fw, self._stack)
 
 
 def _complex_view(pairs, shape):
@@ -454,15 +488,18 @@ def _complex_view(pairs, shape):
     return pairs.view(np.complex128).reshape(shape)
 
 
-class MultiCoilFidelity:
+class MultiCoilFidelity(_BilinearFidelity):
     """Least-squares fidelity for the multi-coil model over real pairs.
 
-    It reads the pair-packed blocks through complex views and runs every
-    evaluation in two (coils, H, W) work buffers that it owns, writing each
-    result through a complex view of a fresh array (or of a gradient's
-    `out`).  Because of the
-    buffers it is, like `_LastSpectrum`, not for sharing between threads.
+    The operands are complex views of the pair-packed blocks, and each
+    result is written through a complex view of its array.  Its work
+    buffers are two (coils, H, W) stacks: the residual and its masked
+    inverse DFT.
     """
+
+    # bound in this namespace for `benchmarks/tracing.py` (see `_traced`)
+    (residual, value, grad_v, grad_theta, grad_block, grad, hessian_vec,
+     adjoint_init) = _BilinearFidelity._traced
 
     def __init__(self, model: MultiCoilModel, y):
         self.model = model
@@ -473,116 +510,34 @@ class MultiCoilFidelity:
         self.layout = model.layout
         self._r = np.empty(model.stack_shape, dtype=np.complex128)
         self._back = np.empty(model.stack_shape, dtype=np.complex128)
-
-    def _image(self, pairs):
-        return _complex_view(pairs, self.model.image_shape)
-
-    def _maps(self, pairs):
-        return _complex_view(pairs, self.model.stack_shape)
-
-    def _halves(self, a):
-        """Complex views of the image and map blocks of the flat pair-packed
-        array `a` (a vector's `data`, or a fresh result)."""
-        image_slice, maps_slice = self.layout.slices
-        return self._image(a[image_slice]), self._maps(a[maps_slice])
-
-    def residual(self, v, maps, out=None):
-        """A(maps) v - y, written into `out` when given."""
-        r = self.model.forward(maps, v, out=out)
-        return np.subtract(r, self.y, out=r)
+        self._point_image = self._image_operand = functools.partial(
+            _complex_view, shape=model.image_shape)
+        self._point_theta = self._theta_operand = functools.partial(
+            _complex_view, shape=model.stack_shape)
+        self._forward = model.forward
 
     @staticmethod
-    def _value(r):
-        return 0.5 * float(np.sum(np.abs(r) ** 2))
+    def _sum_of_squares(r):
+        return float(np.sum(np.abs(r) ** 2))
 
-    def value(self, x: BlockVector):
-        return self._value(self.residual(*self._halves(x.data), out=self._r))
+    # the adjoints read only the masked inverse DFT of `w`
 
-    def grad_v(self, v_pairs, theta_pairs):
-        return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 1).block(1)
-
-    def grad_theta(self, v_pairs, theta_pairs):
-        return self.grad_block(BlockVector.from_blocks([v_pairs, theta_pairs]), 2).block(2)
-
-    # `out` on the gradients as in ConvolutionFidelity
-
-    def grad_block(self, x: BlockVector, i, out=None):
-        """Block i of grad g(x), with zeros on the other block."""
-        if i not in (1, 2):
-            raise IndexError(f"block index {i} out of range 1..2")
+    def _adjoint_v(self, maps, w, out):
         m = self.model
-        v, maps = self._halves(x.data)
-        r = self.residual(v, maps, out=self._r)
-        back = m.inverse(r, out=self._back)
-        grad = _one_block_array(self.layout, i, out)
-        part = self._halves(grad)[i - 1]
-        if i == 1:
-            m.adjoint_v(maps, r, back, out=part)
-        else:
-            m.adjoint_maps(v, r, back, out=part)
-        return BlockVector._wrap(self.layout, grad)
+        m.adjoint_v(maps, w, m.inverse(w, out=self._back),
+                    out=_complex_view(out, m.image_shape))
 
-    def _residual_and_grad(self, x: BlockVector, out):
-        # both adjoints share one masked inverse DFT of the residual; the
-        # residual returned is the work buffer, read before the next call
+    def _adjoint_theta(self, v, w, out):
         m = self.model
-        v, maps = self._halves(x.data)
-        r = self.residual(v, maps, out=self._r)
-        back = m.inverse(r, out=self._back)
-        grad = np.empty(self.layout.total) if out is None else out
-        hv, ht = self._halves(grad)
-        m.adjoint_v(maps, r, back, out=hv)
-        m.adjoint_maps(v, r, back, out=ht)
-        return r, BlockVector._wrap(self.layout, grad)
+        m.adjoint_maps(v, w, m.inverse(w, out=self._back),
+                       out=_complex_view(out, m.stack_shape))
 
-    def grad(self, x: BlockVector, out=None):
-        return self._residual_and_grad(x, out)[1]
-
-    def value_and_grad(self, x: BlockVector, out=None):
-        """(g(x), grad g(x)) from one residual."""
-        r, grad = self._residual_and_grad(x, out)
-        return self._value(r), grad
-
-    def hessian_vec(self, x: BlockVector, u, block=None):
-        """Exact Hessian-vector product at x; `block=i` as in ConvolutionFidelity:
-        A(maps)^H A(maps) u for the image block, A_v^H A_v u for the map block."""
+    def _adjoints(self, maps, v, w, out):
         m = self.model
-        if block == 1:
-            maps = self._maps(x.block(2))
-            s = m.forward(maps, self._image(u), out=self._r)
-            out = np.empty(self.layout.sizes[0])
-            m.adjoint_v(maps, s, m.inverse(s, out=self._back), out=self._image(out))
-            return out
-        if block == 2:
-            v = self._image(x.block(1))
-            s = m.forward(self._maps(u), v, out=self._r)
-            out = np.empty(self.layout.sizes[1])
-            m.adjoint_maps(v, s, m.inverse(s, out=self._back), out=self._maps(out))
-            return out
-        if block is not None:
-            raise IndexError(f"block index {block} out of range 1..2")
-        v, maps = self._halves(x.data)
-        dv, dmaps = self._halves(u.data)
-        # the adjoints read only the masked inverse DFTs of the residual and
-        # of the direction's image s, so each may overwrite its input
-        back_r = m.inverse(self.residual(v, maps, out=self._r), out=self._r)
-        s = m.forward(maps, dv, out=self._back)
-        s += m.forward(dmaps, v)
-        back_s = m.inverse(s, out=s)
-        out = np.empty(self.layout.total)
-        hv, ht = self._halves(out)
-        m.adjoint_v(maps, None, back_s, out=hv)
-        hv += m.adjoint_v(dmaps, None, back_r)
-        m.adjoint_maps(v, None, back_s, out=ht)
-        ht += m.adjoint_maps(dv, None, back_r, out=back_r)
-        return BlockVector._wrap(self.layout, out)
-
-    def adjoint_init(self, theta_pairs):
-        m = self.model
-        out = np.empty(self.layout.sizes[0])
-        m.adjoint_v(self._maps(theta_pairs), self.y, m.inverse(self.y, out=self._back),
-                    out=self._image(out))
-        return out
+        back = m.inverse(w, out=self._back)
+        image_slice, maps_slice = self.layout.slices
+        m.adjoint_v(maps, w, back, out=_complex_view(out[image_slice], m.image_shape))
+        m.adjoint_maps(v, w, back, out=_complex_view(out[maps_slice], m.stack_shape))
 
 
 class LinearFidelity:
@@ -610,7 +565,9 @@ class LinearFidelity:
     def grad_block(self, x: BlockVector, i, out=None):
         """Block i of grad g(x), with zeros on the other blocks; the residual
         reads every block, so it costs the whole gradient."""
-        return _one_block(self.layout, i, self.grad(x).block(i), out)
+        grad = _one_block_array(self.layout, i, out)
+        grad[self.layout.block_slice(i)] = self.grad(x).block(i)
+        return BlockVector._wrap(self.layout, grad)
 
     def value_and_grad(self, x: BlockVector, out=None):
         """(g(x), grad g(x)) from one residual."""
@@ -634,13 +591,14 @@ class LinearFidelity:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz certification over a norm ball around the current iterate
+# Lipschitz estimates at the boundary of a norm ball around the iterate
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Block and full gradient-smoothness constants over the scaled ball.
+    """Power-iteration estimates of the block and full gradient-smoothness
+    constants at the scaled ball boundary (see `estimate_block_lipschitz`).
 
     `converged` holds for every power iteration the estimate ran.  The
     full-gradient constant `l_full`, which only the theory bounds read, is
@@ -688,13 +646,16 @@ def _power_iteration(apply_op, dim, rng, square=False):
 
 
 def estimate_block_lipschitz(fidelity, x: BlockVector, radius=10.0):
-    """Upper bounds for the block Lipschitz constants of the fidelity gradient.
+    """Estimates of the block Lipschitz constants of the fidelity gradient,
+    by power iteration at one point.
 
-    The bilinear fidelity has no global smoothness constant, so constants
-    are certified over the ball {||x_i|| <= radius * ||current x_i||} by
-    evaluating block Hessians at the iterate scaled blockwise to the ball
-    boundary and running power iteration there, on the block-restricted
-    products `hessian_vec(boundary, u, block=i)`.  `with_full_constant`
+    The bilinear fidelity has no global smoothness constant.  The point is
+    the iterate scaled blockwise to the boundary of the ball
+    {||x_i|| <= radius * ||current x_i||}, and power iteration runs there on
+    the block-restricted products `hessian_vec(boundary, u, block=i)`.  The
+    results are estimates, not bounds: power iteration can stop below the
+    largest eigenvalue at that point, and the curvature elsewhere in the
+    ball can be larger (README, "Notes and caveats").  `with_full_constant`
     adds the full-gradient constant.
     Requires radius >= 1 so the current iterate lies inside the ball.
     """

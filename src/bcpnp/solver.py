@@ -360,7 +360,9 @@ def _objective_at(objective, x, value, k, grad=None):
 
 
 def resolve_gamma(fidelity, x0, config: SolverConfig):
-    """Certify Lipschitz constants at x0 and return (gamma, estimate).
+    """Estimate the block Lipschitz constants by power iteration at the
+    ball boundary around x0 (`estimate_block_lipschitz`: estimates, not
+    bounds) and return (gamma, estimate).
 
     `solve` takes the gamma as `config.gamma`; an ImplicitObjective for
     that solve is built with the same gamma.

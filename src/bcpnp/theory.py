@@ -4,7 +4,8 @@ With exact Gaussian-prior MMSE denoisers the iteration's implicit
 objective f = g + h is computable in closed form, so the descent
 inequality, the sequential-schedule gradient bound, and the random-schedule
 residual bound can be verified numerically along recorded traces, with the
-bound constants assembled from the certified smoothness constants.
+bound constants assembled from the power-iteration estimates of the
+smoothness constants (`forward.estimate_block_lipschitz`).
 """
 
 from __future__ import annotations

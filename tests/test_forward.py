@@ -324,6 +324,36 @@ class TestSharedEvaluations:
                 want[fid.layout.block_slice(i)] = fid.grad(x).block(i)
                 assert got.data.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("case", [0, 1], ids=["convolution", "multicoil"])
+    def test_each_evaluation_forms_its_residuals(self, case, count_calls):
+        """A value or a gradient forms the residual once, a full
+        Hessian-vector product once, and a product restricted to a block
+        and `adjoint_init` never; the benchmark's
+        `forward.residual_per_iter` counts these calls."""
+        fid, x = _bilinear_problems()[case]
+        u = BlockVector(fid.layout, np.random.default_rng(25).standard_normal(fid.layout.total))
+        out = np.empty(fid.layout.total)
+        evaluations = {
+            "value": (lambda: fid.value(x), 1),
+            "grad": (lambda: fid.grad(x), 1),
+            "grad out=": (lambda: fid.grad(x, out=out), 1),
+            "grad_block 1": (lambda: fid.grad_block(x, 1), 1),
+            "grad_block 2": (lambda: fid.grad_block(x, 2, out=out), 1),
+            "value_and_grad": (lambda: fid.value_and_grad(x), 1),
+            "value_and_grad out=": (lambda: fid.value_and_grad(x, out=out), 1),
+            "hessian_vec": (lambda: fid.hessian_vec(x, u), 1),
+            "hessian_vec 1": (lambda: fid.hessian_vec(x, u.extract(1), block=1), 0),
+            "hessian_vec 2": (lambda: fid.hessian_vec(x, u.extract(2), block=2), 0),
+            "adjoint_init": (lambda: fid.adjoint_init(x.extract(2)), 0),
+        }
+        calls = count_calls(type(fid), "residual")
+        got = {}
+        for name, (evaluate, _) in evaluations.items():
+            calls.clear()
+            evaluate()
+            got[name] = len(calls)
+        assert got == {name: want for name, (_, want) in evaluations.items()}
+
     @pytest.mark.parametrize("case", range(3))
     def test_bad_block_index(self, case):
         fid, x = _all_problems()[case]
@@ -584,6 +614,18 @@ class _AllocatingMultiCoil:
         return complex_to_pairs(self.adjoint_v(pairs_to_complex(theta_pairs, self.stack), self.y))
 
 
+def _held_arrays(fid):
+    """Every array that a fidelity holds, found rather than named: its
+    ndarray attributes (its work buffers and `y`) and those of the objects
+    it holds (its model and its kept spectra)."""
+    arrays = []
+    for a in vars(fid).values():
+        held = [a] if isinstance(a, np.ndarray) else getattr(a, "__dict__", {}).values()
+        arrays += [b for b in held if isinstance(b, np.ndarray)]
+    assert arrays
+    return arrays
+
+
 def _signed_zero_point(rng, layout):
     """A random point with a fifth of its entries set to +0.0 or -0.0."""
     data = rng.standard_normal(layout.total)
@@ -674,6 +716,8 @@ class TestInPlaceMultiCoil:
         fid.hessian_vec(y, u)
         fid.adjoint_init(y.extract(2))
         assert [a.tobytes() for a in arrays] == before
+        buffers = _held_arrays(fid)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_grad_block_allocates_its_output_and_two_stacks_at_most(self, block):
@@ -741,7 +785,7 @@ class TestInPlaceConvolution:
             fid.value(point)
         assert [a.tobytes() for a in kept] == before
         arrays = [a for a in kept if isinstance(a, np.ndarray)]
-        buffers = [fid._embedding, fid._r, fid._fr, fid._stack]
+        buffers = _held_arrays(fid)
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
 
