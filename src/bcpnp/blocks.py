@@ -101,8 +101,8 @@ class BlockVector:
     def _wrap(cls, layout, data):
         """A vector over the float64 array `data` without a copy.  The
         vector's `data` is a read-only view; `data` itself stays writable,
-        and its creator may write it again once no one reads the vector
-        (as `solve` does with its work arrays)."""
+        and a vector over an array that its creator keeps writing shows the
+        new values (as `solve`'s one vector over its iterate does)."""
         return cls(layout, data, True)
 
     @classmethod

@@ -191,7 +191,7 @@ def _at(field):
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, ArithmeticError) as exc:
         raise ConfigError(f"{field}: {exc}") from None
 
 

@@ -488,13 +488,22 @@ def _complex_view(pairs, shape):
     return pairs.view(np.complex128).reshape(shape)
 
 
+def _complex_out(out, shape):
+    """The flat float64 array `out`, to be written, as a complex128 view of
+    `shape`; a ValueError where that view would need a copy, which the
+    write would not reach."""
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be contiguous for a multi-coil gradient")
+    return out.view(np.complex128).reshape(shape)
+
+
 class MultiCoilFidelity(_BilinearFidelity):
     """Least-squares fidelity for the multi-coil model over real pairs.
 
     The operands are complex views of the pair-packed blocks, and each
-    result is written through a complex view of its array.  Its work
-    buffers are two (coils, H, W) stacks: the residual and its masked
-    inverse DFT.
+    result is written through a complex view of its array, which must be
+    contiguous.  Its work buffers are two (coils, H, W) stacks: the
+    residual and its masked inverse DFT.
     """
 
     # bound in this namespace for `benchmarks/tracing.py` (see `_traced`)
@@ -525,19 +534,19 @@ class MultiCoilFidelity(_BilinearFidelity):
     def _adjoint_v(self, maps, w, out):
         m = self.model
         m.adjoint_v(maps, w, m.inverse(w, out=self._back),
-                    out=_complex_view(out, m.image_shape))
+                    out=_complex_out(out, m.image_shape))
 
     def _adjoint_theta(self, v, w, out):
         m = self.model
         m.adjoint_maps(v, w, m.inverse(w, out=self._back),
-                       out=_complex_view(out, m.stack_shape))
+                       out=_complex_out(out, m.stack_shape))
 
     def _adjoints(self, maps, v, w, out):
         m = self.model
         back = m.inverse(w, out=self._back)
         image_slice, maps_slice = self.layout.slices
-        m.adjoint_v(maps, w, back, out=_complex_view(out[image_slice], m.image_shape))
-        m.adjoint_maps(v, w, back, out=_complex_view(out[maps_slice], m.stack_shape))
+        m.adjoint_v(maps, w, back, out=_complex_out(out[image_slice], m.image_shape))
+        m.adjoint_maps(v, w, back, out=_complex_out(out[maps_slice], m.stack_shape))
 
 
 class LinearFidelity:

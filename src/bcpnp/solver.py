@@ -178,8 +178,10 @@ def solve(
     `denoisers` has one entry per block; a block whose entry is None keeps
     its value in x0.  `objective` (see theory.ImplicitObjective) enables
     f/g/h and gradient recording; it must be built with the same gamma the
-    solver uses.  The fidelity writes every gradient into an array of the
-    solve (`out=` of `grad`, `grad_block` and `value_and_grad`).
+    solver uses.  The solve copies x0 once into its one iterate, which
+    each update writes in place and `result.x` wraps; x0 is never written.
+    The fidelity writes every gradient into an array of the solve (`out=`
+    of `grad`, `grad_block` and `value_and_grad`).
     Each iteration evaluates grad g once and denoises block i_k once; that
     output is the update.  The first iteration and, with `full_residual`,
     every iteration denoise every active block, and the trace logs
@@ -229,14 +231,16 @@ def solve(
     denoiser_calls = [0] * num_blocks
 
     # work arrays made once, so that no iteration allocates (and pages in)
-    # an array of a block's size: the iterate alternates between two arrays
-    # (an update copies the current one into the other and writes block
-    # i_k), every gradient is written into one, and `step` holds in turn the
-    # denoiser input x_i - gamma grad_i, x_new - x and the error x_i - truth_i.
-    # A vector wrapped over one is read only until the array is written again.
+    # an array of a block's size: the iterate `x`, a copy of x0 that an
+    # update writes block i_k of in place and one vector wraps for the whole
+    # solve; the gradient, whose block i_k the lean path turns into the
+    # denoiser input x_i - gamma grad_i once nothing else reads it; and
+    # `step`, zero between iterations, whose block holds x_new_i - x_i or
+    # the error x_i - truth_i until it is normed.
     total = layout.total
-    iterates = (np.empty(total), np.empty(total))
-    grad_out, step = np.empty(total), np.empty(total)
+    x = x0.data.copy()
+    xv = BlockVector._wrap(layout, x)
+    grad_out, step = np.empty(total), np.zeros(total)
     if truth is not None:
         truth_norms = truth.block_norms()
         if 0.0 in truth_norms:
@@ -244,18 +248,16 @@ def solve(
 
     # grad g at the current iterate: one evaluation per iteration, shared by
     # the denoising pass, the objective and the final residual
-    grad, value = _fidelity_at(fidelity, x0, objective, active, grad_out)
+    grad, value = _fidelity_at(fidelity, xv, objective, active, grad_out)
     gradient_evals = 1
     trace = TraceBuilder(num_blocks, config.max_iters - start_iter + 1)
     if objective is not None:
-        trace.set_initial(_objective_at(objective, x0, value, 0)[0])
+        trace.set_initial(_objective_at(objective, xv, value, 0)[0])
     else:
         trace.set_initial(float("nan"))
     columns = trace.columns
 
-    # one BlockVector over each new iterate serves the fidelity and the objective
-    x, xv = x0.data, x0
-    residual = _Residual(denoisers, gamma, x0)
+    residual = _Residual(denoisers, gamma, xv)
     rmse_blocks = [float("nan")] * num_blocks
     reason = "max-iters"
     i_k = _pick_index(schedule, active, start_iter)
@@ -274,16 +276,16 @@ def solve(
                 denoiser_calls[i - 1] += 1
             columns["g_norm2"][n] = _norm(residual.out) ** 2
         else:
-            z = step[block]
+            z = grad_out[block]
             np.subtract(x[block], np.multiply(gamma, grad.data[block], out=z), out=z)
             update = _denoise(denoisers[i_k - 1], z, i_k, k)
             denoiser_calls[i_k - 1] += 1
         prev_norm = _norm(x)
-        x_new = iterates[n % 2]
-        x_new[...] = x
-        x_new[block] = update
-        step_norm = _norm(np.subtract(x_new, x, out=step))
-        xv = BlockVector._wrap(layout, x_new)
+        # ||x_new - x|| is the norm of the whole of `step`, zero off block i_k
+        change = np.subtract(update, x[block], out=step[block])
+        x[block] = update
+        step_norm = _norm(step)
+        change.fill(0.0)
         rel = step_norm / prev_norm if prev_norm > 0 else step_norm
         last = rel < config.stop_tol or k == config.max_iters
         i_next = i_k if last else _pick_index(schedule, active, k + 1)
@@ -296,7 +298,7 @@ def solve(
         # iteration (at the first, x0's, inside the ball since ball_radius
         # >= 1), so its ball check and error carry over
         if not left_ball:
-            left_ball = _norm(x_new[block]) > radii[i_k - 1]
+            left_ball = _norm(x[block]) > radii[i_k - 1]
 
         columns["iters"][n] = k
         columns["block"][n] = i_k
@@ -310,10 +312,10 @@ def solve(
             # `rmse`, with the error in `step`
             for i in range(1, num_blocks + 1) if first else (i_k,):
                 s = slices[i - 1]
-                error = np.subtract(x_new[s], truth.block(i), out=step[s])
+                error = np.subtract(x[s], truth.block(i), out=step[s])
                 rmse_blocks[i - 1] = _norm(error) / truth_norms[i - 1]
+                error.fill(0.0)
             columns["rmse"][n] = rmse_blocks
-        x = x_new
         i_k = i_next
         if rel < config.stop_tol:
             reason = "tolerance"

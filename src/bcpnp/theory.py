@@ -10,6 +10,7 @@ smoothness constants (`forward.estimate_block_lipschitz`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -248,7 +249,8 @@ class TheoryConstants:
     """Constants of the convergence bounds, assembled from smoothness data.
 
     alpha is the inverse step-size ratio 1/(gamma l_max) and must exceed 1;
-    all derived constants are then positive and finite.
+    all derived constants are then positive.  `from_problem` raises a
+    ValueError naming the first that overflows or is not finite.
     """
 
     alpha: float
@@ -274,18 +276,18 @@ class TheoryConstants:
             raise ValueError("gamma and l_max must be positive")
         if l_full is None:
             raise ValueError("l_full is missing: add it to the certificate by with_full_constant")
-        alpha = 1.0 / (gamma * l_max)
+        alpha = _finite("alpha", lambda: 1.0 / (gamma * l_max))
         if alpha <= 1.0:
             raise ValueError(
                 f"step size gamma={gamma} must be below 1/l_max={1.0 / l_max}"
             )
         b = int(num_blocks)
-        lam = alpha * l_max + m_max
-        a1 = alpha * l_max + b * l_full
-        a2 = a1 + l_full + m_max
-        b1 = 4.0 * a1**2 / ((alpha - 1.0) * l_max)
-        b2 = 2.0 * b * a2**2 + lam * a1**2
-        theta_rand = (alpha - 1.0) / (2.0 * alpha**2 * b * l_max)
+        lam = _finite("lam", lambda: alpha * l_max + m_max)
+        a1 = _finite("a1", lambda: alpha * l_max + b * l_full)
+        a2 = _finite("a2", lambda: a1 + l_full + m_max)
+        b1 = _finite("b1", lambda: 4.0 * a1**2 / ((alpha - 1.0) * l_max))
+        b2 = _finite("b2", lambda: 2.0 * b * a2**2 + lam * a1**2)
+        theta_rand = _finite("theta_rand", lambda: (alpha - 1.0) / (2.0 * alpha**2 * b * l_max))
         return cls(
             alpha=alpha,
             num_blocks=b,
@@ -298,11 +300,25 @@ class TheoryConstants:
             b1=b1,
             b2=b2,
             c1=b1,
-            c2=b * b2,
+            c2=_finite("c2", lambda: b * b2),
             theta_rand=theta_rand,
-            d1=1.0 / theta_rand,
-            d2=lam / (2.0 * theta_rand),
+            d1=_finite("d1", lambda: 1.0 / theta_rand),
+            d2=_finite("d2", lambda: lam / (2.0 * theta_rand)),
         )
+
+
+def _finite(name, formula):
+    """The value of the theory constant `name`, `formula()`; a ValueError
+    naming it when it overflows (float `**` raises, `*` gives inf) or
+    divides by an underflowed zero."""
+    try:
+        value = formula()
+    except ArithmeticError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"theory constant {name} is not finite: the bounds overflow at "
+                         f"this gamma, l_max, l_full and m_max")
+    return value
 
 
 # ---------------------------------------------------------------------------

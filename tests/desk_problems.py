@@ -35,27 +35,29 @@ from bcpnp import (
 from bcpnp.blocks import BlockLayout
 
 
-def blind_desk_problem(shrink=0.8, image_scale=1.0, noise_sigma=0.01, seed=100):
+def blind_desk_problem(shrink=0.8, image_scale=1.0, noise_sigma=0.01, seed=100,
+                       image_shape=(8, 8), kernel_shape=(3, 3)):
     """Two-block blind deconvolution with Gaussian priors on both blocks.
 
     `shrink` is the per-update posterior shrinkage factor tau^2/(tau^2 +
     sigma^2) of both block denoisers; smaller values contract faster.
     """
     rng = np.random.default_rng(seed)
-    model = BlindConvolutionModel((8, 8), (3, 3))
-    v_true = image_scale * rng.random(64)
-    th_true = rng.random(9)
+    model = BlindConvolutionModel(image_shape, kernel_shape)
+    n, m = model.layout.sizes
+    v_true = image_scale * rng.random(n)
+    th_true = rng.random(m)
     th_true /= th_true.sum()
     y = synthesize(model, v_true, th_true, noise_sigma=noise_sigma, seed=1)
     fid = ConvolutionFidelity(model, y)
-    th0 = th_true + 0.1 * rng.standard_normal(9)
+    th0 = th_true + 0.1 * rng.standard_normal(m)
     x0 = initialize(fid, th0)
 
     tau2_v, tau2_t = 0.25, 0.01
     sig_v = float(np.sqrt(tau2_v * (1.0 / shrink - 1.0)))
     sig_t = float(np.sqrt(tau2_t * (1.0 / shrink - 1.0)))
-    prior_v = GaussianPrior(np.zeros(64), tau2_v)
-    prior_t = GaussianPrior(np.full(9, 1.0 / 9.0), tau2_t)
+    prior_v = GaussianPrior(np.zeros(n), tau2_v)
+    prior_t = GaussianPrior(np.full(m, 1.0 / m), tau2_t)
 
     def denoisers(error_kind="zero", error_base=0.0, error_seed=0):
         return [

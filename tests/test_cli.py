@@ -783,6 +783,34 @@ def _theory_on_deblurring(tmp_path):
     return path
 
 
+class TestRuntimeFailureExitCodes:
+    """A config that `validate` accepts but whose run fails exits 2 with
+    one "runtime failure" line, never a traceback."""
+
+    @pytest.mark.parametrize("dotted, value, constant", [
+        ("solver.gamma", 1.0e-160, "b1"),
+        ("denoisers.image.prior.var", 1.0e-300, "b2"),
+    ], ids=["tiny-gamma", "tiny-prior-var"])
+    def test_overflowing_theory_constants(self, tmp_path, dotted, value, constant):
+        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+        *parents, key = dotted.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        path = tmp_path / "theory.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for command, code in (["validate", str(path)], 0), (
+                ["run", str(path), "--out", str(tmp_path / "out")], cli.EXIT_RUNTIME):
+            run = subprocess.run([sys.executable, "-m", "bcpnp", *command], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == code, run.stderr
+            assert "Traceback" not in run.stderr
+        assert run.stderr == (f"runtime failure: theory constant {constant} is not finite: "
+                              "the bounds overflow at this gamma, l_max, l_full and m_max\n")
+
+
 class TestTheoryDenoisers:
     """Convergence checks need the implicit objective in closed form, which
     only a gaussian-mmse denoiser on every block (bare or wrapped in

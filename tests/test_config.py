@@ -178,6 +178,14 @@ def test_config_error_names_field(field, tmp_path, capsys):
     _assert_both_commands_name(field, cfg, tmp_path, capsys)
 
 
+def test_overflowing_denoiser_sigma_names_field(tmp_path, capsys):
+    """A sigma whose square overflows while the parser tries the denoiser
+    out is a config error of that denoiser, not an OverflowError."""
+    cfg = yaml.safe_load((ROOT / "configs" / "blind_deblurring.yaml").read_text())
+    _set(cfg, "denoisers.theta.sigma", 1.0e300)
+    _assert_both_commands_name("denoisers.theta: ", cfg, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("source, shape", [("image", (8, 8)), ("kernel", (3, 3)),
                                            ("theta_init", (3, 3))])
 def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):

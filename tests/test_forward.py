@@ -814,6 +814,26 @@ class TestGradientOut:
                 assert not got.data.flags.writeable
             assert fid.value_and_grad(point, out=out)[0] == fid.value_and_grad(point)[0]
 
+    @pytest.mark.parametrize("case", range(3))
+    def test_strided_out_is_written_or_refused(self, case):
+        """A strided `out`, every other entry of a NaN-filled array: the
+        convolution and linear fidelities write a fresh call's bits into it;
+        multi-coil, which writes through complex views of `out` that would
+        need a copy, raises a ValueError naming `out`."""
+        fid, x = _all_problems()[case]
+        calls = [lambda **kw: fid.grad(x, **kw), lambda **kw: fid.value_and_grad(x, **kw)[1]]
+        calls += [lambda i=i, **kw: fid.grad_block(x, i, **kw)
+                  for i in range(1, fid.layout.num_blocks + 1)]
+        for call in calls:
+            out = np.full(2 * fid.layout.total, np.nan)[::2]
+            if isinstance(fid, MultiCoilFidelity):
+                with pytest.raises(ValueError, match="^out "):
+                    call(out=out)
+            else:
+                got = call(out=out)
+                assert got.data.tobytes() == call().data.tobytes()
+                assert np.shares_memory(got.data, out)
+
     @pytest.mark.parametrize("block", [1, 2])
     def test_grad_block_into_out_allocates_less_than_a_coil_stack(self, block):
         """At 64x64 with 4 coils, one block's gradient written into `out`
