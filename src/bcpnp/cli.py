@@ -37,7 +37,7 @@ from .denoisers import (
 )
 from .forward import (
     BlindConvolutionModel, ConvolutionFidelity, LinearFidelity, LinearModel,
-    MultiCoilFidelity, MultiCoilModel, synthesize, with_full_constant,
+    LipschitzEstimate, MultiCoilFidelity, MultiCoilModel, synthesize, with_full_constant,
 )
 from .solver import NonFiniteIterateError, SolverConfig, resolve_gamma, solve
 from .theory import (
@@ -581,28 +581,26 @@ def _parse_theory(node, solver):
 def validate(config, problem=None):
     """Diagnostics for a config path or a parsed Config, without solving.
 
-    The parse, plus the step-rule check when convergence checks run at an
-    explicit gamma: the certificate at every mode's start must bound gamma
-    below 1/L_max.  That check certifies the starts on `problem`, which it
-    builds at the config's seed when none is given.  An empty list means
+    The parse and, when convergence checks run, every mode's start
+    (`Problem.start`), built on `problem`, or on the problem at the
+    config's seed when none is given: one diagnostic per mode that cannot
+    start.  The starts stay on `problem` for the run.  An empty list means
     `run` can start.
     """
     try:
         cfg = config if isinstance(config, Config) else load_config(config)
     except ConfigError as exc:
         return [str(exc)]
-    gamma = cfg.solver.gamma
-    if not cfg.theory.enabled or gamma is None:
+    if not cfg.theory.enabled:
         return []
     if problem is None:
         problem = build_problem(cfg)
     diagnostics = []
     for label, mode in cfg.modes:
-        _, lip = problem.certify(problem.x0_for(mode), cfg.solver)
-        if lip.exceeded_by(gamma):
-            diagnostics.append(f"solver.gamma: step size violates the convergence step rule at "
-                               f"the start of mode {label} (gamma={gamma} >= "
-                               f"1/L_max={1.0 / lip.l_max:.6g})")
+        try:
+            problem.start(label, mode, cfg)
+        except ConfigError as exc:
+            diagnostics.append(str(exc))
     return diagnostics
 
 
@@ -612,13 +610,41 @@ def validate(config, problem=None):
 
 
 @dataclass(frozen=True)
+class ArrayOutput:
+    """An array of the iterate that a run writes, as `truth_<name>.csv` and
+    `<mode>/final_<name>.csv`, and the metrics column of its relative error."""
+
+    name: str
+    block: int | None  # None: all of x
+    column: str
+
+    def of(self, x: BlockVector):
+        return x.data if self.block is None else x.extract(self.block)
+
+
+@dataclass(frozen=True)
+class ModeStart:
+    """What a mode's solve starts from: x0, the certificate at x0 and the
+    solver config with its gamma.  On a theory run's bc-pnp mode, also the
+    implicit objective and the bound constants, and the certificate
+    carries l_full."""
+
+    x0: BlockVector
+    lip: LipschitzEstimate
+    solver: SolverConfig
+    objective: ImplicitObjective | None
+    constants: TheoryConstants | None
+
+
+@dataclass(frozen=True)
 class Problem:
     """Measurements, truth and initial parameter block in work units.
 
     Blind deconvolution works in blocks rescaled to (v / scale, scale *
     theta), see `balanced_block_scale`; the other kinds have scale 1.
-    Generic-linear problems have neither an image nor a parameter block.
-    `denoisers` holds one denoiser per block in those work units.
+    Generic-linear problems have neither an image nor a parameter block,
+    and write all of x as their one array output.  `denoisers` holds one
+    denoiser per block in those work units.
     """
 
     kind: str
@@ -629,8 +655,11 @@ class Problem:
     theta0: np.ndarray | None = None
     scale: float = 1.0
     denoisers: tuple = ()
+    outputs: tuple = (ArrayOutput("image", 1, "rmse_x"), ArrayOutput("theta", 2, "rmse_theta"))
     # (x0 bytes, gamma, ball radius) -> (gamma, certificate); see `certify`
     _certificates: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    # mode -> ModeStart of the config the problem was built from; see `start`
+    _starts: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def block_scales(self):
@@ -667,6 +696,37 @@ class Problem:
         if key not in self._certificates:
             self._certificates[key] = resolve_gamma(self.fidelity, x0, solver)
         return self._certificates[key]
+
+    def start(self, label, mode, cfg):
+        """The ModeStart of `mode`, written `label` in `cfg`; built once.
+
+        With convergence checks, a gamma at or above 1/L_max of the
+        certificate at x0 (the step rule) and, on bc-pnp, a bound constant
+        that is not finite are ConfigErrors.
+        """
+        if mode in self._starts:
+            return self._starts[mode]
+        x0 = self.x0_for(mode)
+        gamma, lip = self.certify(x0, cfg.solver)
+        objective = constants = None
+        if cfg.theory.enabled and lip.exceeded_by(gamma):
+            raise ConfigError(f"solver.gamma: step size violates the convergence step rule at "
+                              f"the start of mode {label} (gamma={gamma} >= "
+                              f"1/L_max={1.0 / lip.l_max:.6g})")
+        if cfg.theory.enabled and mode == BC_PNP:
+            # only the bounds read l_full: the bc-pnp report flags its power
+            # iteration, and the certificate cached for the other modes
+            # stays block-only
+            lip = with_full_constant(self.fidelity, x0, lip, cfg.solver.ball_radius)
+            objective = ImplicitObjective(self.fidelity, self.denoisers, gamma)
+            with _at("theory_checks.enabled"):
+                constants = TheoryConstants.from_problem(
+                    gamma, self.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
+                    objective.m_max(),
+                )
+        self._starts[mode] = ModeStart(x0, lip, dataclasses.replace(cfg.solver, gamma=gamma),
+                                       objective, constants)
+        return self._starts[mode]
 
     def natural_image(self, x):
         if self.kind == MULTI_COIL:
@@ -737,7 +797,8 @@ def _build_linear(p, seed):
     x_true = np.random.default_rng(seed + 2).standard_normal(p.layout.total)
     model = LinearModel(A)
     y = synthesize(model, x_true, noise_sigma=p.noise_sigma, seed=seed)
-    return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true))
+    return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true),
+                   outputs=(ArrayOutput("x", None, "rmse_x"),))
 
 
 def build_denoiser(den, unit_scale=1.0):
@@ -775,15 +836,15 @@ def run(config_path, out_override=None, seed_override=None):
         return _config_errors([str(exc)])
 
     try:
-        # the step rule is checked on the problem at the seed the run uses,
-        # before any output is written
+        # a theory run's starts are built and checked on the problem at the
+        # seed the run uses, before any output is written; the loop reads them
         problem = build_problem(cfg, seed_override=seed_override)
         diagnostics = validate(cfg, problem)
         if diagnostics:
             return _config_errors(diagnostics)
         out_dir = Path(out_override or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_truth(out_dir, problem)
+        _save_outputs(out_dir, "truth", problem, problem.truth)
         metrics_rows = []
         report = {"modes": {}, "checks": {}}
         checks_failed = False
@@ -791,31 +852,19 @@ def run(config_path, out_override=None, seed_override=None):
         for label, mode in cfg.modes:
             mode_dir = out_dir / label
             mode_dir.mkdir(exist_ok=True)
-            x0 = problem.x0_for(mode)
-            gamma, lip = problem.certify(x0, cfg.solver)
-            solver_cfg = dataclasses.replace(cfg.solver, gamma=gamma)
-
-            objective = constants = None
-            if cfg.theory.enabled and mode == BC_PNP:
-                # only the bounds read l_full: the bc-pnp report flags its
-                # power iteration, and the certificate cached for the other
-                # modes stays block-only
-                lip = with_full_constant(problem.fidelity, x0, lip, solver_cfg.ball_radius)
-                objective = ImplicitObjective(problem.fidelity, problem.denoisers, gamma)
-                constants = TheoryConstants.from_problem(
-                    gamma, problem.fidelity.layout.num_blocks, lip.l_max, lip.l_full,
-                    objective.m_max(),
-                )
-
+            start = problem.start(label, mode, cfg)
+            gamma, lip, objective = start.solver.gamma, start.lip, start.objective
             # theorem 2 reads the mode's residual trace as its seed 0
-            result = solve(problem.fidelity, problem.denoisers_for(mode), solver_cfg, x0,
+            result = solve(problem.fidelity, problem.denoisers_for(mode), start.solver, start.x0,
                            truth=problem.truth, objective=objective,
                            full_residual=objective is not None
-                           and _checks_theorem2(solver_cfg, cfg.theory))
+                           and _checks_theorem2(start.solver, cfg.theory))
             result.trace.to_csv(mode_dir / "trace.csv")
             row = _mode_metrics(label, problem, result)
             metrics_rows.append(row)
-            _write_mode_outputs(mode_dir, problem, result)
+            _save_outputs(mode_dir, "final", problem, result.x)
+            if problem.image_shape is not None:
+                fileio.write_pgm(mode_dir / "image.pgm", problem.natural_image(result.x))
             report["modes"][label] = {
                 "mode": mode,
                 "gamma": gamma,
@@ -833,15 +882,14 @@ def run(config_path, out_override=None, seed_override=None):
             }
 
             if objective is not None:
-                checks = _theory_checks(
-                    problem, solver_cfg, x0, result, objective, constants, cfg.theory
-                )
+                checks = _theory_checks(problem, start, result, cfg.theory)
                 report["checks"][label] = checks
                 checks_failed = checks_failed or not all(
                     c.get("passed", True) for c in checks.values()
                 )
 
-        _write_metrics(out_dir / "metrics.csv", metrics_rows)
+        fileio.write_table(out_dir / "metrics.csv", METRICS_COLUMNS,
+                           ([row[c] for c in METRICS_COLUMNS] for row in metrics_rows))
         with open(out_dir / "report.json", "w") as fh:
             json.dump(_json_value(report), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
@@ -861,15 +909,16 @@ def _config_errors(diagnostics):
     return EXIT_CONFIG
 
 
-def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory):
+def _theory_checks(problem, start, result, theory):
     """Descent always; the schedule decides which bound check applies.
 
-    `objective` is the one `result` was solved with.  Only a bound check
+    `result` is the solve from `start`, with its objective.  Only a bound check
     reads f*, from the mode's trajectory continued to
     `reference_multiplier * max_iters` iterations in all; a mode that
     stopped on tolerance, or a multiplier of 1, needs no further solve.
     Each check's report.json entry holds its report's dataclass fields.
     """
+    solver_cfg, objective, constants = start.solver, start.objective, start.constants
     checks = {"descent": check_descent(result.trace, constants)}
 
     def f_star():
@@ -884,7 +933,7 @@ def _theory_checks(problem, solver_cfg, x0, result, objective, constants, theory
     def seed_trace(s):
         schedule = solver_cfg.schedule.with_seed(solver_cfg.schedule.seed + s)
         trace = solve(problem.fidelity, problem.denoisers,
-                      dataclasses.replace(solver_cfg, schedule=schedule), x0,
+                      dataclasses.replace(solver_cfg, schedule=schedule), start.x0,
                       full_residual=True).trace
         return dataclasses.replace(trace, f_initial=result.trace.f_initial)
 
@@ -916,11 +965,8 @@ def _checks_theorem2(solver_cfg, theory):
 def _mode_metrics(label, problem, result):
     row = dict.fromkeys(METRICS_COLUMNS, float("nan"))
     row["mode"] = label
-    if problem.kind == LINEAR:  # no operator block: the error of all of x
-        row["rmse_x"] = rmse(result.x.data, problem.truth.data)
-    else:
-        row["rmse_x"] = rmse(result.x.extract(1), problem.truth.extract(1))
-        row["rmse_theta"] = rmse(result.x.extract(2), problem.truth.extract(2))
+    for out in problem.outputs:
+        row[out.column] = rmse(out.of(result.x), out.of(problem.truth))
     if problem.image_shape is not None and min(problem.image_shape) >= 16:
         row["ssim_x"] = ssim(
             problem.natural_image(result.x), problem.image_truth, data_range=1.0
@@ -928,29 +974,10 @@ def _mode_metrics(label, problem, result):
     return row
 
 
-def _write_truth(out_dir, problem):
-    if problem.kind == LINEAR:
-        fileio.save_matrix_csv(out_dir / "truth_x.csv", problem.truth.data[None, :])
-        return
-    fileio.save_matrix_csv(out_dir / "truth_image.csv", problem.truth.extract(1)[None, :])
-    fileio.save_matrix_csv(out_dir / "truth_theta.csv", problem.truth.extract(2)[None, :])
-
-
-def _write_mode_outputs(mode_dir, problem, result):
-    if problem.kind == LINEAR:
-        fileio.save_matrix_csv(mode_dir / "final_x.csv", result.x.data[None, :])
-        return
-    fileio.save_matrix_csv(mode_dir / "final_image.csv", result.x.extract(1)[None, :])
-    fileio.save_matrix_csv(mode_dir / "final_theta.csv", result.x.extract(2)[None, :])
-    if problem.image_shape is not None:
-        fileio.write_pgm(mode_dir / "image.pgm", problem.natural_image(result.x))
-
-
-def _write_metrics(path, rows):
-    # the values are the label and Python floats, whose str is their repr
-    lines = [METRICS_COLUMNS] + [[str(row[c]) for c in METRICS_COLUMNS] for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(line) + "\n" for line in lines))
+def _save_outputs(directory, prefix, problem, x):
+    """Each array output of `x` as one row of `<prefix>_<name>.csv`."""
+    for out in problem.outputs:
+        fileio.save_matrix_csv(directory / f"{prefix}_{out.name}.csv", out.of(x)[None, :])
 
 
 def _json_value(obj):

@@ -1,4 +1,4 @@
-"""Plain-file handling: PGM grayscale images and CSV matrices.
+"""Plain-file handling: PGM grayscale images, CSV matrices and CSV tables.
 
 Images are exchanged as floats in [0, 1]; PGM rasters (ASCII P2 or binary
 P5, 8- or 16-bit) are scaled by their declared maxval on read and
@@ -94,3 +94,11 @@ def save_matrix_csv(path, array):
                     fh.write(",")
                 fh.write(",".join(map(repr, row[start : start + _CSV_CHUNK].tolist())))
             fh.write("\n")
+
+
+def write_table(path, header, rows):
+    """Write a header line of column names, then one line per row of values,
+    each value as its `str`: a Python float's is its shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)

@@ -190,8 +190,9 @@ def solve(
     objective, when the next denoising reads one block, grad g is computed
     on that block alone.  The final residual covers every active block, so
     a solve of n iterations makes n + 1 gradient evaluations.  Raises
-    NonFiniteIterateError when a denoised block or any recorded objective
-    quantity (f, g, h, ||grad f||^2) is NaN/inf.
+    NonFiniteIterateError when a denoised block, an entry of a computed
+    residual G or any recorded objective quantity (f, g, h, ||grad f||^2)
+    is NaN/inf.
 
     `start_iter` is the number of the first iteration, and `config.max_iters`
     the number of the last.  An iterate depends only on the previous one
@@ -274,7 +275,9 @@ def solve(
             update = residual.denoised[block]
             for i in active:
                 denoiser_calls[i - 1] += 1
-            columns["g_norm2"][n] = _norm(residual.out) ** 2
+            g_norm = _norm(residual.out)
+            _check_residual(residual.out, g_norm, k)
+            columns["g_norm2"][n] = g_norm ** 2
         else:
             z = grad_out[block]
             np.subtract(x[block], np.multiply(gamma, grad.data[block], out=z), out=z)
@@ -322,13 +325,24 @@ def solve(
             break
 
     trace.length = k - start_iter + 1
-    g_final = g_operator(fidelity, denoisers, gamma, xv, k + 1, grad).norm()
+    g = g_operator(fidelity, denoisers, gamma, xv, k + 1, grad)
+    g_final = g.norm()
+    _check_residual(g.data, g_final, k + 1)
     for i in active:
         denoiser_calls[i - 1] += 1
     return SolveResult(
         x=xv, trace=trace.freeze(), reason=reason, left_ball=left_ball, g_norm_final=g_final,
         denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
+
+
+def _check_residual(g, norm, k):
+    """Raise NonFiniteIterateError when the residual G computed at iteration
+    k, the array `g` of norm `norm`, has a NaN/inf entry.  As in `_denoise`,
+    only a norm that is not finite is checked entry by entry, so a G whose
+    squares overflow is recorded, not refused."""
+    if not math.isfinite(norm) and not np.isfinite(g).all():
+        raise NonFiniteIterateError(f"non-finite fixed-point residual G at iteration {k}")
 
 
 def _fidelity_at(fidelity, x, objective, blocks, out):

@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from . import fileio
 from .blocks import BlockVector, _norm
 from .denoisers import (
     InexactDenoiser,
@@ -40,7 +41,6 @@ TRACE_COLUMNS = (
     ("rmse_v", "rmse"),
     ("rmse_theta", "rmse"),
 )
-TRACE_CSV_HEADER = ",".join(column for column, _ in TRACE_COLUMNS)
 _INT_FIELDS = ("iters", "block")
 # rows a trace's columns hold at first; they double as a solve needs
 _TRACE_ROWS = 4096
@@ -92,14 +92,11 @@ class IterateTrace:
             .tolist()
             for _, name in TRACE_COLUMNS
         ]
-        header = [TRACE_CSV_HEADER]
+        header = [column for column, _ in TRACE_COLUMNS]
         for i, column in enumerate(blocks, start=3):  # blocks 3 and on
             header.append(f"rmse_{i}")
             columns.append(column.tolist())
-        # repr of a Python float is its shortest round-trip form
-        lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        fileio.write_table(path, header, zip(*columns))
 
     @classmethod
     def from_csv(cls, path):

@@ -350,6 +350,20 @@ class TestRun:
         for name in ("metrics.csv", "report.json", "bc-pnp/trace.csv", "bc-pnp/final_image.csv"):
             assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
 
+    def test_theory_run_builds_each_start_once(self, tmp_path, count_calls):
+        """`validate` builds every start of a theory run, and the run's loop
+        reads them: bc-pnp's certificate gets l_full once per run, also with
+        several modes; `validate` alone builds the starts once more."""
+        full = count_calls(cli, "with_full_constant")
+        constants = count_calls(cli.TheoryConstants, "from_problem")
+        path = _edited_theory_config(tmp_path, {
+            "solver.modes": ["pnp-oracle-theta", "bc-pnp", "pnp"], "solver.max_iters": 20,
+            "theory_checks.reference_multiplier": 2, "theory_checks.strict": False})
+        assert cli.run(path, out_override=tmp_path / "out") == cli.EXIT_OK
+        assert (len(full), len(constants)) == (1, 1)
+        assert cli.validate(path) == []
+        assert (len(full), len(constants)) == (2, 2)
+
     def test_theory_off_run_makes_no_full_hessian_product(self, tmp_path, count_calls):
         """Only the theory bounds read l_full, so a run without them never
         runs the full power iteration."""
@@ -761,6 +775,35 @@ class TestModes:
         assert metrics["rmse_theta"] == "nan"
 
 
+def _image_and_theta_files(*modes):
+    """The truth files of an image and an operator block and, per mode, the
+    trace, both final blocks and the image preview."""
+    return ["truth_image.csv", "truth_theta.csv"] + [
+        f"{mode}/{name}" for mode in modes
+        for name in ("trace.csv", "final_image.csv", "final_theta.csv", "image.pgm")]
+
+
+class TestOutputFiles:
+    """A run writes exactly the metrics table, the report, the truth of each
+    array output and, per mode, the trace, the final arrays and, where the
+    problem has an image, its preview."""
+
+    @pytest.mark.parametrize("overrides, files", [
+        ({"solver.modes": ["bc-pnp", "pnp"], "solver.max_iters": 5},
+         _image_and_theta_files("bc-pnp", "pnp")),
+        ({**_MULTICOIL, "solver.modes": ["bc-pnp", "pnp-gd-theta"], "solver.max_iters": 5},
+         _image_and_theta_files("bc-pnp", "pnp-gd-theta")),
+        (_linear_overrides([3, 4, 5], ["bc-pnp"]),
+         ["truth_x.csv", "bc-pnp/trace.csv", "bc-pnp/final_x.csv"]),
+    ], ids=["blind", "multi-coil", "generic-linear-3-blocks"])
+    def test_run_writes_exactly_its_declared_files(self, tmp_path, overrides, files):
+        path = write_config(tmp_path, **overrides)
+        assert cli.run(path) == cli.EXIT_OK
+        out = tmp_path / "out"
+        written = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
+        assert written == {"metrics.csv", "report.json", *files}
+
+
 def _gmm(dim):
     """A two-component mixture denoiser on a block of `dim` entries."""
     return {"kind": "gmm-mmse", "sigma": 0.1, "prior": {
@@ -783,32 +826,69 @@ def _theory_on_deblurring(tmp_path):
     return path
 
 
-class TestRuntimeFailureExitCodes:
-    """A config that `validate` accepts but whose run fails exits 2 with
-    one "runtime failure" line, never a traceback."""
-
-    @pytest.mark.parametrize("dotted, value, constant", [
-        ("solver.gamma", 1.0e-160, "b1"),
-        ("denoisers.image.prior.var", 1.0e-300, "b2"),
-    ], ids=["tiny-gamma", "tiny-prior-var"])
-    def test_overflowing_theory_constants(self, tmp_path, dotted, value, constant):
-        cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+def _edited_theory_config(tmp_path, edits):
+    """The shipped theory config with each dotted key of `edits` set."""
+    cfg = yaml.safe_load((ROOT / "configs" / "theory_checks.yaml").read_text())
+    for dotted, value in edits.items():
         *parents, key = dotted.split(".")
         node = cfg
         for part in parents:
             node = node[part]
         node[key] = value
-        path = tmp_path / "theory.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        for command, code in (["validate", str(path)], 0), (
-                ["run", str(path), "--out", str(tmp_path / "out")], cli.EXIT_RUNTIME):
-            run = subprocess.run([sys.executable, "-m", "bcpnp", *command], env=env,
-                                 capture_output=True, text=True, timeout=300)
-            assert run.returncode == code, run.stderr
+    path = tmp_path / "theory.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def _bcpnp(*command):
+    """`python -m bcpnp <command>` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "bcpnp", *command], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestRuntimeFailureExitCodes:
+    """A config that cannot start exits 1 in both commands; one that
+    `validate` accepts but whose run fails exits 2 with one "runtime
+    failure" line.  Neither prints a traceback."""
+
+    @pytest.mark.parametrize("dotted, value, constant", [
+        ("solver.gamma", 1.0e-160, "b1"),
+        ("denoisers.image.prior.var", 1.0e-300, "b2"),
+        ("problem.noise_sigma", 1.0e308, "a1"),
+        ("solver.ball_radius", 1.0e300, "alpha"),
+    ], ids=["tiny-gamma", "tiny-prior-var", "huge-noise", "huge-ball"])
+    def test_overflowing_theory_constants(self, tmp_path, dotted, value, constant):
+        """Bound constants that overflow at bc-pnp's start are a config
+        error of theory_checks.enabled, found before any output is written."""
+        path = _edited_theory_config(tmp_path, {dotted: value})
+        error = (f"config error: theory_checks.enabled: theory constant {constant} is not "
+                 "finite: the bounds overflow at this gamma, l_max, l_full and m_max")
+        out = tmp_path / "out"
+        for command, stream in (["validate", str(path)], "stdout"), (
+                ["run", str(path), "--out", str(out)], "stderr"):
+            run = _bcpnp(*command)
+            assert run.returncode == cli.EXIT_CONFIG, run.stderr
             assert "Traceback" not in run.stderr
-        assert run.stderr == (f"runtime failure: theory constant {constant} is not finite: "
-                              "the bounds overflow at this gamma, l_max, l_full and m_max\n")
+            assert getattr(run, stream).splitlines()[-1] == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma, failure", [
+        (1.0e-320, "non-finite fixed-point residual G at iteration 1"),
+        (1.0e3, "non-finite values in block 2 at iteration 6"),
+    ], ids=["residual", "denoised-block"])
+    def test_nonfinite_run(self, tmp_path, gamma, failure):
+        """Without the checks, a gamma whose residual or iterate is not
+        finite is accepted by `validate` and ends the run with exit 2.
+        numpy's overflow warnings come first on stderr."""
+        path = _edited_theory_config(tmp_path, {"theory_checks.enabled": False,
+                                                "solver.gamma": gamma})
+        validate = _bcpnp("validate", str(path))
+        assert validate.returncode == cli.EXIT_OK, validate.stdout
+        run = _bcpnp("run", str(path), "--out", str(tmp_path / "out"))
+        assert run.returncode == cli.EXIT_RUNTIME, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == f"runtime failure: {failure}"
 
 
 class TestTheoryDenoisers:

@@ -273,6 +273,29 @@ class TestSolve:
             with pytest.raises(NonFiniteIterateError, match="block 1 at iteration"):
                 solve(prob.fidelity, [den], config, x0)
 
+    def test_nonfinite_residual_entry_aborts(self):
+        """A residual G with an infinite entry ends the solve, naming the
+        iteration, in a trace row and in the final residual; one whose
+        entries are finite but whose squares overflow is only recorded."""
+
+        class ShiftsAfterFirst:  # the identity at k = 1, then z + 1
+            def apply(self, z, k=1):
+                return z + (k > 1)
+
+        layout = BlockLayout((4,))
+        fid = LinearFidelity(LinearModel(np.eye(4)), layout, np.ones(4))
+        config = SolverConfig(BlockSchedule("sequential", 1), gamma=0.5, max_iters=1)
+        tiny = dataclasses.replace(config, gamma=1e-320)
+        shrink = MmseDenoiser(GaussianPrior(np.zeros(4), 1.0), 1.0)
+        with np.errstate(over="ignore"):
+            res = solve(fid, [IdentityDenoiser()], config, BlockVector(layout, np.full(4, 1e155)))
+            assert res.trace.g_norm2[0] == res.g_norm_final == np.inf
+            with pytest.raises(NonFiniteIterateError, match="residual G at iteration 1$"):
+                solve(fid, [shrink], tiny, BlockVector(layout, np.ones(4)))
+            # grad g is zero at x0, so the row's G is too, and x1 = x0
+            with pytest.raises(NonFiniteIterateError, match="residual G at iteration 2$"):
+                solve(fid, [ShiftsAfterFirst()], tiny, BlockVector(layout, np.ones(4)))
+
     def test_left_ball_flag(self):
         """A denoiser that teleports the image far outside the certified
         ball raises the diagnostic flag (not an error)."""
