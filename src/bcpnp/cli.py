@@ -177,7 +177,7 @@ class Config:
     """A parsed experiment config; see `load_config`."""
 
     problem: ProblemConfig
-    denoisers: tuple  # one per block, natural units; see `build_denoiser`
+    denoisers: tuple  # one builder per block, of its unit scale; see `build_denoiser`
     solver: SolverConfig
     modes: tuple  # (label as written, canonical mode) per solver mode
     theory: TheoryChecks
@@ -391,9 +391,11 @@ def _parse_problem(node):
 
 
 def _nonzero(node, arr, what):
-    """`arr`, read from `<node>.path`, unless it is all zero."""
-    if not np.any(arr):
-        raise ConfigError(f"{node.at('path')}: the {what} is all zero")
+    """`arr`, read from `<node>.path`, unless its norm is 0: the rule that
+    `solve` and `rmse` apply, which an array of subnormal entries fails too."""
+    if _norm(arr) == 0:
+        raise ConfigError(f"{node.at('path')}: the {what} is all zero, or so small that its "
+                          "norm underflows to 0")
     return arr
 
 
@@ -440,8 +442,9 @@ def _theta_init(node, kernel_shape):
 
 
 def _parse_denoisers(node, problem):
-    """image/theta denoisers, or `blocks: [...]` for generic-linear, and the
-    (field, kind) of each block's denoiser under any inexact wrapper."""
+    """image/theta denoisers, or `blocks: [...]` for generic-linear, each as
+    its builder (see `_parse_denoiser`), and the (field, kind) of each
+    block's denoiser under any inexact wrapper."""
     sizes = problem.layout.sizes
     if problem.kind == LINEAR:
         specs = node.get("blocks", want=f"a list of {len(sizes)} denoisers (one per block)",
@@ -453,27 +456,21 @@ def _parse_denoisers(node, problem):
     if problem.kind == BLIND:
         shapes = [problem.model.image_shape, problem.model.kernel_shape]
     indices = range(1, len(sizes) + 1)
-    denoisers = tuple(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))
-    return denoisers, tuple(map(_unwrapped_kind, nodes))
-
-
-def _unwrapped_kind(node):
-    """(field, kind) of the parsed denoiser at `node`, or of the one it wraps."""
-    field, spec = node.path, node.data
-    while spec["kind"] == "inexact":
-        field, spec = f"{field}.base", spec["base"]
-    return field, spec["kind"]
+    return tuple(zip(*(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))))
 
 
 def _parse_denoiser(node, size, shape, block_index):
-    """Block `block_index`'s denoiser in natural units; its constructor checks ranges."""
+    """Block `block_index`'s denoiser as a function of its block's unit
+    scale `s`, which builds it from its natural-unit parameters times `s`
+    (see `balanced_block_scale`), and the (field, kind) of the denoiser
+    under any inexact wrapper.  Each constructor checks its ranges."""
     kind = node.string("kind", options=DENOISER_KINDS)
+    field, unwrapped = node.path, (node.path, kind)
     if kind == "identity":
-        den = IdentityDenoiser()
+        make = lambda s: IdentityDenoiser()
     elif kind == "soft-threshold":
-        threshold = node.number("threshold")
-        with _at(node.at("threshold")):
-            den = SoftThresholdDenoiser(threshold)
+        threshold, field = node.number("threshold"), node.at("threshold")
+        make = lambda s: SoftThresholdDenoiser(threshold * s)
     elif kind == "tv-prox":
         if shape is None:
             raise ConfigError(f"{node.at('kind')}: tv-prox needs a real 2-D image block")
@@ -483,26 +480,32 @@ def _parse_denoiser(node, size, shape, block_index):
                 f" got {shape[0]}x{shape[1]}"
             )
         weight, inner_iters = node.number("weight"), node.integer("inner_iters", 30)
-        with _at(node.at("weight")):
-            den = TvProxDenoiser(weight, shape, inner_iters=inner_iters)
+        field = node.at("weight")
+        make = lambda s: TvProxDenoiser(weight * s, shape, inner_iters=inner_iters)
     elif kind == "inexact":
         sch = node.node("schedule")
         schedule = _with_fields(
             ErrorSchedule(), sch, kind=sch.string("kind", "zero"), base=sch.number("base", 0.0),
             values=sch.numbers("values", ()), seed=sch.integer("seed", 0),
         )
-        base = _parse_denoiser(node.node("base", required=True), size, shape, block_index)
-        den = InexactDenoiser(base, schedule, block_index)
+        base, unwrapped = _parse_denoiser(node.node("base", required=True), size, shape,
+                                          block_index)
+
+        def make(s):
+            scaled = ErrorSchedule(schedule.kind, schedule.base * s,
+                                   tuple(v * s for v in schedule.values), schedule.seed)
+            return InexactDenoiser(base(s), scaled, block_index)
     else:
         prior = _parse_prior(node.node("prior"), kind, size, shape)
-        sigma = node.number("sigma")
-        with _at(node.at("sigma")):
-            den = MmseDenoiser(prior, sigma)
+        sigma, field = node.number("sigma"), node.at("sigma")
+        make = lambda s: MmseDenoiser(prior.scaled(s), sigma * s)
+    with _at(field):
+        den = make(1.0)
     # a denoiser that cannot act on its block (a prior of another
     # dimension) fails here rather than mid-run
     with _at(node.path):
         den.apply(np.zeros(size))
-    return den
+    return make, unwrapped
 
 
 def _parse_prior(node, kind, size, shape):
@@ -801,24 +804,14 @@ def _build_linear(p, seed):
                    outputs=(ArrayOutput("x", None, "rmse_x"),))
 
 
-def build_denoiser(den, unit_scale=1.0):
-    """A configured (natural-unit) denoiser in the work units of its block.
+def build_denoiser(make, unit_scale=1.0):
+    """A configured denoiser (its builder; see `_parse_denoiser`) in the work
+    units of its block.
 
     `unit_scale` converts natural-unit parameters into the work units of
     the (possibly rescaled) block; see `balanced_block_scale`.
     """
-    s = unit_scale
-    if isinstance(den, SoftThresholdDenoiser):
-        return SoftThresholdDenoiser(den.threshold * s)
-    if isinstance(den, TvProxDenoiser):
-        return TvProxDenoiser(den.weight * s, den.shape, inner_iters=den.inner_iters)
-    if isinstance(den, MmseDenoiser):
-        return MmseDenoiser(den.prior.scaled(s), den.sigma * s)
-    if isinstance(den, InexactDenoiser):
-        sch = den.schedule
-        schedule = ErrorSchedule(sch.kind, sch.base * s, tuple(v * s for v in sch.values), sch.seed)
-        return InexactDenoiser(build_denoiser(den.base, s), schedule, den.block_index)
-    return den
+    return make(unit_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,9 +1015,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return run(args.config, out_override=args.out, seed_override=args.seed_override)
-    diagnostics = validate(args.config)
+    # every non-finite value that reaches an output or a check is caught and
+    # named in one message line, which numpy's warnings would only precede
+    with np.errstate(all="ignore"):
+        if args.command == "run":
+            return run(args.config, out_override=args.out, seed_override=args.seed_override)
+        diagnostics = validate(args.config)
     for d in diagnostics:
         print(f"config error: {d}")
     if diagnostics:

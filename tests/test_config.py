@@ -82,6 +82,71 @@ def test_inexact_denoisers_carry_their_block_index(tmp_path):
     assert [d.block_index for d in denoisers] == [1, 2]
 
 
+_SCHEDULE = {"kind": "custom", "base": 0.03, "values": [0.01, 0.02], "seed": 4}
+_GAUSSIAN = {"kind": "gaussian-mmse", "sigma": 0.25,
+             "prior": {"mean": {"constant": 0.3}, "var": 0.04}}
+_SOFT = {"kind": "soft-threshold", "threshold": 0.05}
+# each denoiser kind as a function of its block's size
+DENOISER_SPECS = {
+    "identity": lambda dim: {"kind": "identity"},
+    "soft-threshold": lambda dim: _SOFT,
+    "tv-prox": lambda dim: {"kind": "tv-prox", "weight": 0.002, "inner_iters": 5},
+    "gaussian-mmse": lambda dim: _GAUSSIAN,
+    "gmm-mmse": lambda dim: {"kind": "gmm-mmse", "sigma": 0.1, "prior": {
+        "weights": [0.5, 0.5], "means": [[0.2] * dim, [-0.1] * dim], "variances": [0.01, 0.02]}},
+    "inexact-gaussian-mmse": lambda dim: {"kind": "inexact", "schedule": _SCHEDULE,
+                                          "base": _GAUSSIAN},
+    "inexact-soft-threshold": lambda dim: {"kind": "inexact", "schedule": _SCHEDULE,
+                                           "base": _SOFT},
+}
+
+
+def _assert_scaled(den, spec, factor, block_index, dim):
+    """`den` carries exactly the natural-unit parameters of `spec` times `factor`."""
+    kind = spec["kind"]
+    if kind == "inexact":
+        sch = spec["schedule"]
+        assert den.block_index == block_index
+        assert (den.schedule.kind, den.schedule.seed) == (sch["kind"], sch["seed"])
+        assert den.schedule.base == sch["base"] * factor
+        assert den.schedule.values == tuple(v * factor for v in sch["values"])
+        _assert_scaled(den.base, spec["base"], factor, block_index, dim)
+    elif kind == "identity":
+        assert isinstance(den, cli.IdentityDenoiser)
+    elif kind == "soft-threshold":
+        assert den.threshold == spec["threshold"] * factor
+    elif kind == "tv-prox":
+        assert den.weight == spec["weight"] * factor
+        assert den.inner_iters == spec["inner_iters"]
+    else:
+        prior = spec["prior"]
+        assert den.sigma == spec["sigma"] * factor
+        if kind == "gaussian-mmse":
+            assert np.array_equal(den.prior.mean, np.full(dim, prior["mean"]["constant"]) * factor)
+            assert den.prior.var == prior["var"] * factor**2
+        else:
+            assert np.array_equal(den.prior.weights, prior["weights"])
+            assert np.array_equal(den.prior.means, np.array(prior["means"]) * factor)
+            assert np.array_equal(den.prior.variances, np.array(prior["variances"]) * factor**2)
+
+
+@pytest.mark.parametrize("block", ["image", "theta"])
+@pytest.mark.parametrize("kind", DENOISER_SPECS)
+def test_denoiser_parameters_scale_with_their_block(kind, block, tmp_path):
+    """On a balanced blind problem each block's denoiser carries exactly its
+    natural-unit parameters times its block's factor: 1 / scale on the
+    image block and scale on the kernel block."""
+    from test_cli import write_config
+
+    index, dim = (0, 16 * 16) if block == "image" else (1, 3 * 3)
+    spec = DENOISER_SPECS[kind](dim)
+    problem = cli.build_problem(cli.load_config(
+        write_config(tmp_path, **{f"denoisers.{block}": spec})))
+    assert problem.scale != 1.0
+    factor = 1 / problem.scale if block == "image" else problem.scale
+    _assert_scaled(problem.denoisers[index], spec, factor, index + 1, dim)
+
+
 PROBES = {
     "denoisers.image.sigma": lambda c: _drop(c, "denoisers.image.sigma"),
     "denoisers.image.weight": lambda c: _set(c, "denoisers.image", {"kind": "tv-prox"}),
@@ -200,23 +265,33 @@ def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):
     _assert_both_commands_name(f"problem.{source}.path", cfg, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("config, source, rule", [
-    (THEORY, "image", "the ground-truth image is all zero"),
-    (THEORY, "kernel", "the kernel is all zero"),
-    (THEORY, "theta_init", "the initial kernel is all zero"),
-    (MULTI_COIL, "mask", "mask samples no frequency"),
-], ids=["image", "kernel", "theta_init", "mask"])
-def test_all_zero_file_names_field(config, source, rule, tmp_path, capsys):
-    """An all-zero truth, initial kernel or sampling mask would fail at run
-    time, after the outputs are started; the parse rejects it and `run`
-    writes nothing."""
+_ZERO_NORM = "is all zero, or so small that its norm underflows to 0"
+
+
+@pytest.mark.parametrize("config, source, rule, entry, checks", [
+    (THEORY, "image", f"the ground-truth image {_ZERO_NORM}", 0.0, True),
+    (THEORY, "kernel", f"the kernel {_ZERO_NORM}", 0.0, True),
+    (THEORY, "theta_init", f"the initial kernel {_ZERO_NORM}", 0.0, True),
+    (MULTI_COIL, "mask", "mask samples no frequency", 0.0, True),
+    # one subnormal entry: not all zero, but its norm underflows to 0, which
+    # `solve` refuses (or, for the initial kernel, leaves l_max at 0)
+    (THEORY, "image", f"the ground-truth image {_ZERO_NORM}", 1e-320, True),
+    (THEORY, "theta_init", f"the initial kernel {_ZERO_NORM}", 1e-320, False),
+], ids=["image", "kernel", "theta_init", "mask", "image-subnormal", "theta_init-subnormal"])
+def test_all_zero_file_names_field(config, source, rule, entry, checks, tmp_path, capsys):
+    """An all-zero truth, initial kernel or sampling mask, or one whose norm
+    underflows, would fail at run time, after the outputs are started; the
+    parse rejects it and `run` writes nothing."""
     cfg = yaml.safe_load(config.read_text())
     problem = cfg["problem"]
     kernel = source in ("kernel", "theta_init")
-    shape = problem["kernel_shape"] if kernel else problem["image_shape"]
+    values = np.zeros(problem["kernel_shape"] if kernel else problem["image_shape"])
+    values[1, 1] = entry
     csv = tmp_path / f"{source}.csv"
-    fileio.save_matrix_csv(csv, np.zeros(shape))
+    fileio.save_matrix_csv(csv, values)
     problem[source] = {"path": str(csv)}
+    if not checks:
+        cfg["theory_checks"]["enabled"] = False
     _assert_both_commands_name(f"problem.{source}.path: {rule}", cfg, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
@@ -229,7 +304,7 @@ def test_all_zero_matrix_names_field(tmp_path, capsys):
     csv = tmp_path / "matrix.csv"
     fileio.save_matrix_csv(csv, np.zeros((10, 8)))
     cfg["problem"]["matrix"] = {"path": str(csv)}
-    rule = "problem.matrix.path: the forward matrix is all zero"
+    rule = f"problem.matrix.path: the forward matrix {_ZERO_NORM}"
     _assert_both_commands_name(rule, cfg, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
