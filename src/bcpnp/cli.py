@@ -5,7 +5,7 @@ per-block denoisers, the solver modes to compare, optional convergence
 checks, and an output directory.  `load_config` parses it once, with every
 file it names, into a typed `Config`; both commands consume that parse.
 `run` writes per-mode iterate traces (CSV), reconstructed images (PGM +
-full-precision CSV), a metrics table (relative RMSE of image and operator
+exact `.npy` arrays), a metrics table (relative RMSE of image and operator
 parameters, SSIM), and a JSON report.  `validate` reports config problems
 without executing the solver.
 
@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -614,15 +615,25 @@ def validate(config, problem=None):
 
 @dataclass(frozen=True)
 class ArrayOutput:
-    """An array of the iterate that a run writes, as `truth_<name>.csv` and
-    `<mode>/final_<name>.csv`, and the metrics column of its relative error."""
+    """An array of the iterate that a run writes, as `truth_<name>.npy` and
+    `<mode>/final_<name>.npy`, and the metrics column of its relative error.
+
+    The metrics score the work-unit values (`of`); the file holds
+    `natural` of them (`array`): natural units, in the array's own shape
+    and dtype.
+    """
 
     name: str
     block: int | None  # None: all of x
     column: str
+    natural: Callable[[np.ndarray], np.ndarray]
 
     def of(self, x: BlockVector):
         return x.data if self.block is None else x.extract(self.block)
+
+    def array(self, x: BlockVector):
+        """The array of `x` that its file holds."""
+        return self.natural(self.of(x))
 
 
 @dataclass(frozen=True)
@@ -645,20 +656,20 @@ class Problem:
 
     Blind deconvolution works in blocks rescaled to (v / scale, scale *
     theta), see `balanced_block_scale`; the other kinds have scale 1.
-    Generic-linear problems have neither an image nor a parameter block,
-    and write all of x as their one array output.  `denoisers` holds one
-    denoiser per block in those work units.
+    `outputs` declares the array outputs, the image first where there is
+    one.  Generic-linear problems have neither an image nor a parameter
+    block, and write all of x as their one array output.  `denoisers`
+    holds one denoiser per block in those work units.
     """
 
-    kind: str
     fidelity: object
     truth: BlockVector
+    outputs: tuple  # of ArrayOutput
     image_truth: np.ndarray | None = None  # natural units, for SSIM
     image_shape: tuple | None = None
     theta0: np.ndarray | None = None
     scale: float = 1.0
     denoisers: tuple = ()
-    outputs: tuple = (ArrayOutput("image", 1, "rmse_x"), ArrayOutput("theta", 2, "rmse_theta"))
     # (x0 bytes, gamma, ball radius) -> (gamma, certificate); see `certify`
     _certificates: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
     # mode -> ModeStart of the config the problem was built from; see `start`
@@ -732,9 +743,9 @@ class Problem:
         return self._starts[mode]
 
     def natural_image(self, x):
-        if self.kind == MULTI_COIL:
-            return np.abs(pairs_to_complex(x.extract(1), self.image_shape))
-        return (self.scale * x.extract(1)).reshape(self.image_shape)
+        """The image of `x` in natural units; its magnitude, where it is complex."""
+        image = self.outputs[0].array(x)
+        return np.abs(image) if np.iscomplexobj(image) else image
 
 
 def balanced_block_scale(model, fidelity, theta0):
@@ -776,7 +787,11 @@ def _build_deconvolution(p, seed):
         theta0 = kernel + size * noise / _norm(noise)
     scale = balanced_block_scale(model, fid, theta0) if p.balance_blocks else 1.0
     truth = BlockVector.from_blocks([p.image.ravel() / scale, scale * kernel])
-    return Problem(BLIND, fid, truth, p.image, model.image_shape,
+    outputs = (
+        ArrayOutput("image", 1, "rmse_x", lambda v: (scale * v).reshape(model.image_shape)),
+        ArrayOutput("theta", 2, "rmse_theta", lambda t: (t / scale).reshape(model.kernel_shape)),
+    )
+    return Problem(fid, truth, outputs, p.image, model.image_shape,
                    theta0=scale * theta0, scale=scale)
 
 
@@ -788,7 +803,13 @@ def _build_multicoil(p, seed):
     noise_maps = rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape)
     maps0 = maps + p.perturb * _norm(maps) * noise_maps / _norm(noise_maps)
     truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
-    return Problem(MULTI_COIL, MultiCoilFidelity(model, y), truth, np.abs(image),
+    # each block's real pairs as the complex array they pack
+    maps_shape = maps.shape
+    outputs = (
+        ArrayOutput("image", 1, "rmse_x", lambda v: pairs_to_complex(v, model.image_shape)),
+        ArrayOutput("theta", 2, "rmse_theta", lambda t: pairs_to_complex(t, maps_shape)),
+    )
+    return Problem(MultiCoilFidelity(model, y), truth, outputs, np.abs(image),
                    model.image_shape, complex_to_pairs(maps0))
 
 
@@ -800,8 +821,8 @@ def _build_linear(p, seed):
     x_true = np.random.default_rng(seed + 2).standard_normal(p.layout.total)
     model = LinearModel(A)
     y = synthesize(model, x_true, noise_sigma=p.noise_sigma, seed=seed)
-    return Problem(LINEAR, LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true),
-                   outputs=(ArrayOutput("x", None, "rmse_x"),))
+    return Problem(LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true),
+                   (ArrayOutput("x", None, "rmse_x", lambda x: x),))
 
 
 def build_denoiser(make, unit_scale=1.0):
@@ -968,9 +989,9 @@ def _mode_metrics(label, problem, result):
 
 
 def _save_outputs(directory, prefix, problem, x):
-    """Each array output of `x` as one row of `<prefix>_<name>.csv`."""
+    """Each array output of `x` as `<prefix>_<name>.npy`."""
     for out in problem.outputs:
-        fileio.save_matrix_csv(directory / f"{prefix}_{out.name}.csv", out.of(x)[None, :])
+        fileio.save_array(directory / f"{prefix}_{out.name}.npy", out.array(x))
 
 
 def _json_value(obj):

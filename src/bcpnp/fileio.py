@@ -1,9 +1,14 @@
-"""Plain-file handling: PGM grayscale images, CSV matrices and CSV tables.
+"""Plain-file handling: PGM grayscale images, CSV matrices, CSV tables and
+binary arrays.
 
 Images are exchanged as floats in [0, 1]; PGM rasters (ASCII P2 or binary
 P5, 8- or 16-bit) are scaled by their declared maxval on read and
 quantized on write.  16-bit binary rasters use the most-significant-byte-
-first order of the format.
+first order of the format.  CSV matrices are the input format of configs
+(images, kernels, masks, matrices).  A run's array outputs are `.npy`
+files (`save_array`), which hold every bit of their array with its shape
+and dtype and read back with `np.load`; its tables (`metrics.csv`,
+`trace.csv`) are CSV (`write_table`).
 """
 
 from __future__ import annotations
@@ -94,6 +99,12 @@ def save_matrix_csv(path, array):
                     fh.write(",")
                 fh.write(",".join(map(repr, row[start : start + _CSV_CHUNK].tolist())))
             fh.write("\n")
+
+
+def save_array(path, array):
+    """Write `array` as a `.npy` file: its shape, dtype and every bit of its
+    values, in a header and raw bytes that `np.load` reads back."""
+    np.save(path, array, allow_pickle=False)
 
 
 def write_table(path, header, rows):

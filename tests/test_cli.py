@@ -1,5 +1,6 @@
 """Config-driven runner: validation diagnostics, outputs, determinism."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -79,7 +80,8 @@ def write_config(tmp_path, name="config.yaml", **overrides):
         parts = dotted.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        # a copy, so that a later dotted key never edits a shared override
+        node[parts[-1]] = copy.deepcopy(value)
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
@@ -180,7 +182,7 @@ class TestRun:
         path = write_config(tmp_path)
         assert cli.run(path, out_override=tmp_path / "a") == cli.EXIT_OK
         assert cli.run(path, out_override=tmp_path / "b") == cli.EXIT_OK
-        for rel in ("bc-pnp/trace.csv", "metrics.csv", "bc-pnp/final_image.csv"):
+        for rel in ("bc-pnp/trace.csv", "metrics.csv", "bc-pnp/final_image.npy"):
             assert (tmp_path / "a" / rel).read_bytes() == (
                 tmp_path / "b" / rel
             ).read_bytes()
@@ -214,8 +216,8 @@ class TestRun:
         path = write_config(tmp_path)
         cli.run(path)
         out = tmp_path / "out"
-        truth = fileio.load_matrix_csv(out / "truth_image.csv").ravel()
-        final = fileio.load_matrix_csv(out / "bc-pnp" / "final_image.csv").ravel()
+        truth = np.load(out / "truth_image.npy")
+        final = np.load(out / "bc-pnp" / "final_image.npy")
         recomputed = rmse(final, truth)
         row = (out / "metrics.csv").read_text().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(recomputed, rel=1e-12)
@@ -347,7 +349,7 @@ class TestRun:
         seed = cfg["problem"]["seed"]
         assert cli.run(path, out_override=tmp_path / "same", seed_override=seed) == cli.EXIT_OK
         assert (len(builds), len(certificates)) == (1, 1)
-        for name in ("metrics.csv", "report.json", "bc-pnp/trace.csv", "bc-pnp/final_image.csv"):
+        for name in ("metrics.csv", "report.json", "bc-pnp/trace.csv", "bc-pnp/final_image.npy"):
             assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
 
     def test_theory_run_builds_each_start_once(self, tmp_path, count_calls):
@@ -760,15 +762,15 @@ class TestModes:
         assert not out.exists()
 
     def test_generic_linear_writes_the_whole_final_x(self, tmp_path):
-        """Three blocks: final_x.csv mirrors truth_x.csv, rmse_x is the error
+        """Three blocks: final_x.npy mirrors truth_x.npy, rmse_x is the error
         of all of x, and there is no operator block to score."""
         path = write_config(tmp_path, **_linear_overrides([4, 4, 4], ["bc-pnp"]))
         assert cli.run(path) == cli.EXIT_OK
         out = tmp_path / "out"
-        final = fileio.load_matrix_csv(out / "bc-pnp" / "final_x.csv")
-        truth = fileio.load_matrix_csv(out / "truth_x.csv")
-        assert final.shape == truth.shape == (1, 12)
-        assert sorted(p.name for p in (out / "bc-pnp").iterdir()) == ["final_x.csv", "trace.csv"]
+        final = np.load(out / "bc-pnp" / "final_x.npy")
+        truth = np.load(out / "truth_x.npy")
+        assert final.shape == truth.shape == (12,)
+        assert sorted(p.name for p in (out / "bc-pnp").iterdir()) == ["final_x.npy", "trace.csv"]
         header, row = (out / "metrics.csv").read_text().splitlines()
         metrics = dict(zip(header.split(","), row.split(",")))
         assert float(metrics["rmse_x"]) == cli.rmse(final, truth)
@@ -778,9 +780,9 @@ class TestModes:
 def _image_and_theta_files(*modes):
     """The truth files of an image and an operator block and, per mode, the
     trace, both final blocks and the image preview."""
-    return ["truth_image.csv", "truth_theta.csv"] + [
+    return ["truth_image.npy", "truth_theta.npy"] + [
         f"{mode}/{name}" for mode in modes
-        for name in ("trace.csv", "final_image.csv", "final_theta.csv", "image.pgm")]
+        for name in ("trace.csv", "final_image.npy", "final_theta.npy", "image.pgm")]
 
 
 class TestOutputFiles:
@@ -794,7 +796,7 @@ class TestOutputFiles:
         ({**_MULTICOIL, "solver.modes": ["bc-pnp", "pnp-gd-theta"], "solver.max_iters": 5},
          _image_and_theta_files("bc-pnp", "pnp-gd-theta")),
         (_linear_overrides([3, 4, 5], ["bc-pnp"]),
-         ["truth_x.csv", "bc-pnp/trace.csv", "bc-pnp/final_x.csv"]),
+         ["truth_x.npy", "bc-pnp/trace.csv", "bc-pnp/final_x.npy"]),
     ], ids=["blind", "multi-coil", "generic-linear-3-blocks"])
     def test_run_writes_exactly_its_declared_files(self, tmp_path, overrides, files):
         path = write_config(tmp_path, **overrides)
@@ -802,6 +804,65 @@ class TestOutputFiles:
         out = tmp_path / "out"
         written = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
         assert written == {"metrics.csv", "report.json", *files}
+
+
+def _blind_arrays(problem, x):
+    return {"image": (problem.scale * x.extract(1)).reshape(16, 16),
+            "theta": (x.extract(2) / problem.scale).reshape(3, 3)}
+
+
+def _multicoil_arrays(problem, x):
+    return {"image": x.extract(1).view(np.complex128).reshape(16, 16),
+            "theta": x.extract(2).view(np.complex128).reshape(2, 16, 16)}
+
+
+def _linear_arrays(problem, x):
+    return {"x": x.data.copy()}
+
+
+class TestArrayFiles:
+    """Each array output is one `.npy` file that `np.load` reads back in its
+    natural shape and dtype, holding bitwise the block of the iterate in
+    natural units: a blind image times the block scale and a blind kernel
+    divided by it (float64), each multi-coil block's real pairs as the
+    complex array they pack (complex128), and all of a generic-linear x."""
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, _blind_arrays),
+        (_MULTICOIL, _multicoil_arrays),
+        (_linear_overrides([3, 4, 5], ["bc-pnp"]), _linear_arrays),
+    ], ids=["blind", "multi-coil", "generic-linear-3-blocks"])
+    def test_files_read_back_bitwise(self, tmp_path, overrides, expected):
+        problem = cli.build_problem(cli.load_config(write_config(tmp_path, **overrides)))
+        layout = problem.truth.layout
+        data = np.random.default_rng(0).standard_normal(layout.total)
+        for i in range(1, layout.num_blocks + 1):
+            # a signed zero, the smallest subnormal and a value near the top
+            # of the range, which text formatting or a unit factor could alter
+            data[layout.block_slice(i)][:3] = (-0.0, 5e-324, 1e308)
+        x = cli.BlockVector(layout, data)
+        # the blind image's 1e308 times the block scale overflows to inf,
+        # in the expected array as in the file
+        with np.errstate(over="ignore"):
+            cli._save_outputs(tmp_path, "final", problem, x)
+            arrays = expected(problem, x)
+        assert {f.name for f in tmp_path.glob("*.npy")} == {f"final_{n}.npy" for n in arrays}
+        for name, want in arrays.items():
+            got = np.load(tmp_path / f"final_{name}.npy")
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+    def test_blind_arrays_are_in_natural_units(self, tmp_path):
+        """A run whose blocks are rescaled writes its truth as the config's
+        image and kernel, not as the work-unit blocks."""
+        path = write_config(tmp_path)
+        cfg = cli.load_config(path)
+        assert cli.build_problem(cfg).scale != 1.0
+        assert cli.run(path) == cli.EXIT_OK
+        out = tmp_path / "out"
+        image, kernel = np.load(out / "truth_image.npy"), np.load(out / "truth_theta.npy")
+        np.testing.assert_allclose(image, cfg.problem.image, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(kernel, cfg.problem.kernel, rtol=1e-15, atol=0)
 
 
 def _gmm(dim):
