@@ -6,8 +6,8 @@ checks, and an output directory.  `load_config` parses it once, with every
 file it names, into a typed `Config`; both commands consume that parse.
 `run` writes per-mode iterate traces (CSV), reconstructed images (PGM +
 exact `.npy` arrays), a metrics table (relative RMSE of image and operator
-parameters, SSIM), and a JSON report.  `validate` reports config problems
-without executing the solver.
+parameters, SSIM), and a JSON report.  `validate` runs `run`'s setup,
+which builds the problem, and reports config problems without solving.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 a strict
 convergence check failed.
@@ -144,25 +144,15 @@ def smooth_coil_maps(shape, num_coils, seed=0):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """The problem section; arrays are ground truth in natural units.
-
-    Seeded draws (noise, coil maps, random matrix, perturbation) wait for
-    `build_problem`, which may override the seed.
-    """
+    """The problem section's fields that other sections read, and `build`:
+    the Problem at a seed, without its denoisers, from the kind's other
+    fields, which it closes over.  Every seeded draw waits for `build`."""
 
     kind: str
     seed: int
-    noise_sigma: float
     layout: BlockLayout
-    model: object = None  # BlindConvolutionModel | MultiCoilModel
-    image: np.ndarray | None = None
-    kernel: np.ndarray | None = None
-    theta_init: np.ndarray | None = None  # explicit initial kernel
-    perturb: float | None = None  # relative perturbation of the true theta
-    perturb_seed: int | None = None  # None: problem seed + 1
-    balance_blocks: bool = True
-    rows: int = 0  # generic-linear, without a matrix file
-    matrix: np.ndarray | None = None  # generic-linear; None: drawn at seed + 3
+    shapes: tuple  # per block, its 2-D shape where it is a real image, else None
+    build: Callable[[int], Problem]
 
 
 @dataclass(frozen=True)
@@ -296,6 +286,10 @@ class _Node:
                     raise ConfigError(f"{node.at(key)}: unknown key")
 
 
+# libyaml's parser where PyYAML was built with it: the same data, parsed faster
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path):
     """Parse an experiment YAML file, and every file it names, into a Config.
 
@@ -306,11 +300,12 @@ def load_config(path):
     """
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"config parse error: {exc}") from None
+        # a parser's message spans lines; a diagnostic is one line
+        raise ConfigError("config parse error: " + " ".join(str(exc).split())) from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     root = _Node(data, "")
@@ -347,48 +342,93 @@ def _read_array(node, shape=None):
 
 def _parse_problem(node):
     kind = node.string("kind", options=(BLIND, MULTI_COIL, LINEAR))
-    common = dict(kind=kind, seed=node.integer("seed", 0),
-                  noise_sigma=node.number("noise_sigma", 0.0))
-    if common["noise_sigma"] < 0:
+    seed = node.integer("seed", 0)
+    sigma = node.number("noise_sigma", 0.0)
+    if sigma < 0:
         raise ConfigError(f"{node.at('noise_sigma')}: noise level must be nonnegative")
+    parse = {BLIND: _blind_problem, MULTI_COIL: _multi_coil_problem, LINEAR: _linear_problem}
+    return ProblemConfig(kind, seed, *parse[kind](node, sigma))
 
-    if kind == LINEAR:
-        layout = BlockLayout(node.integers("block_sizes", (4, 4)))
-        if not node.has("matrix"):  # a random matrix; a matrix file has its own rows
-            rows = node.get("rows", layout.total, "a positive integer",
-                            lambda v: _is_int(v) and v > 0)
-            return ProblemConfig(**common, layout=layout, rows=rows)
-        matrix = _nonzero(node.node("matrix"), _read_array(node.node("matrix")), "forward matrix")
-        with _at(node.at("matrix")):
-            LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
-        return ProblemConfig(**common, layout=layout, matrix=matrix)
 
-    shape = node.integers("image_shape", (64, 64) if kind == BLIND else (32, 32), length=2)
+def _blind_problem(node, sigma):
+    """A blind-deconvolution problem's (layout, block shapes, builder)."""
+    shape = node.integers("image_shape", (64, 64), length=2)
     image = _image_source(node.node("image"), shape)
-    theta_init = node.node("theta_init")
-    if kind == MULTI_COIL:
-        coils = node.integer("num_coils", 2)
-        with _at(node.at("num_coils")):
-            MultiCoilModel(shape, coils, np.ones(shape))
-        mask = node.node("mask")
-        if mask.has("path"):
-            with _at(mask.at("path")):
-                model = MultiCoilModel(shape, coils, _read_array(mask))
-        else:
-            accel = mask.get("accel", 2, "an integer >= 1", lambda v: _is_int(v) and v >= 1)
-            center = mask.integer("center_rows", 4)
-            with _at(mask.path):
-                model = MultiCoilModel(shape, coils, cartesian_rows_mask(shape, accel, center))
-        return ProblemConfig(**common, layout=model.layout, model=model, image=image,
-                             **_theta_init(theta_init, None))
-
     kshape = node.integers("kernel_shape", (9, 9), length=2)
     with _at(node.at("kernel_shape")):
         model = BlindConvolutionModel(shape, kshape)
-    return ProblemConfig(**common, layout=model.layout, model=model, image=image,
-                         kernel=_kernel_source(node.node("kernel"), kshape, 1.5),
-                         balance_blocks=node.flag("balance_blocks", True),
-                         **_theta_init(theta_init, kshape))
+    kernel = _kernel_source(node.node("kernel"), kshape, 1.5).ravel()
+    balance = node.flag("balance_blocks", True)
+    init = _theta_init(node.node("theta_init"), kshape)
+
+    def build(seed):
+        fid = ConvolutionFidelity(model, synthesize(model, image.ravel(), kernel, sigma, seed=seed))
+        theta0 = init(kernel, seed)
+        scale = balanced_block_scale(model, fid, theta0) if balance else 1.0
+        truth = BlockVector.from_blocks([image.ravel() / scale, scale * kernel])
+        outputs = (
+            ArrayOutput("image", 1, "rmse_x", lambda v: (scale * v).reshape(shape)),
+            ArrayOutput("theta", 2, "rmse_theta", lambda t: (t / scale).reshape(kshape)),
+        )
+        return Problem(fid, truth, outputs, image, theta0=scale * theta0, scale=scale)
+
+    return model.layout, (shape, kshape), build
+
+
+def _multi_coil_problem(node, sigma):
+    """A multi-coil problem's (layout, block shapes, builder)."""
+    shape = node.integers("image_shape", (32, 32), length=2)
+    image = _image_source(node.node("image"), shape).astype(np.complex128)
+    coils = node.integer("num_coils", 2)
+    with _at(node.at("num_coils")):
+        MultiCoilModel(shape, coils, np.ones(shape))
+    mask = node.node("mask")
+    if mask.has("path"):
+        with _at(mask.at("path")):
+            model = MultiCoilModel(shape, coils, _read_array(mask))
+    else:
+        accel = mask.get("accel", 2, "an integer >= 1", lambda v: _is_int(v) and v >= 1)
+        center = mask.integer("center_rows", 4)
+        with _at(mask.path):
+            model = MultiCoilModel(shape, coils, cartesian_rows_mask(shape, accel, center))
+    init = _theta_init(node.node("theta_init"), None)
+
+    def build(seed):
+        maps = smooth_coil_maps(shape, coils, seed=seed + 7)
+        y = synthesize(model, image, maps, sigma, seed=seed)
+        truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
+        # each block's real pairs as the complex array they pack
+        outputs = (
+            ArrayOutput("image", 1, "rmse_x", lambda v: pairs_to_complex(v, shape)),
+            ArrayOutput("theta", 2, "rmse_theta", lambda t: pairs_to_complex(t, maps.shape)),
+        )
+        return Problem(MultiCoilFidelity(model, y), truth, outputs, np.abs(image),
+                       theta0=complex_to_pairs(init(maps, seed)))
+
+    return model.layout, (None, None), build
+
+
+def _linear_problem(node, sigma):
+    """A generic-linear problem's (layout, block shapes, builder)."""
+    layout = BlockLayout(node.integers("block_sizes", (4, 4)))
+    if node.has("matrix"):  # a matrix file has its own rows
+        matrix = _nonzero(node.node("matrix"), _read_array(node.node("matrix")), "forward matrix")
+        with _at(node.at("matrix")):
+            LinearFidelity(LinearModel(matrix), layout, np.zeros(matrix.shape[0]))
+        matrix_at = lambda s: matrix
+    else:
+        rows = node.get("rows", layout.total, "a positive integer", lambda v: _is_int(v) and v > 0)
+        matrix_at = lambda s: np.random.default_rng(s + 3).standard_normal((rows, layout.total))
+
+    def build(seed):
+        # the noise draws at seed, so the truth takes a stream of its own
+        x_true = np.random.default_rng(seed + 2).standard_normal(layout.total)
+        model = LinearModel(matrix_at(seed))
+        y = synthesize(model, x_true, noise_sigma=sigma, seed=seed)
+        return Problem(LinearFidelity(model, layout, y), BlockVector(layout, x_true),
+                       (ArrayOutput("x", None, "rmse_x", lambda x: x),))
+
+    return layout, (None,) * layout.num_blocks, build
 
 
 def _nonzero(node, arr, what):
@@ -424,22 +464,34 @@ def _kernel_source(node, shape, width):
 
 
 def _theta_init(node, kernel_shape):
-    """problem.theta_init: a kernel file, a synthetic kernel, a perturbed
-    truth or, with none of these, the true kernel.  Multi-coil (no kernel
-    shape) takes only a perturbation of the true maps, by default 0."""
+    """problem.theta_init, as a function of the true operator block and the
+    seed: a kernel file, a synthetic kernel, a perturbed truth or, with none
+    of these, the true kernel.  Multi-coil (no kernel shape) takes only a
+    perturbation of the true maps, by default 0."""
     if kernel_shape is not None:
         if node.has("path"):
             with _at(node.at("path")):
                 theta0 = _read_array(node).reshape(kernel_shape)
-            return {"theta_init": _nonzero(node, theta0, "initial kernel").ravel()}
+            theta0 = _nonzero(node, theta0, "initial kernel").ravel()
+            return lambda truth, seed: theta0
         if node.has("synthetic") or node.has("width"):
-            return {"theta_init": _kernel_source(node, kernel_shape, 2.0).ravel()}
+            theta0 = _kernel_source(node, kernel_shape, 2.0).ravel()
+            return lambda truth, seed: theta0
         if not node.has("perturb"):
-            return {}
+            return lambda truth, seed: truth
     perturb = node.number("perturb", 0.0)
     if perturb < 0:
         raise ConfigError(f"{node.at('perturb')}: perturbation must be nonnegative, got {perturb}")
-    return {"perturb": perturb, "perturb_seed": node.integer("seed", None)}
+    fixed_seed = node.integer("seed", None)
+
+    def perturbed(truth, seed):  # along a standard normal draw, complex for a complex truth
+        rng = np.random.default_rng(seed + 1 if fixed_seed is None else fixed_seed)
+        d = rng.standard_normal(truth.shape)
+        if np.iscomplexobj(truth):
+            d = d + 1j * rng.standard_normal(truth.shape)
+        return truth + perturb * _norm(truth) * d / _norm(d)
+
+    return perturbed
 
 
 def _parse_denoisers(node, problem):
@@ -453,18 +505,17 @@ def _parse_denoisers(node, problem):
         nodes = [_Node(s, f"{node.at('blocks')}[{i}]", node.tree) for i, s in enumerate(specs)]
     else:
         nodes = [node.node("image", required=True), node.node("theta", required=True)]
-    shapes = [None] * len(sizes)
-    if problem.kind == BLIND:
-        shapes = [problem.model.image_shape, problem.model.kernel_shape]
     indices = range(1, len(sizes) + 1)
-    return tuple(zip(*(_parse_denoiser(*args) for args in zip(nodes, sizes, shapes, indices))))
+    return tuple(zip(*(_parse_denoiser(*args)
+                       for args in zip(nodes, sizes, problem.shapes, indices))))
 
 
 def _parse_denoiser(node, size, shape, block_index):
     """Block `block_index`'s denoiser as a function of its block's unit
     scale `s`, which builds it from its natural-unit parameters times `s`
     (see `balanced_block_scale`), and the (field, kind) of the denoiser
-    under any inexact wrapper.  Each constructor checks its ranges."""
+    under any inexact wrapper.  Each constructor checks its ranges, here at
+    scale 1 and in `build_problem` at the block's; either is a ConfigError."""
     kind = node.string("kind", options=DENOISER_KINDS)
     field, unwrapped = node.path, (node.path, kind)
     if kind == "identity":
@@ -500,13 +551,17 @@ def _parse_denoiser(node, size, shape, block_index):
         prior = _parse_prior(node.node("prior"), kind, size, shape)
         sigma, field = node.number("sigma"), node.at("sigma")
         make = lambda s: MmseDenoiser(prior.scaled(s), sigma * s)
-    with _at(field):
-        den = make(1.0)
+
+    def build(s):
+        with _at(field):
+            return make(s)
+
     # a denoiser that cannot act on its block (a prior of another
     # dimension) fails here rather than mid-run
+    den = build(1.0)
     with _at(node.path):
         den.apply(np.zeros(size))
-    return make, unwrapped
+    return build, unwrapped
 
 
 def _parse_prior(node, kind, size, shape):
@@ -585,20 +640,19 @@ def _parse_theory(node, solver):
 def validate(config, problem=None):
     """Diagnostics for a config path or a parsed Config, without solving.
 
-    The parse and, when convergence checks run, every mode's start
-    (`Problem.start`), built on `problem`, or on the problem at the
-    config's seed when none is given: one diagnostic per mode that cannot
-    start.  The starts stay on `problem` for the run.  An empty list means
-    `run` can start.
+    The parse, the problem (`problem`, or the one at the config's seed)
+    and, with convergence checks, every mode's start (`Problem.start`) on
+    it, which stays there for the run: one diagnostic per mode that cannot
+    start.  An empty list means `run` can start.
     """
     try:
         cfg = config if isinstance(config, Config) else load_config(config)
+        if problem is None:
+            problem = build_problem(cfg)
     except ConfigError as exc:
         return [str(exc)]
     if not cfg.theory.enabled:
         return []
-    if problem is None:
-        problem = build_problem(cfg)
     diagnostics = []
     for label, mode in cfg.modes:
         try:
@@ -666,7 +720,6 @@ class Problem:
     truth: BlockVector
     outputs: tuple  # of ArrayOutput
     image_truth: np.ndarray | None = None  # natural units, for SSIM
-    image_shape: tuple | None = None
     theta0: np.ndarray | None = None
     scale: float = 1.0
     denoisers: tuple = ()
@@ -766,72 +819,18 @@ def balanced_block_scale(model, fidelity, theta0):
 
 def build_problem(cfg, seed_override=None):
     """Synthesize the measurements; build the truth, the initial blocks and
-    the work-unit denoisers."""
+    the work-unit denoisers.  Measurements that overflow are a config error."""
     p = cfg.problem
-    seed = p.seed if seed_override is None else seed_override
-    build = {BLIND: _build_deconvolution, MULTI_COIL: _build_multicoil, LINEAR: _build_linear}
-    problem = build[p.kind](p, seed)
+    problem = p.build(p.seed if seed_override is None else seed_override)
+    if not np.isfinite(problem.fidelity.y).all():
+        raise ConfigError("problem.noise_sigma: the synthesized measurements overflow")
     denoisers = tuple(build_denoiser(d, s) for d, s in zip(cfg.denoisers, problem.block_scales))
     return dataclasses.replace(problem, denoisers=denoisers)
 
 
-def _build_deconvolution(p, seed):
-    model, kernel = p.model, p.kernel.ravel()
-    y = synthesize(model, p.image.ravel(), kernel, p.noise_sigma, seed=seed)
-    fid = ConvolutionFidelity(model, y)
-    theta0 = kernel if p.theta_init is None else p.theta_init
-    if p.perturb is not None:
-        rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
-        size = p.perturb * _norm(kernel)
-        noise = rng.standard_normal(kernel.size)
-        theta0 = kernel + size * noise / _norm(noise)
-    scale = balanced_block_scale(model, fid, theta0) if p.balance_blocks else 1.0
-    truth = BlockVector.from_blocks([p.image.ravel() / scale, scale * kernel])
-    outputs = (
-        ArrayOutput("image", 1, "rmse_x", lambda v: (scale * v).reshape(model.image_shape)),
-        ArrayOutput("theta", 2, "rmse_theta", lambda t: (t / scale).reshape(model.kernel_shape)),
-    )
-    return Problem(fid, truth, outputs, p.image, model.image_shape,
-                   theta0=scale * theta0, scale=scale)
-
-
-def _build_multicoil(p, seed):
-    model, image = p.model, p.image.astype(np.complex128)
-    maps = smooth_coil_maps(model.image_shape, model.num_coils, seed=seed + 7)
-    y = synthesize(model, image, maps, p.noise_sigma, seed=seed)
-    rng = np.random.default_rng(seed + 1 if p.perturb_seed is None else p.perturb_seed)
-    noise_maps = rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape)
-    maps0 = maps + p.perturb * _norm(maps) * noise_maps / _norm(noise_maps)
-    truth = BlockVector.from_blocks([complex_to_pairs(image), complex_to_pairs(maps)])
-    # each block's real pairs as the complex array they pack
-    maps_shape = maps.shape
-    outputs = (
-        ArrayOutput("image", 1, "rmse_x", lambda v: pairs_to_complex(v, model.image_shape)),
-        ArrayOutput("theta", 2, "rmse_theta", lambda t: pairs_to_complex(t, maps_shape)),
-    )
-    return Problem(MultiCoilFidelity(model, y), truth, outputs, np.abs(image),
-                   model.image_shape, complex_to_pairs(maps0))
-
-
-def _build_linear(p, seed):
-    A = p.matrix
-    if A is None:
-        A = np.random.default_rng(seed + 3).standard_normal((p.rows, p.layout.total))
-    # the noise draws at seed, so the truth takes a stream of its own
-    x_true = np.random.default_rng(seed + 2).standard_normal(p.layout.total)
-    model = LinearModel(A)
-    y = synthesize(model, x_true, noise_sigma=p.noise_sigma, seed=seed)
-    return Problem(LinearFidelity(model, p.layout, y), BlockVector(p.layout, x_true),
-                   (ArrayOutput("x", None, "rmse_x", lambda x: x),))
-
-
 def build_denoiser(make, unit_scale=1.0):
-    """A configured denoiser (its builder; see `_parse_denoiser`) in the work
-    units of its block.
-
-    `unit_scale` converts natural-unit parameters into the work units of
-    the (possibly rescaled) block; see `balanced_block_scale`.
-    """
+    """A configured denoiser (its builder; see `_parse_denoiser`) in its
+    block's work units, `unit_scale` times natural units."""
     return make(unit_scale)
 
 
@@ -846,12 +845,8 @@ def run(config_path, out_override=None, seed_override=None):
         if seed_override is not None and not (_is_int(seed_override) and seed_override >= 0):
             raise ConfigError(f"--seed-override: must be an integer >= 0, got {seed_override!r}")
         cfg = load_config(config_path)
-    except ConfigError as exc:
-        return _config_errors([str(exc)])
-
-    try:
-        # a theory run's starts are built and checked on the problem at the
-        # seed the run uses, before any output is written; the loop reads them
+        # the problem, and a theory run's starts on it, are built and checked at
+        # the seed the run uses, before any output is written; the loop reads them
         problem = build_problem(cfg, seed_override=seed_override)
         diagnostics = validate(cfg, problem)
         if diagnostics:
@@ -877,7 +872,7 @@ def run(config_path, out_override=None, seed_override=None):
             row = _mode_metrics(label, problem, result)
             metrics_rows.append(row)
             _save_outputs(mode_dir, "final", problem, result.x)
-            if problem.image_shape is not None:
+            if problem.image_truth is not None:
                 fileio.write_pgm(mode_dir / "image.pgm", problem.natural_image(result.x))
             report["modes"][label] = {
                 "mode": mode,
@@ -907,6 +902,8 @@ def run(config_path, out_override=None, seed_override=None):
         with open(out_dir / "report.json", "w") as fh:
             json.dump(_json_value(report), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
+    except ConfigError as exc:
+        return _config_errors([str(exc)])
     except (NonFiniteIterateError, OSError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -981,7 +978,7 @@ def _mode_metrics(label, problem, result):
     row["mode"] = label
     for out in problem.outputs:
         row[out.column] = rmse(out.of(result.x), out.of(problem.truth))
-    if problem.image_shape is not None and min(problem.image_shape) >= 16:
+    if problem.image_truth is not None and min(problem.image_truth.shape) >= 16:
         row["ssim_x"] = ssim(
             problem.natural_image(result.x), problem.image_truth, data_range=1.0
         )

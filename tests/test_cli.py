@@ -331,6 +331,26 @@ class TestRun:
         assert cli.run(path) == cli.EXIT_OK
         assert len(calls) == 2
 
+    def test_run_certifies_each_start_when_its_mode_begins(self, tmp_path, count_calls,
+                                                           monkeypatch):
+        """Without theory checks, setup certifies nothing: a start is
+        certified when its mode begins, so one certificate precedes the
+        first solve, and bc-pnp's start makes the second."""
+        certificates = count_calls(solver, "estimate_block_lipschitz")
+        before_solve = []
+        inner = cli.solve
+
+        def solve(*args, **kwargs):
+            before_solve.append(len(certificates))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        path = write_config(tmp_path, **{"solver.modes": ["pnp-oracle-theta", "bc-pnp", "pnp"],
+                                         "solver.max_iters": 5})
+        assert cli.run(path) == cli.EXIT_OK
+        assert before_solve == [1, 2, 2]
+        assert len(certificates) == 2
+
     def test_run_builds_and_certifies_once(self, tmp_path, count_calls):
         """With theory checks at an explicit gamma, run builds the problem
         and certifies x0 once, at the seed it uses, for both the step-rule
@@ -861,8 +881,9 @@ class TestArrayFiles:
         assert cli.run(path) == cli.EXIT_OK
         out = tmp_path / "out"
         image, kernel = np.load(out / "truth_image.npy"), np.load(out / "truth_theta.npy")
-        np.testing.assert_allclose(image, cfg.problem.image, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(kernel, cfg.problem.kernel, rtol=1e-15, atol=0)
+        # `write_config`'s synthetic image and kernel
+        np.testing.assert_allclose(image, cli.synthetic_image((16, 16), 2), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(kernel, cli.gaussian_kernel((3, 3), 1.2), rtol=1e-15, atol=0)
 
 
 def _gmm(dim):
@@ -917,7 +938,7 @@ class TestRuntimeFailureExitCodes:
     @pytest.mark.parametrize("dotted, value, constant", [
         ("solver.gamma", 1.0e-160, "b1"),
         ("denoisers.image.prior.var", 1.0e-300, "b2"),
-        ("problem.noise_sigma", 1.0e308, "a1"),
+        ("problem.noise_sigma", 1.0e300, "a1"),
         ("solver.ball_radius", 1.0e300, "alpha"),
     ], ids=["tiny-gamma", "tiny-prior-var", "huge-noise", "huge-ball"])
     def test_overflowing_theory_constants(self, tmp_path, dotted, value, constant):

@@ -251,6 +251,67 @@ def test_overflowing_denoiser_sigma_names_field(tmp_path, capsys):
     _assert_both_commands_name("denoisers.theta: ", cfg, tmp_path, capsys)
 
 
+def test_denoiser_sigma_that_underflows_at_its_block_scale_names_field(tmp_path, capsys):
+    """A sigma valid in natural units that underflows to 0 in its block's
+    work units (the image block's unit scale is below 1 here) is a config
+    error of that denoiser in both commands, not a traceback or a runtime
+    failure."""
+    cfg = yaml.safe_load((ROOT / "configs" / "blind_deblurring.yaml").read_text())
+    _set(cfg, "denoisers.image", {"kind": "gaussian-mmse", "sigma": 5.0e-324,
+                                  "prior": {"mean": "zeros", "var": 1.0}})
+    _assert_both_commands_name("denoisers.image.sigma: ", cfg, tmp_path, capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("theory", [False, True], ids=["theory-off", "theory-on"])
+@pytest.mark.parametrize("kind", ["blind", "multi-coil", "generic-linear"])
+def test_overflowing_measurements_name_noise_sigma(kind, theory, tmp_path, capsys):
+    """Measurements that overflow are an error of problem.noise_sigma in
+    both commands, with or without theory checks; `run` writes nothing."""
+    cfg = yaml.safe_load(THEORY.read_text())
+    if kind == "multi-coil":
+        _replace(cfg, MULTI_COIL)
+    elif kind == "generic-linear":
+        _linear(cfg, {})
+        cfg["problem"]["rows"] = 64
+    cfg["problem"]["noise_sigma"] = 1.0e308
+    cfg["theory_checks"] = {"enabled": theory}
+    path, out = _write(tmp_path, cfg), tmp_path / "out"
+    error = "config error: problem.noise_sigma: the synthesized measurements overflow\n"
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == error
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("path", CONFIGS + BENCHMARK_CONFIGS, ids=lambda p: p.stem)
+def test_libyaml_parses_like_pyyaml(path, count_calls):
+    """`load_config` reads through libyaml where PyYAML has it, and both
+    parsers give every shipped config as the same data, types included."""
+    loads = count_calls(yaml, "load")
+    cli.load_config(path)
+    assert [kwargs.get("Loader", args[-1]) for args, kwargs in loads] == [yaml.CSafeLoader]
+    text = path.read_text()
+    data = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert repr(data) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_malformed_yaml_is_one_config_error_line(tmp_path, capsys):
+    """A file that is not YAML exits 1 in both commands with one message
+    line; `run` writes nothing."""
+    path, out = tmp_path / "bad.yaml", tmp_path / "out"
+    path.write_text("problem:\n  kind: [blind-deconvolution\n  seed: a: b\n")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    printed = capsys.readouterr().out
+    assert printed.startswith("config error: config parse error: ")
+    assert printed.count("\n") == 1 and '"' + str(path) + '", line 2' in printed
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == printed
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source, shape", [("image", (8, 8)), ("kernel", (3, 3)),
                                            ("theta_init", (3, 3))])
 def test_non_finite_file_entry_names_field(source, shape, tmp_path, capsys):
