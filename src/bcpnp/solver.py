@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSchedule, BlockVector, _norm, _sumsq
+from .blocks import BlockSchedule, BlockVector, _norm
 from .denoisers import InexactDenoiser, apply_denoiser, error_magnitude
 from .forward import LinearFidelity, LipschitzEstimate, estimate_block_lipschitz
 # the benchmark's tracer wraps `rmse` where this module would look it up
 from .theory import TraceBuilder, rmse  # noqa: F401
 
 DEFAULT_STEP_FRACTION = 0.9  # gamma = 0.9 / l_max keeps gamma < 1/l_max strict
+# the trace columns `_objective_at` fills, in its order
+_OBJECTIVE_COLUMNS = ("f", "g", "h", "grad_f_norm2")
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -75,6 +77,9 @@ def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
 
     The denoiser acts separably per block; a block whose denoiser is None
     contributes zero.  `grad` is grad g(x) when the caller already has it.
+    Raises NonFiniteIterateError at iteration k when G has a NaN/inf entry,
+    naming the first active block whose denoised values are not finite,
+    or else G.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -82,21 +87,8 @@ def g_operator(fidelity, denoisers, gamma, x: BlockVector, k=1, grad=None):
         grad = fidelity.grad(x)
     residual = _Residual(denoisers, gamma, x)
     residual(x.data, grad.data, k)
+    residual.check(k)
     return BlockVector._wrap(x.layout, residual.out)
-
-
-def _denoise(denoiser, z, i, k):
-    """D_i(z), block i's denoiser at iteration k.
-
-    Raises NonFiniteIterateError naming block i when the denoised values
-    are NaN/inf.  A finite sum of squares proves every entry finite; only
-    a sum that is not (a NaN or inf, or squares that overflow) is checked
-    entry by entry.
-    """
-    di = apply_denoiser(denoiser, z, k)
-    if not math.isfinite(_sumsq(di)) and not np.isfinite(di).all():
-        raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
-    return di
 
 
 class _Residual:
@@ -132,9 +124,23 @@ class _Residual:
         # the denoisers' inputs x - gamma grad are formed in `out`, which
         # G overwrites once every block is denoised
         np.subtract(x_span, np.multiply(gamma, grad[self.span], out=out_span), out=out_span)
-        for i, d, s in self.blocks:
-            denoised[s] = _denoise(d, out[s], i, k)
+        for _, d, s in self.blocks:
+            denoised[s] = apply_denoiser(d, out[s], k)
         np.divide(np.subtract(x_span, denoised_span, out=out_span), gamma, out=out_span)
+
+    def check(self, k, norm=math.nan):
+        """Raise NonFiniteIterateError when G, written at iteration k, has a
+        NaN/inf entry, naming the first active block whose denoised values
+        are not finite, else G.  A NaN/inf from a denoiser always reaches
+        G, so a finite `norm` of G proves every entry finite; without one,
+        or with one that is not (squares that overflow), the entries are
+        checked, so a G whose squares overflow is recorded, not refused."""
+        if math.isfinite(norm) or np.isfinite(self.out).all():
+            return
+        for i, _, s in self.blocks:
+            if not np.isfinite(self.denoised[s]).all():
+                raise NonFiniteIterateError(f"non-finite values in block {i} at iteration {k}")
+        raise NonFiniteIterateError(f"non-finite fixed-point residual G at iteration {k}")
 
 
 def _active_schedule(config: SolverConfig, active):
@@ -171,15 +177,24 @@ def solve(
     full_residual: bool = False,
     start_iter: int = 1,
 ):
-    """Run the iteration from x0 until the relative-change tolerance or the
-    iteration cap, recording a per-iteration trace.
+    """Run the iteration from x0 until the stopping rule or the iteration
+    cap, recording a per-iteration trace.
+
+    The solve stops on tolerance when every active block has moved at
+    least once and each one's latest step, relative to its norm after
+    that step (its absolute step when the norm is 0), is below
+    `config.stop_tol`; a random-iid block keeps its last step until it is
+    drawn again.
 
     `config.gamma` is the step size; `resolve_gamma` certifies one.
     `denoisers` has one entry per block; a block whose entry is None keeps
     its value in x0.  `objective` (see theory.ImplicitObjective) enables
-    f/g/h and gradient recording; it must be built with the same gamma the
-    solver uses.  The solve copies x0 once into its one iterate, which
-    each update writes in place and `result.x` wraps; x0 is never written.
+    f/g/h recording on every row, and ||grad f||^2 on the rows whose
+    iteration k is a multiple of the layout's block count (the ends of
+    epochs, which theorem 1 reads; other rows hold NaN); it must be built
+    with the same gamma the solver uses.  The solve copies x0 once into
+    its one iterate, which each update writes in place and `result.x`
+    wraps; x0 is never written.
     The fidelity writes every gradient into an array of the solve (`out=`
     of `grad`, `grad_block` and `value_and_grad`).
     Each iteration evaluates grad g once and denoises block i_k once; that
@@ -201,7 +216,8 @@ def solve(
     `result`'s solve: its iterates, and the f, g, h and step norms of its
     rows, are bitwise those that one longer solve from `result`'s start
     reaches after `result`'s last row.  The first row of every solve logs
-    ||G|| at its start.
+    ||G|| at its start, and its stopping rule starts afresh: every active
+    block moves in it before it can stop on tolerance.
     """
     layout = fidelity.layout
     if x0.layout.sizes != layout.sizes:
@@ -260,6 +276,9 @@ def solve(
 
     residual = _Residual(denoisers, gamma, xv)
     rmse_blocks = [float("nan")] * num_blocks
+    # each block's latest step relative to its norm; the solve stops once
+    # every active block has moved and each of these is below stop_tol
+    rel_steps = [math.inf if d is not None else 0.0 for d in denoisers]
     reason = "max-iters"
     i_k = _pick_index(schedule, active, start_iter)
     for k in range(start_iter, config.max_iters + 1):
@@ -276,32 +295,37 @@ def solve(
             for i in active:
                 denoiser_calls[i - 1] += 1
             g_norm = _norm(residual.out)
-            _check_residual(residual.out, g_norm, k)
+            residual.check(k, g_norm)
             columns["g_norm2"][n] = g_norm ** 2
         else:
             z = grad_out[block]
             np.subtract(x[block], np.multiply(gamma, grad.data[block], out=z), out=z)
-            update = _denoise(denoisers[i_k - 1], z, i_k, k)
+            update = apply_denoiser(denoisers[i_k - 1], z, k)
             denoiser_calls[i_k - 1] += 1
-        prev_norm = _norm(x)
         # ||x_new - x|| is the norm of the whole of `step`, zero off block i_k
         change = np.subtract(update, x[block], out=step[block])
-        x[block] = update
         step_norm = _norm(step)
+        # x is finite, so a NaN/inf in the update makes its step norm one
+        # (a full row's update has passed the check of G already)
+        if not math.isfinite(step_norm) and not np.isfinite(update).all():
+            raise NonFiniteIterateError(f"non-finite values in block {i_k} at iteration {k}")
+        x[block] = update
         change.fill(0.0)
-        rel = step_norm / prev_norm if prev_norm > 0 else step_norm
-        last = rel < config.stop_tol or k == config.max_iters
+        # every block but i_k is bitwise what it was in the previous
+        # iteration (at the first, x0's, inside the ball since ball_radius
+        # >= 1), so its ball check, relative step and error carry over
+        block_norm = _norm(x[block])
+        left_ball = left_ball or block_norm > radii[i_k - 1]
+        # a block of norm 0 (or whose squares overflow) takes its absolute
+        # step, so no relative step is NaN
+        rel_steps[i_k - 1] = step_norm / block_norm if 0 < block_norm < math.inf else step_norm
+        converged = max(rel_steps) < config.stop_tol
+        last = converged or k == config.max_iters
         i_next = i_k if last else _pick_index(schedule, active, k + 1)
         # the last gradient feeds the final residual over every active block
         needed = active if full_residual or last else [i_next]
         grad, value = _fidelity_at(fidelity, xv, objective, needed, grad_out)
         gradient_evals += 1
-
-        # every block but i_k is bitwise what it was in the previous
-        # iteration (at the first, x0's, inside the ball since ball_radius
-        # >= 1), so its ball check and error carry over
-        if not left_ball:
-            left_ball = _norm(x[block]) > radii[i_k - 1]
 
         columns["iters"][n] = k
         columns["block"][n] = i_k
@@ -309,8 +333,11 @@ def solve(
         columns["eps"][n] = (max(error_magnitude(denoisers[i - 1], k) for i in active)
                              if inexact else 0.0)
         if objective is not None:
-            (columns["f"][n], columns["g"][n], columns["h"][n],
-             columns["grad_f_norm2"][n]) = _objective_at(objective, xv, value, k, grad)
+            # ||grad f||^2 only at the ends of epochs, where theorem 1 reads it
+            at_epoch_end = k % num_blocks == 0
+            for name, q in zip(_OBJECTIVE_COLUMNS, _objective_at(
+                    objective, xv, value, k, grad if at_epoch_end else None)):
+                columns[name][n] = q
         if truth is not None:
             # `rmse`, with the error in `step`
             for i in range(1, num_blocks + 1) if first else (i_k,):
@@ -320,29 +347,19 @@ def solve(
                 error.fill(0.0)
             columns["rmse"][n] = rmse_blocks
         i_k = i_next
-        if rel < config.stop_tol:
+        if converged:
             reason = "tolerance"
             break
 
     trace.length = k - start_iter + 1
-    g = g_operator(fidelity, denoisers, gamma, xv, k + 1, grad)
-    g_final = g.norm()
-    _check_residual(g.data, g_final, k + 1)
+    # g_operator checks the final residual's entries at iteration k + 1
+    g_final = g_operator(fidelity, denoisers, gamma, xv, k + 1, grad).norm()
     for i in active:
         denoiser_calls[i - 1] += 1
     return SolveResult(
         x=xv, trace=trace.freeze(), reason=reason, left_ball=left_ball, g_norm_final=g_final,
         denoiser_calls=denoiser_calls, gradient_evals=gradient_evals,
     )
-
-
-def _check_residual(g, norm, k):
-    """Raise NonFiniteIterateError when the residual G computed at iteration
-    k, the array `g` of norm `norm`, has a NaN/inf entry.  As in `_denoise`,
-    only a norm that is not finite is checked entry by entry, so a G whose
-    squares overflow is recorded, not refused."""
-    if not math.isfinite(norm) and not np.isfinite(g).all():
-        raise NonFiniteIterateError(f"non-finite fixed-point residual G at iteration {k}")
 
 
 def _fidelity_at(fidelity, x, objective, blocks, out):
@@ -361,7 +378,8 @@ def _fidelity_at(fidelity, x, objective, blocks, out):
 
 def _objective_at(objective, x, value, k, grad=None):
     """(f, g, h) at the iterate x of iteration k, and ||grad f||^2 after
-    them when `grad`, grad g(x), is given: the start records f alone.
+    them when `grad`, grad g(x), is given: the start records f alone, and
+    rows off the ends of epochs f, g and h.
 
     Raises NonFiniteIterateError naming the first non-finite quantity.
     """

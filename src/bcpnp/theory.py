@@ -62,10 +62,13 @@ class IterateTrace:
     Row k holds quantities of iteration k >= 1: the objective at the new
     iterate x^k, the squared residual-operator norm at the previous iterate
     x^{k-1}, the step length, the scheduled denoiser error, and per-block
-    relative errors against the ground truth when one is known.  Fields are
-    NaN when not computed: no objective, no ground truth, or, for g_norm2
-    in rows 2 and on, a solve with several active blocks and without
-    `full_residual`, which denoises only the chosen block.
+    relative errors against the ground truth when one is known, and
+    ||grad f(x^k)||^2 in `grad_f_norm2` on the rows whose k is a multiple
+    of the number of blocks (the ends of epochs, which theorem 1 reads).
+    Fields are NaN when not computed: no objective, no ground truth,
+    `grad_f_norm2` on the other rows, or, for g_norm2 in rows 2 and on, a
+    solve with several active blocks and without `full_residual`, which
+    denoises only the chosen block.
     """
 
     iters: np.ndarray
@@ -378,14 +381,6 @@ def check_descent(trace: IterateTrace, constants: TheoryConstants):
         num_checked=len(trace),
         violations=violations,
     )
-
-
-@dataclass
-class NotRunReport:
-    """A check that a run could not make, and why."""
-
-    reason: str
-    ran: bool = False
 
 
 @dataclass

@@ -239,10 +239,10 @@ class TestRun:
         assert checks["descent"]["passed"]
         assert checks["theorem1"]["passed"]
 
-    def test_theorem1_before_one_epoch_is_reported_not_run(self, tmp_path):
-        """A sequential theory run that stops on tolerance at its first
-        iteration, before an epoch of its two blocks, says why theorem 1
-        did not run, and a strict run still passes."""
+    def test_theorem1_runs_after_an_early_tolerance_stop(self, tmp_path):
+        """A sequential theory run with a loose tolerance stops only once
+        both blocks have moved, so it holds a complete epoch, and a strict
+        run checks theorem 1 on it and passes."""
         path = write_config(
             tmp_path,
             **{
@@ -254,15 +254,12 @@ class TestRun:
         )
         assert cli.run(path) == cli.EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["modes"]["bc-pnp"]["iterations"] == 1
+        assert report["modes"]["bc-pnp"]["iterations"] >= 2
         assert report["modes"]["bc-pnp"]["reason"] == "tolerance"
         checks = report["checks"]["bc-pnp"]
         assert checks["descent"]["passed"]
-        assert checks["theorem1"] == {
-            "ran": False,
-            "reason": "the solve stopped on tolerance after 1 iterations, before the first "
-                      "complete epoch of 2",
-        }
+        assert checks["theorem1"]["num_epochs"] >= 1
+        assert checks["theorem1"]["passed"]
 
     def test_report_counts_a_lean_sequential_run(self, tmp_path):
         """n iterations of two blocks: every active block is denoised at
@@ -565,8 +562,10 @@ class TestRun:
         ({"denoisers.image": {"kind": "inexact", "base": _GAUSSIAN_IMAGE,
                               "schedule": {"kind": "constant", "base": 0.01, "seed": 4}}},
          2, "max-iters"),
-        # the mode stops on tolerance, and so would the reference: no solve
-        ({"solver.stop_tol": 1e-2}, 1, "tolerance"),
+        # the mode stops on tolerance, and so would the reference: no solve.
+        # The image block's relative steps fall from 0.249 at k = 1 to
+        # 0.215 at k = 17, the kernel's stay below 0.05: the stop is at 17
+        ({"solver.stop_tol": 0.22}, 1, "tolerance"),
         ({"theory_checks.reference_multiplier": 1}, 1, "max-iters"),
     ], ids=["random-iid", "sequential", "inexact-constant", "tolerance", "multiplier-1"])
     def test_f_star_equals_a_reference_from_scratch(self, overrides, solves, reason, tmp_path,

@@ -228,8 +228,9 @@ class TestSolve:
             x = x_new
 
     def test_consistent_noiseless_start_stops_immediately(self):
-        """With priors centered on the truth and zero noise, the first
-        update is an exact fixed point and tolerance fires at k=1."""
+        """With priors centered on the truth and zero noise, every update
+        is an exact fixed point, and tolerance fires once both blocks have
+        moved: at k=2, the end of the first epoch."""
         desk = blind_desk_problem(noise_sigma=0.0)
         v_true, th_true = desk.truth.extract(1), desk.truth.extract(2)
         denoisers = [
@@ -239,7 +240,8 @@ class TestSolve:
         cfg = dataclasses.replace(desk.config, stop_tol=1e-5)
         res = solve(desk.fidelity, denoisers, cfg, desk.truth)
         assert res.reason == "tolerance"
-        assert len(res.trace) == 1
+        assert len(res.trace) == 2
+        assert res.trace.block.tolist() == [1, 2]
         assert np.array_equal(res.x.data, desk.truth.data)
 
     def test_prox_displacement_bound_at_consistent_start(self):
@@ -328,6 +330,59 @@ class TestSolve:
         assert res.g_norm_final / np.sqrt(res.trace.g_norm2[0]) < 1.0
 
 
+class _Constant:
+    """A denoiser that returns the same block whatever its input."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def apply(self, z, k=1):
+        return self.value.copy()
+
+
+class TestStoppingRule:
+    """A solve stops on tolerance once every active block has moved and
+    each one's latest step, relative to its norm after that step, is below
+    stop_tol; a block that settles first does not stop it."""
+
+    @pytest.mark.parametrize("schedule, stop_tol, stop_at", [
+        ("sequential", 0.05, 49),
+        ("random-iid", 0.05, 43),
+        ("sequential", 1e-3, None),  # block 1 never gets below: the cap
+        ("random-iid", 1e-3, None),
+    ])
+    def test_a_settled_block_does_not_stop_the_solve(self, schedule, stop_tol, stop_at):
+        """Block 2 jumps to a constant at its first move and stays there,
+        so its later steps are exactly 0, while block 1's steps relative
+        to its norm fall from 0.25 to below 0.05 only after 40 iterations.
+        A rule that read block 2's zero step alone would stop at its second
+        move."""
+        desk = blind_desk_problem()
+        dens = [desk.denoisers()[0], _Constant(desk.truth.block(2))]
+        cfg = dataclasses.replace(desk.config, max_iters=60, stop_tol=stop_tol,
+                                  schedule=BlockSchedule(schedule, 2, seed=3))
+        res = solve(desk.fidelity, dens, cfg, desk.x0)
+        iterates = _solve_iterates(desk.fidelity, dens,
+                                   dataclasses.replace(cfg, stop_tol=1e-300), desk.x0, 60)
+        latest = {}  # each block's latest step relative to its new norm
+        prev = desk.x0
+        for k, (x, i) in enumerate(iterates, start=1):
+            step = np.linalg.norm(x.data - prev.data)
+            if i == 2:
+                assert (step == 0.0) == (2 in latest)  # block 2 moves once
+            latest[i] = step / np.linalg.norm(x.block(i))
+            prev = x
+            if k == stop_at:
+                assert len(latest) == 2 and max(latest.values()) < stop_tol
+                break
+            # the solve runs on while block 1 has not moved or moves by
+            # more than stop_tol relative to its norm
+            assert latest.get(1, np.inf) >= stop_tol
+        assert res.reason == ("max-iters" if stop_at is None else "tolerance")
+        assert res.trace.iters[-1] == (stop_at or 60)
+        assert res.x.data.tobytes() == prev.data.tobytes()
+
+
 class TestTraceRmse:
     @pytest.mark.parametrize("schedule", ["sequential", "random-iid"])
     def test_each_row_equals_every_block_recomputed(self, schedule):
@@ -396,8 +451,10 @@ def _two_pass_reference(desk, dens, config, x0, objective=None, truth=None, star
     """The iteration written out from its definition, in two passes per
     iteration: the residual G(x) over the active blocks (those whose
     denoiser is not None), then the update x_i <- D_i(x_i - gamma grad_i
-    g(x)) of the scheduled block, from iteration `start_iter` on.  Rows
-    hold NaN where there is no objective or truth.  Returns the final
+    g(x)) of the scheduled block, from iteration `start_iter` on, until
+    every active block's latest step relative to its new norm is below
+    `stop_tol`.  Rows hold NaN where there is no objective or truth, and
+    ||grad f||^2 on odd k, which end no epoch of the two blocks.  Returns the final
     iterate, the trace rows, f(x0), the final residual norm and what a
     full-residual `solve` reports beside them, for comparison with the
     fused `solve`."""
@@ -417,6 +474,8 @@ def _two_pass_reference(desk, dens, config, x0, objective=None, truth=None, star
     rows = []
     left_ball = False
     reason = "max-iters"
+    # each active block's latest step relative to its norm; inf until it moves
+    rel_steps = dict.fromkeys(active, np.inf)
     for k in range(start_iter, config.max_iters + 1):
         g_norm2 = residual_norm(x, k) ** 2
         i_k = config.schedule.next_index(k) if len(active) == 2 else active[0]
@@ -426,14 +485,15 @@ def _two_pass_reference(desk, dens, config, x0, objective=None, truth=None, star
         rows.append([
             k, i_k, f, g, h, g_norm2, step_norm,
             max(error_magnitude(dens[i - 1], k) for i in active),
-            nan if objective is None else objective.grad(x_new).norm() ** 2,
+            nan if objective is None or k % 2 else objective.grad(x_new).norm() ** 2,
             *(nan if truth is None else rmse(x_new.block(i), truth.block(i)) for i in (1, 2)),
         ])
         left_ball = left_ball or any(
             np.linalg.norm(x_new.block(i)) > radii[i - 1] for i in (1, 2))
-        prev_norm = float(np.linalg.norm(x.data))
+        block_norm = float(np.linalg.norm(x_new.block(i_k)))
+        rel_steps[i_k] = step_norm / block_norm if block_norm > 0 else step_norm
         x = x_new
-        if (step_norm / prev_norm if prev_norm > 0 else step_norm) < config.stop_tol:
+        if all(rel_steps[i] < config.stop_tol for i in active):
             reason = "tolerance"
             break
     return SimpleNamespace(
@@ -593,11 +653,11 @@ class TestFusedIteration:
     def test_stop_and_ball_match_two_pass_reference(self, stop_tol, ball_radius, reason,
                                                     left_ball):
         """The stopping rule, the reason and the ball flag, on a seed solve
-        that stops on tolerance and leaves its ball, and on one that runs to
-        the cap inside it."""
+        that stops on tolerance (at k = 84) and leaves its ball, and on one
+        that runs to the cap inside it."""
         desk = blind_desk_problem()
         dens = [d.base for d in desk.denoisers()]
-        cfg = dataclasses.replace(desk.config, max_iters=80, stop_tol=stop_tol,
+        cfg = dataclasses.replace(desk.config, max_iters=120, stop_tol=stop_tol,
                                   ball_radius=ball_radius,
                                   schedule=BlockSchedule("random-iid", 2, seed=2))
         ref = _two_pass_reference(desk, dens, cfg, desk.x0)
@@ -783,7 +843,7 @@ class TestFiniteCheck:
 class _NanObjectiveAt:
     """Delegates to an objective; one quantity is NaN at iteration k (the
     objective's value is evaluated once at x0, then once per iteration, and
-    its gradient once per iteration)."""
+    its gradient after the value on the rows that end an epoch)."""
 
     def __init__(self, inner, k, quantity):
         self.inner, self.k, self.quantity = inner, k, quantity
@@ -800,13 +860,13 @@ class _NanObjectiveAt:
     def grad(self, x, grad_g=None):
         self.grad_calls += 1
         out = self.inner.grad(x, grad_g)
-        if self.grad_calls == self.k and self.quantity == "||grad f||^2":
+        if self.value_calls == self.k + 1 and self.quantity == "||grad f||^2":
             return BlockVector(out.layout, np.full(out.layout.total, np.nan))
         return out
 
 
 class TestNonFiniteObjective:
-    @pytest.mark.parametrize("quantity", ["f", "g", "h", "||grad f||^2"])
+    @pytest.mark.parametrize("quantity", ["f", "g", "h"])
     def test_nan_at_iteration_3_is_named(self, quantity):
         desk = blind_desk_problem()
         objective = _NanObjectiveAt(desk.objective, 3, quantity)
@@ -815,6 +875,17 @@ class TestNonFiniteObjective:
         with pytest.raises(NonFiniteIterateError, match=match):
             solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, objective=objective)
 
+    def test_nan_gradient_at_iteration_4_is_named(self):
+        """||grad f||^2 is taken on the rows that end an epoch: with two
+        blocks, at k = 2, 4, ...; a NaN at k = 4 is named there."""
+        desk = blind_desk_problem()
+        objective = _NanObjectiveAt(desk.objective, 4, "||grad f||^2")
+        cfg = dataclasses.replace(desk.config, max_iters=10)
+        with pytest.raises(NonFiniteIterateError,
+                           match=r"non-finite objective \|\|grad f\|\|\^2 at iteration 4$"):
+            solve(desk.fidelity, desk.denoisers(), cfg, desk.x0, objective=objective)
+        assert objective.grad_calls == 2
+
     def test_nan_at_the_start_is_iteration_0(self):
         desk = blind_desk_problem()
         objective = _NanObjectiveAt(desk.objective, 0, "f")
@@ -822,13 +893,16 @@ class TestNonFiniteObjective:
             solve(desk.fidelity, desk.denoisers(), desk.config, desk.x0, objective=objective)
 
     def test_the_start_records_f_without_a_gradient(self):
-        """f(x0) is the start's only use of the objective: n iterations take
-        n + 1 values and n gradients."""
+        """f(x0) is the start's only use of the objective: n iterations over
+        b blocks take n + 1 values and n / b gradients, one per epoch."""
         desk = blind_desk_problem()
         counting = _NanObjectiveAt(desk.objective, -1, None)
-        solve(desk.fidelity, desk.denoisers(), dataclasses.replace(desk.config, max_iters=10),
-              desk.x0, objective=counting)
-        assert (counting.value_calls, counting.grad_calls) == (11, 10)
+        res = solve(desk.fidelity, desk.denoisers(),
+                    dataclasses.replace(desk.config, max_iters=10), desk.x0, objective=counting)
+        assert (counting.value_calls, counting.grad_calls) == (11, 10 // 2)
+        epoch_ends = res.trace.iters % 2 == 0
+        assert np.isfinite(res.trace.grad_f_norm2[epoch_ends]).all()
+        assert np.isnan(res.trace.grad_f_norm2[~epoch_ends]).all()
 
 
 class TestContinuation:
