@@ -543,9 +543,12 @@ class TestStackedTransforms:
         assert model.adjoint_v(maps, w).tobytes() == want_adj.tobytes()
 
     def test_stacked_convolution_adjoints_equal_separate(self):
+        """The convolution fidelity's two-block adjoint, one inverse of a
+        two-plane stack, gives the model's adjoint of each block."""
         model, fid, v, k = make_conv_problem(np.random.default_rng(33), noise=0.05)
-        ft, fv, fw = model.kernel_spectrum(k), model.spectrum(v), model.spectrum(fid.y)
-        adj_v, adj_theta = model.adjoints(ft, fv, fw)
+        out = np.full(fid.layout.total, np.nan)
+        fid._adjoints(model.kernel_spectrum(k), model.spectrum(v), fid.y, out)
+        adj_v, adj_theta = (out[s] for s in fid.layout.slices)
         assert adj_v.tobytes() == model.adjoint_v(k, fid.y).tobytes()
         assert adj_theta.tobytes() == model.adjoint_theta(v, fid.y).tobytes()
 
@@ -732,8 +735,8 @@ class TestInPlaceMultiCoil:
 
 
 class TestInPlaceConvolution:
-    """The convolution model writes into the buffers it is given with the
-    bits it allocates, and the fidelity, computing in buffers it owns,
+    """The convolution model computes in the work arrays it is given with
+    the bits it allocates, and the fidelity, computing in buffers it owns,
     never returns one of them."""
 
     @pytest.mark.parametrize("shape, kernel", [((8, 8), (3, 3)), ((6, 9), (5, 3))])
@@ -743,21 +746,23 @@ class TestInPlaceConvolution:
         x = _signed_zero_point(rng, fid.layout)
         v, theta = x.extract(1), x.extract(2)
         ft, fv, fw = model.kernel_spectrum(theta), model.spectrum(v), model.spectrum(fid.y)
-        want = model.forward(theta, v)
-        out = np.full(shape[0] * shape[1], np.nan)
-        got = model.forward(theta, v, ft, fv, out=out)
-        assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(got, out)
-        want = model.adjoints(ft, fv, fw)
-        stack = np.full((2,) + ft.shape, np.nan, dtype=np.complex128)
-        got = model.adjoints(ft, fv, fw, out=stack)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert got[0].tobytes() == model.adjoint_v(theta, fid.y).tobytes()
-        assert got[1].tobytes() == model.adjoint_theta(v, fid.y).tobytes()
+        work = (np.full(ft.shape, np.nan, dtype=np.complex128), np.full(shape, np.nan))
+        got = model.forward(theta, v, ft, fv, work=work)
+        assert got.tobytes() == model.forward(theta, v).tobytes()
+        assert np.shares_memory(got, work[1])
+        want = model.adjoint_v(theta, fid.y), model.adjoint_theta(v, fid.y)
+        got = model.adjoint_v(theta, fid.y, ft, fw, work=work)
+        assert got.tobytes() == want[0].tobytes()
+        assert np.shares_memory(got, work[1])
+        got = model.adjoint_theta(v, fid.y, fv, fw, work=work)
+        assert got.tobytes() == want[1].tobytes()
         embedded = np.zeros(shape[0] * shape[1])
         got = model._embed(theta, embedded)
         assert got.tobytes() == model._embed(theta).tobytes()
         assert np.shares_memory(got, embedded)
+        crop = np.full(theta.size, np.nan)
+        assert model._extract(got, crop) is crop
+        assert crop.tobytes() == model._extract(got).tobytes() == theta.tobytes()
 
     def test_results_are_kept_and_equal_a_fresh_fidelity(self):
         """Each result stays as it was after later calls at another point,
@@ -788,6 +793,42 @@ class TestInPlaceConvolution:
         buffers = _held_arrays(fid)
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
+    @pytest.mark.parametrize("shape, kernel", [((8, 8), (3, 3)), ((6, 9), (5, 3))])
+    def test_interleaved_calls_equal_a_fresh_fidelity(self, shape, kernel):
+        """Calls of every kind, with and without `out=`, at points that
+        alternate (each pair of them sharing one block or none), each give
+        the bits of the same call on a fresh fidelity: no work buffer or
+        kept spectrum is read after a later call wrote over it.  An even
+        and an odd image width."""
+        rng = np.random.default_rng(72)
+        model, fid, _, _ = make_conv_problem(rng, shape, kernel, noise=0.05)
+        layout = fid.layout
+        x, y = (_signed_zero_point(rng, layout) for _ in range(2))
+        points = [x, y, x.inject(1, y.extract(1)), y.inject(1, x.extract(1))]
+        u = _signed_zero_point(rng, layout)
+        calls = [
+            lambda f, p, out: f.grad(p),
+            lambda f, p, out: f.grad(p, out=out),
+            lambda f, p, out: f.grad_block(p, 1),
+            lambda f, p, out: f.grad_block(p, 2, out=out),
+            lambda f, p, out: f.value_and_grad(p, out=out),
+            lambda f, p, out: f.value(p),
+            lambda f, p, out: f.grad_block(p, 1, out=out),
+            lambda f, p, out: f.residual(p.block(1), p.block(2)),
+            lambda f, p, out: f.hessian_vec(p, u.extract(1), block=1),
+            lambda f, p, out: f.grad_block(p, 2),
+            lambda f, p, out: f.hessian_vec(p, u.extract(2), block=2),
+            lambda f, p, out: f.value_and_grad(p),
+            lambda f, p, out: f.hessian_vec(p, u),
+            lambda f, p, out: f.adjoint_init(p.block(2)),
+        ]
+        out = np.empty(layout.total)
+        for step in range(3 * len(calls)):
+            call, point = calls[step % len(calls)], points[step % len(points)]
+            got = _bits(call(fid, point, out))
+            fresh = ConvolutionFidelity(model, fid.y)
+            assert got == _bits(call(fresh, point, np.empty(layout.total))), step
+
 
 class TestGradientOut:
     """`out=` on `grad_block`, `grad` and `value_and_grad` writes the bits
@@ -813,6 +854,30 @@ class TestGradientOut:
                 assert np.shares_memory(got.data, out)
                 assert not got.data.flags.writeable
             assert fid.value_and_grad(point, out=out)[0] == fid.value_and_grad(point)[0]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["convolution", "multicoil"])
+    def test_one_vector_per_out(self, case):
+        """A bilinear fidelity returns one vector for one `out`, whichever
+        gradient wrote it: read-only over `out`, showing each new gradient.
+        Without `out=` each call gives a new vector over a new array."""
+        fid, x = _bilinear_problems()[case]
+        rng = np.random.default_rng(82 + case)
+        calls = [lambda p, **kw: fid.grad(p, **kw),
+                 lambda p, **kw: fid.value_and_grad(p, **kw)[1],
+                 lambda p, **kw: fid.grad_block(p, 1, **kw),
+                 lambda p, **kw: fid.grad_block(p, 2, **kw)]
+        out = np.empty(fid.layout.total)
+        first = calls[0](x, out=out)
+        for point in (x, _signed_zero_point(rng, fid.layout), _signed_zero_point(rng, fid.layout)):
+            for call in calls:
+                got = call(point, out=out)
+                assert got is first
+                assert np.shares_memory(got.data, out) and not got.data.flags.writeable
+                assert got.data.tobytes() == call(point).data.tobytes()
+        fresh = [call(x) for call in calls for _ in range(2)]
+        assert len({id(v) for v in fresh}) == len(fresh)
+        assert not any(np.shares_memory(a.data, b.data)
+                       for j, a in enumerate(fresh) for b in fresh[j + 1:])
 
     @pytest.mark.parametrize("case", range(3))
     def test_strided_out_is_written_or_refused(self, case):
@@ -846,6 +911,16 @@ class TestGradientOut:
         stack = np.empty(model.stack_shape, dtype=np.complex128)
         assert _traced_peak(lambda: fid.grad_block(x, block, out=out)) < stack.nbytes
         assert _traced_peak(lambda: model.inverse(fid.y, out=stack)) < 4096
+
+
+def _bits(result):
+    """The bytes of what a fidelity call returned: an array, a vector, a
+    value, or a (value, gradient) pair."""
+    if isinstance(result, tuple):
+        return tuple(_bits(r) for r in result)
+    if isinstance(result, BlockVector):
+        result = result.data
+    return np.asarray(result, dtype=np.float64).tobytes()
 
 
 def _traced_peak(call):
@@ -929,6 +1004,16 @@ class TestLastSpectrumKey:
         first = last(a)
         assert last(a.copy()) is first and len(calls) == 1
 
+    def test_compares_a_strided_array_by_its_bits(self):
+        """A strided array, which exports no flat buffer, hits on equal bits
+        and misses on others."""
+        last, calls = self._counting()
+        a = np.arange(8.0)
+        first = last(a[::2])
+        assert last(a[::2].copy()) is first and last(a[::2]) is first
+        last(a[1::2])
+        assert len(calls) == 2
+
     def test_misses_on_the_sign_of_zero(self):
         last, calls = self._counting()
         last(np.array([1.0, 0.0]))
@@ -943,6 +1028,11 @@ class TestLastSpectrumKey:
         last(a.reshape(2, 3))
         last(a.reshape(3, 2))
         assert [c.shape for c in calls] == [(6,), (2, 3), (3, 2)]
+        # a strided array, compared by a copy of its bytes, as well
+        b = np.arange(12.0)[::2]
+        last(b)
+        last(np.arange(12.0).reshape(3, 4)[:, ::2])
+        assert [c.shape for c in calls[3:]] == [(6,), (3, 2)]
 
     def test_hits_on_an_equal_nan_bit_pattern(self):
         last, calls = self._counting()

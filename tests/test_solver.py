@@ -970,6 +970,32 @@ class TestWorkArrays:
         assert iterations == 100
         assert faults / iterations < 8
 
+    @pytest.mark.parametrize("call", ["grad", "value_and_grad", 1, 2])
+    def test_warm_convolution_gradient_into_out_allocates_no_image(self, call):
+        """At 64x64 with a 9x9 kernel, a warm convolution gradient written
+        into `out`, of both blocks or of one, peaks below one 32 KiB image
+        of traced allocation (about 1 KiB): its forward product, adjoint
+        stack, inverse and kernel crop are the fidelity's work arrays, and
+        its kept spectra are matched to the blocks in place."""
+        desk = blind_desk_problem(image_shape=(64, 64), kernel_shape=(9, 9))
+        fid, x = desk.fidelity, desk.x0
+        out = np.empty(fid.layout.total)
+        if call in (1, 2):
+            def gradient():
+                return fid.grad_block(x, call, out=out)
+        else:
+            def gradient():
+                return getattr(fid, call)(x, out=out)
+        gradient()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gradient()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * fid.y.size
+
     def test_warm_solve_peak_is_under_eight_and_a_half_iterates(self):
         """The traced peak of a warm 64x64, 4-coil bc-pnp solve stays below
         8.5 arrays of the layout's size (320 KiB each): 8.05 with one
